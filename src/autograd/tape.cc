@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "graph/spmm.h"
+#include "kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace hosr::autograd {
@@ -88,8 +89,10 @@ Value Tape::MatMul(Value a, Value b) {
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
       if (an->requires_grad) {
-        tensor::Gemm(out->grad, false, bn->value(), true, 1.0f, 1.0f,
-                     GradFor(an));
+        // dA += dOut * B^T through the NN tiles against a transposed copy
+        // of B (the d x d weight), rather than the dot-per-element NT path.
+        tensor::Gemm(out->grad, false, tensor::Transpose(bn->value()), false,
+                     1.0f, 1.0f, GradFor(an));
       }
       if (bn->requires_grad) {
         tensor::Gemm(an->value(), true, out->grad, false, 1.0f, 1.0f,
@@ -111,8 +114,7 @@ Value Tape::SpMM(const graph::CsrMatrix* matrix,
       NewNode(graph::Spmm(*matrix, dn->value()), dn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, dn, transpose] {
-      Matrix partial = graph::Spmm(*transpose, out->grad);
-      tensor::Axpy(1.0f, partial, GradFor(dn));
+      graph::SpmmAccumulate(*transpose, out->grad, GradFor(dn));
     };
   }
   return Value(out);
@@ -339,13 +341,20 @@ Value Tape::BroadcastColMul(Value a, Value s) {
               an->requires_grad || sn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, sn] {
-      if (an->requires_grad) {
-        Matrix partial = tensor::BroadcastColMul(out->grad, sn->value());
-        tensor::Axpy(1.0f, partial, GradFor(an));
-      }
-      if (sn->requires_grad) {
-        Matrix partial = tensor::RowDot(out->grad, an->value());
-        tensor::Axpy(1.0f, partial, GradFor(sn));
+      // One pass over the rows, straight into the gradients:
+      // dA_r += s_r * dOut_r and ds_r += dOut_r . A_r.
+      const kernels::KernelTable& kern = kernels::Active();
+      const Matrix& g = out->grad;
+      const size_t cols = g.cols();
+      Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
+      Matrix* gs = sn->requires_grad ? GradFor(sn) : nullptr;
+      for (size_t r = 0; r < g.rows(); ++r) {
+        if (ga != nullptr) {
+          kern.axpy(cols, sn->value()(r, 0), g.row(r), ga->row(r));
+        }
+        if (gs != nullptr) {
+          (*gs)(r, 0) += kern.dot(cols, g.row(r), an->value().row(r));
+        }
       }
     };
   }
@@ -425,13 +434,20 @@ Value Tape::RowDot(Value a, Value b) {
                                 an->requires_grad || bn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
-      if (an->requires_grad) {
-        Matrix partial = tensor::BroadcastColMul(bn->value(), out->grad);
-        tensor::Axpy(1.0f, partial, GradFor(an));
-      }
-      if (bn->requires_grad) {
-        Matrix partial = tensor::BroadcastColMul(an->value(), out->grad);
-        tensor::Axpy(1.0f, partial, GradFor(bn));
+      // dA_r += dOut_r * B_r and dB_r += dOut_r * A_r, straight into the
+      // gradients.
+      const kernels::KernelTable& kern = kernels::Active();
+      const Matrix& g = out->grad;
+      const size_t cols = an->value().cols();
+      Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
+      Matrix* gb = bn->requires_grad ? GradFor(bn) : nullptr;
+      for (size_t r = 0; r < g.rows(); ++r) {
+        if (ga != nullptr) {
+          kern.axpy(cols, g(r, 0), bn->value().row(r), ga->row(r));
+        }
+        if (gb != nullptr) {
+          kern.axpy(cols, g(r, 0), an->value().row(r), gb->row(r));
+        }
       }
     };
   }

@@ -9,9 +9,11 @@
 
 namespace hosr::graph {
 
-void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
-          tensor::Matrix* out) {
-  HOSR_TRACE_SPAN("spmm/forward");
+namespace {
+
+// out = sparse * dense, or out += sparse * dense when `accumulate` is set.
+void SpmmInto(const CsrMatrix& sparse, const tensor::Matrix& dense,
+              tensor::Matrix* out, bool accumulate) {
   HOSR_CHECK(dense.rows() == sparse.num_cols())
       << dense.rows() << " vs " << sparse.num_cols();
   HOSR_CHECK(out->rows() == sparse.num_rows() && out->cols() == dense.cols());
@@ -35,7 +37,7 @@ void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
         const uint32_t* cols = sparse.col_idx().data();
         for (size_t r = row_begin; r < row_end; ++r) {
           float* out_row = out->row(r);
-          std::fill(out_row, out_row + d, 0.0f);
+          if (!accumulate) std::fill(out_row, out_row + d, 0.0f);
           size_t k = sparse.row_begin(static_cast<uint32_t>(r));
           const size_t end = sparse.row_end(static_cast<uint32_t>(r));
           for (; k + 2 <= end; k += 2) {
@@ -48,6 +50,20 @@ void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
         }
       },
       grain);
+}
+
+}  // namespace
+
+void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
+          tensor::Matrix* out) {
+  HOSR_TRACE_SPAN("spmm/forward");
+  SpmmInto(sparse, dense, out, /*accumulate=*/false);
+}
+
+void SpmmAccumulate(const CsrMatrix& sparse, const tensor::Matrix& dense,
+                    tensor::Matrix* out) {
+  HOSR_TRACE_SPAN("spmm/accumulate");
+  SpmmInto(sparse, dense, out, /*accumulate=*/true);
 }
 
 tensor::Matrix Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense) {

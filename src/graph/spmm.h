@@ -12,6 +12,13 @@ namespace hosr::graph {
 void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
           tensor::Matrix* out);
 
+// Accumulating form: out += sparse * dense, each row's neighbors folded into
+// out's existing row in the same order Spmm folds them from zero. The
+// autograd backward of SpMM writes straight into the input's gradient with
+// it instead of building a partial product and adding that.
+void SpmmAccumulate(const CsrMatrix& sparse, const tensor::Matrix& dense,
+                    tensor::Matrix* out);
+
 // Convenience allocating form.
 tensor::Matrix Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense);
 

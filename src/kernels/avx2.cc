@@ -9,6 +9,8 @@
 // the scalar table only by float reassociation (~1e-7 relative; the
 // equivalence tests in tests/kernels_test.cc bound it at 1e-5).
 #include <cfloat>
+#include <cstdint>
+#include <cstring>
 #include <immintrin.h>
 
 #include "kernels/kernels.h"
@@ -171,9 +173,150 @@ float ScoreBlockAvx2(size_t items, size_t d, const float* u,
   return best;
 }
 
+// Lane mask selecting the first `lanes` (0..8) floats of a ymm register.
+inline __m256i LaneMask(size_t lanes) {
+  static const int32_t kTable[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                     0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTable + 8 - lanes));
+}
+
+// A kRows x 16 tile: two ymm accumulators per row, one broadcast of A and
+// two loads of B per k step. kFull tiles have all 16 columns; the others
+// mask their B loads and C accesses to `cols`, which leaves each element's
+// chain of fused multiply-adds unchanged.
+template <size_t kRows, bool kFull>
+void GemmTileAvx2Impl(size_t cols, size_t k, float alpha, const float* a,
+                      size_t a_row_stride, size_t a_k_stride, const float* b,
+                      size_t ldb, float beta, float* c, size_t ldc) {
+  __m256i mask_lo = _mm256_setzero_si256();
+  __m256i mask_hi = _mm256_setzero_si256();
+  if (!kFull) {
+    mask_lo = LaneMask(cols < 8 ? cols : 8);
+    mask_hi = LaneMask(cols > 8 ? cols - 8 : 0);
+  }
+  __m256 acc[kRows][2];
+#pragma GCC unroll 6
+  for (size_t i = 0; i < kRows; ++i) {
+    acc[i][0] = _mm256_setzero_ps();
+    acc[i][1] = _mm256_setzero_ps();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    const float* b_row = b + p * ldb;
+    const __m256 b_lo = kFull ? _mm256_loadu_ps(b_row)
+                              : _mm256_maskload_ps(b_row, mask_lo);
+    const __m256 b_hi = kFull ? _mm256_loadu_ps(b_row + 8)
+                              : _mm256_maskload_ps(b_row + 8, mask_hi);
+    const float* a_col = a + p * a_k_stride;
+#pragma GCC unroll 6
+    for (size_t i = 0; i < kRows; ++i) {
+      const __m256 a_ip = _mm256_broadcast_ss(a_col + i * a_row_stride);
+      acc[i][0] = _mm256_fmadd_ps(a_ip, b_lo, acc[i][0]);
+      acc[i][1] = _mm256_fmadd_ps(a_ip, b_hi, acc[i][1]);
+    }
+  }
+  const __m256 valpha = _mm256_set1_ps(alpha);
+  const __m256 vbeta = _mm256_set1_ps(beta);
+#pragma GCC unroll 6
+  for (size_t i = 0; i < kRows; ++i) {
+    float* c_row = c + i * ldc;
+    __m256 lo = _mm256_mul_ps(valpha, acc[i][0]);
+    __m256 hi = _mm256_mul_ps(valpha, acc[i][1]);
+    if (kFull) {
+      if (beta != 0.0f) {
+        lo = _mm256_fmadd_ps(vbeta, _mm256_loadu_ps(c_row), lo);
+        hi = _mm256_fmadd_ps(vbeta, _mm256_loadu_ps(c_row + 8), hi);
+      }
+      _mm256_storeu_ps(c_row, lo);
+      _mm256_storeu_ps(c_row + 8, hi);
+    } else {
+      if (beta != 0.0f) {
+        lo = _mm256_fmadd_ps(vbeta, _mm256_maskload_ps(c_row, mask_lo), lo);
+        hi = _mm256_fmadd_ps(vbeta, _mm256_maskload_ps(c_row + 8, mask_hi),
+                             hi);
+      }
+      _mm256_maskstore_ps(c_row, mask_lo, lo);
+      _mm256_maskstore_ps(c_row + 8, mask_hi, hi);
+    }
+  }
+}
+
+using GemmTileFn = void (*)(size_t, size_t, float, const float*, size_t,
+                           size_t, const float*, size_t, float, float*,
+                           size_t);
+
+template <bool kFull>
+constexpr GemmTileFn kGemmTileByRows[kGemmTileRows] = {
+    GemmTileAvx2Impl<1, kFull>, GemmTileAvx2Impl<2, kFull>,
+    GemmTileAvx2Impl<3, kFull>, GemmTileAvx2Impl<4, kFull>,
+    GemmTileAvx2Impl<5, kFull>, GemmTileAvx2Impl<6, kFull>,
+};
+
+void GemmTileAvx2(size_t rows, size_t cols, size_t k, float alpha,
+                  const float* a, size_t a_row_stride, size_t a_k_stride,
+                  const float* b, size_t ldb, float beta, float* c,
+                  size_t ldc) {
+  const GemmTileFn tile = cols == kGemmTileCols
+                              ? kGemmTileByRows<true>[rows - 1]
+                              : kGemmTileByRows<false>[rows - 1];
+  tile(cols, k, alpha, a, a_row_stride, a_k_stride, b, ldb, beta, c, ldc);
+}
+
+// tanh(|x|) = expm1(2|x|) / (expm1(2|x|) + 2), with the sign copied back,
+// so the result is odd bit for bit. expm1(y) for y = 2|x| clamped to 18:
+// Cody-Waite reduction y = n*ln2 + r with |r| <= ln2/2, a degree-7 Taylor
+// polynomial q = expm1(r), then expm1(y) = (2^n - 1) + 2^n * q, whose first
+// term is exact, so small arguments keep full relative accuracy. Lanes with
+// |x| >= 9 (where tanh rounds to 1 within 6e-8) become exactly 1, and NaN
+// lanes get x back through an explicit unordered compare: a min/max clamp
+// alone returns its non-NaN operand and would turn NaN into a number.
+inline __m256 TanhVec(__m256 x) {
+  const __m256 sign_bit = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 ax = _mm256_andnot_ps(sign_bit, x);
+  const __m256 y = _mm256_min_ps(_mm256_add_ps(ax, ax), _mm256_set1_ps(18.0f));
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(y, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), y);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 q = _mm256_set1_ps(1.0f / 5040.0f);
+  q = _mm256_fmadd_ps(q, r, _mm256_set1_ps(1.0f / 720.0f));
+  q = _mm256_fmadd_ps(q, r, _mm256_set1_ps(1.0f / 120.0f));
+  q = _mm256_fmadd_ps(q, r, _mm256_set1_ps(1.0f / 24.0f));
+  q = _mm256_fmadd_ps(q, r, _mm256_set1_ps(1.0f / 6.0f));
+  q = _mm256_fmadd_ps(q, r, _mm256_set1_ps(0.5f));
+  q = _mm256_fmadd_ps(q, r, one);
+  q = _mm256_mul_ps(q, r);
+  const __m256 pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
+  const __m256 em1 = _mm256_fmadd_ps(pow2n, q, _mm256_sub_ps(pow2n, one));
+  __m256 t = _mm256_div_ps(em1, _mm256_add_ps(em1, _mm256_set1_ps(2.0f)));
+  t = _mm256_blendv_ps(t, one,
+                       _mm256_cmp_ps(ax, _mm256_set1_ps(9.0f), _CMP_GE_OQ));
+  t = _mm256_or_ps(t, _mm256_and_ps(sign_bit, x));
+  return _mm256_blendv_ps(t, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+void TanhAvx2(size_t n, const float* x, float* y) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, TanhVec(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    // The tail runs through the same vector code, so a value's tanh does
+    // not depend on where a caller's chunk boundaries fall.
+    float lanes[8] = {};
+    std::memcpy(lanes, x + i, (n - i) * sizeof(float));
+    _mm256_storeu_ps(lanes, TanhVec(_mm256_loadu_ps(lanes)));
+    std::memcpy(y + i, lanes, (n - i) * sizeof(float));
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     "avx2",        kLevelAvx2, AxpyAvx2,      Axpy2Avx2,
     DotAvx2,       ScaleAvx2,  ReduceMaxAvx2, ScoreBlockAvx2,
+    GemmTileAvx2,  TanhAvx2,
 };
 
 }  // namespace

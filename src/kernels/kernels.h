@@ -6,7 +6,7 @@
 namespace hosr::kernels {
 
 // Runtime-dispatched dense microkernels backing every dense hot path in the
-// library (tensor::Gemm/Axpy/RowDot, graph::Spmm, the serving GEMV, the
+// library (tensor::Gemm/Axpy/RowDot/Tanh, graph::Spmm, the serving GEMV, the
 // evaluator's top-K scan). The instruction set is probed once per process
 // (CPUID) and every call site reads the same resolved table, so a process
 // never mixes ISA levels: each kernel has a fixed reduction order within a
@@ -22,6 +22,12 @@ namespace hosr::kernels {
 inline constexpr int kLevelScalar = 0;
 inline constexpr int kLevelAvx2 = 2;  // AVX2 + FMA
 
+// Largest block of C one gemm_tile call computes: 6 rows x 16 columns, the
+// AVX2 register blocking (12 ymm accumulators, two B vectors and one
+// broadcast A value fill 15 of the 16 ymm registers).
+inline constexpr size_t kGemmTileRows = 6;
+inline constexpr size_t kGemmTileCols = 16;
+
 // One ISA level's implementation of every microkernel. All pointers are
 // non-null in every table. Buffers may be unaligned; x/y/out must not alias
 // unless a kernel says otherwise.
@@ -33,8 +39,7 @@ struct KernelTable {
   void (*axpy)(size_t n, float alpha, const float* x, float* y);
 
   // y[i] += a0 * x0[i] + a1 * x1[i] — one pass over y; the 2-way unrolled
-  // rank-1 update used by the SpMM gather and GEMM inner loops to halve the
-  // y load/store traffic.
+  // rank-1 update the SpMM gather uses to halve the y load/store traffic.
   void (*axpy2)(size_t n, float a0, const float* x0, float a1,
                 const float* x1, float* y);
 
@@ -55,6 +60,29 @@ struct KernelTable {
   // without a second pass.
   float (*score_block)(size_t items, size_t d, const float* u,
                        const float* item_rows, const float* bias, float* out);
+
+  // One register-blocked tile of C = alpha * A * B + beta * C, the
+  // microkernel under tensor::Gemm. The tile has rows <= kGemmTileRows and
+  // cols <= kGemmTileCols; for i < rows, j < cols:
+  //   c[i*ldc + j] = alpha * acc(i, j) + beta * c[i*ldc + j]
+  //   acc(i, j)    = sum for p = 0, 1, ..., k-1 of
+  //                  a[i*a_row_stride + p*a_k_stride] * b[p*ldb + j]
+  // Each acc(i, j) is one chain from zero in ascending p (fused
+  // multiply-adds in the SIMD tables), so an element's value does not depend
+  // on where its tile sits or which thread runs it. A is read through two
+  // strides, so a row-major A (a_k_stride == 1) and a transposed view of
+  // one (a_row_stride == 1) need no copy. When beta == 0, c is written
+  // without being read.
+  void (*gemm_tile)(size_t rows, size_t cols, size_t k, float alpha,
+                    const float* a, size_t a_row_stride, size_t a_k_stride,
+                    const float* b, size_t ldb, float beta, float* c,
+                    size_t ldc);
+
+  // y[i] = tanh(x[i]) for i in [0, n); y may alias x. Every table is odd
+  // bit for bit, maps NaN to NaN and +-inf to +-1. The scalar table is
+  // std::tanh; the SIMD table is within 2e-7 absolute of it and returns
+  // exactly +-1 for |x| >= 9.
+  void (*tanh)(size_t n, const float* x, float* y);
 };
 
 // The table every hot path uses. Resolved exactly once per process from

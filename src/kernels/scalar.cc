@@ -4,6 +4,7 @@
 // the table HOSR_FORCE_SCALAR pins and the baseline the SIMD tables are
 // tested against.
 #include <cfloat>
+#include <cmath>
 
 #include "kernels/kernels.h"
 
@@ -49,9 +50,35 @@ float ScoreBlockScalar(size_t items, size_t d, const float* u,
   return best;
 }
 
+void GemmTileScalar(size_t rows, size_t cols, size_t k, float alpha,
+                    const float* a, size_t a_row_stride, size_t a_k_stride,
+                    const float* b, size_t ldb, float beta, float* c,
+                    size_t ldc) {
+  float acc[kGemmTileRows][kGemmTileCols] = {};
+  for (size_t p = 0; p < k; ++p) {
+    const float* b_row = b + p * ldb;
+    for (size_t i = 0; i < rows; ++i) {
+      const float a_ip = a[i * a_row_stride + p * a_k_stride];
+      for (size_t j = 0; j < cols; ++j) acc[i][j] += a_ip * b_row[j];
+    }
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    float* c_row = c + i * ldc;
+    for (size_t j = 0; j < cols; ++j) {
+      c_row[j] = beta == 0.0f ? alpha * acc[i][j]
+                              : alpha * acc[i][j] + beta * c_row[j];
+    }
+  }
+}
+
+void TanhScalar(size_t n, const float* x, float* y) {
+  for (size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",        kLevelScalar, AxpyScalar,      Axpy2Scalar,
     DotScalar,       ScaleScalar,  ReduceMaxScalar, ScoreBlockScalar,
+    GemmTileScalar,  TanhScalar,
 };
 
 }  // namespace

@@ -31,54 +31,106 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
   HOSR_CHECK(out != &a && out != &b) << "Gemm does not support aliasing";
 
   HOSR_COUNTER("kernels/gemm_flops").Increment(2 * m * n * k);
+  if (m == 0 || n == 0) return;
   const kernels::KernelTable& kern = kernels::Active();
+  // out = beta * out before an accumulate-only pass; beta == 0 overwrites.
+  auto scale_row = [&](float* out_row, size_t len) {
+    if (beta == 0.0f) {
+      std::fill(out_row, out_row + len, 0.0f);
+    } else if (beta != 1.0f) {
+      kern.scale(len, beta, out_row);
+    }
+  };
 
-  // i-k-j loop order keeps the inner loop streaming over contiguous rows of
-  // the (possibly logically transposed) operands: pairs of rank-1 row
-  // updates through the axpy2 microkernel. For transposed B we materialize
-  // nothing: B^T(kk, j) = B(j, kk) is strided, so the j-major inner loop
-  // reduces with the dot microkernel instead (or a scalar accumulator when
-  // A is also transposed and its column walk is strided too).
+  // NT: every element is one dot over two contiguous rows, the order
+  // ModelSnapshot::Score and score_block replay, so served scores stay
+  // bit-equal to ScoreAllItems.
+  if (!transpose_a && transpose_b) {
+    util::ParallelFor(
+        0, m,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            float* out_row = out->row(i);
+            scale_row(out_row, n);
+            for (size_t j = 0; j < n; ++j) {
+              out_row[j] += alpha * kern.dot(k, a.row(i), b.row(j));
+            }
+          }
+        },
+        util::GrainFor(n * k));
+    return;
+  }
+
+  // Skinny shapes: with n == 1 or k == 1 the vector operand is contiguous
+  // whichever way it is stored, so one dot or axpy per row does the work of
+  // a column of mostly empty tiles.
+  if (n == 1 && !transpose_a) {
+    // out(i) = beta * out(i) + alpha * dot(a_i, b).
+    float* out_col = out->data();
+    util::ParallelFor(
+        0, m,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            const float acc = alpha * kern.dot(k, a.row(i), b.data());
+            out_col[i] = beta == 0.0f ? acc : acc + beta * out_col[i];
+          }
+        },
+        util::GrainFor(k));
+    return;
+  }
+  if (n == 1) {
+    // A^T b: the rows of the stored A are the columns of op(A), so the
+    // product is one axpy per stored row, folded in ascending order.
+    float* out_col = out->data();
+    scale_row(out_col, m);
+    for (size_t p = 0; p < k; ++p) {
+      kern.axpy(m, alpha * b.data()[p], a.row(p), out_col);
+    }
+    return;
+  }
+  if (k == 1) {
+    // Rank-1 update: out(i, :) = beta * out(i, :) + alpha * a_i * b.
+    util::ParallelFor(
+        0, m,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            float* out_row = out->row(i);
+            scale_row(out_row, n);
+            kern.axpy(n, alpha * a.data()[i], b.data(), out_row);
+          }
+        },
+        util::GrainFor(n));
+    return;
+  }
+
+  // NN, TN and TT: 6x16 register-blocked tiles of C, in parallel over
+  // tiles. A is read in place through its strides and B in place, except
+  // for TT (which no library path runs), where B^T is packed once. There
+  // is no k-split: each element is one gemm_tile chain owned by one
+  // thread, so the result is bit-identical for any pool size.
+  Matrix packed_b;
+  if (transpose_b) packed_b = Transpose(b);
+  const Matrix& b_rows = transpose_b ? packed_b : b;
+  const size_t a_row_stride = transpose_a ? 1 : a.cols();
+  const size_t a_k_stride = transpose_a ? a.cols() : 1;
+  const size_t row_tiles =
+      (m + kernels::kGemmTileRows - 1) / kernels::kGemmTileRows;
+  const size_t col_tiles =
+      (n + kernels::kGemmTileCols - 1) / kernels::kGemmTileCols;
   util::ParallelFor(
-      0, m,
-      [&](size_t row_begin, size_t row_end) {
-        for (size_t i = row_begin; i < row_end; ++i) {
-          float* out_row = out->row(i);
-          if (beta == 0.0f) {
-            std::fill(out_row, out_row + n, 0.0f);
-          } else if (beta != 1.0f) {
-            kern.scale(n, beta, out_row);
-          }
-          if (!transpose_b) {
-            size_t kk = 0;
-            for (; kk + 2 <= k; kk += 2) {
-              const float a0 = transpose_a ? a(kk, i) : a(i, kk);
-              const float a1 = transpose_a ? a(kk + 1, i) : a(i, kk + 1);
-              kern.axpy2(n, alpha * a0, b.row(kk), alpha * a1, b.row(kk + 1),
-                         out_row);
-            }
-            if (kk < k) {
-              const float a_ik = transpose_a ? a(kk, i) : a(i, kk);
-              kern.axpy(n, alpha * a_ik, b.row(kk), out_row);
-            }
-          } else if (!transpose_a) {
-            const float* a_row = a.row(i);
-            for (size_t j = 0; j < n; ++j) {
-              out_row[j] += alpha * kern.dot(k, a_row, b.row(j));
-            }
-          } else {
-            for (size_t j = 0; j < n; ++j) {
-              const float* b_row = b.row(j);
-              float acc = 0.0f;
-              for (size_t kk = 0; kk < k; ++kk) {
-                acc += a(kk, i) * b_row[kk];
-              }
-              out_row[j] += alpha * acc;
-            }
-          }
+      0, row_tiles * col_tiles,
+      [&](size_t tile_begin, size_t tile_end) {
+        for (size_t t = tile_begin; t < tile_end; ++t) {
+          const size_t i0 = (t / col_tiles) * kernels::kGemmTileRows;
+          const size_t j0 = (t % col_tiles) * kernels::kGemmTileCols;
+          kern.gemm_tile(std::min(kernels::kGemmTileRows, m - i0),
+                         std::min(kernels::kGemmTileCols, n - j0), k, alpha,
+                         a.data() + i0 * a_row_stride, a_row_stride,
+                         a_k_stride, b_rows.data() + j0, n, beta,
+                         out->data() + i0 * n + j0, n);
         }
       },
-      util::GrainFor(n * k));
+      util::GrainFor(kernels::kGemmTileRows * kernels::kGemmTileCols * k));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -135,13 +187,26 @@ void Apply(Matrix* m, float (*fn)(float)) {
 
 Matrix Tanh(const Matrix& a) {
   Matrix out = a;
-  Apply(&out, [](float x) { return std::tanh(x); });
+  float* p = out.data();
+  const kernels::KernelTable& kern = kernels::Active();
+  util::ParallelFor(
+      0, out.size(),
+      [&](size_t begin, size_t end) {
+        kern.tanh(end - begin, p + begin, p + begin);
+      },
+      util::GrainFor(1));
   return out;
 }
 
 Matrix Relu(const Matrix& a) {
   Matrix out = a;
-  Apply(&out, [](float x) { return x > 0.0f ? x : 0.0f; });
+  float* p = out.data();
+  util::ParallelFor(
+      0, out.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+      },
+      util::GrainFor(1));
   return out;
 }
 

@@ -14,7 +14,10 @@ namespace hosr::tensor {
 
 // out = alpha * op(a) * op(b) + beta * out, where op transposes when the
 // corresponding flag is set. `out` must be pre-sized to the result shape
-// (and is overwritten entirely when beta == 0).
+// (and is overwritten entirely when beta == 0). The result is bit-identical
+// for any thread-pool size. With only transpose_b set, every element is
+// out = beta * out + alpha * dot(a_i, b_j) through the dot kernel, the
+// order ModelSnapshot::Score and the serving scan replay.
 void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
           float alpha, float beta, Matrix* out);
 

@@ -136,6 +136,22 @@ TEST_F(AutogradTest, GradMatMul) {
       {a, b});
 }
 
+TEST_F(AutogradTest, GradMatMulAcrossTileEdgesAndSkinnyShapes) {
+  // 7 rows and 17 columns leave partial 6x16 GEMM tiles in the forward
+  // product and in both backward products; the (n x 1) attention vector
+  // and its rank-1 dgrad take the n == 1 and k == 1 paths.
+  Param* a = MakeParam("a", 7, 5, 0.5f);
+  Param* w = MakeParam("w", 5, 17, 0.5f);
+  Param* h = MakeParam("h", 17, 1, 0.5f);
+  ExpectGradsOk(
+      [&](Tape* t) {
+        Value hidden = t->Tanh(t->MatMul(t->Param(a), t->Param(w)));
+        Value scores = t->MatMul(hidden, t->Param(h));
+        return t->Sum(t->Hadamard(scores, scores));
+      },
+      {a, w, h});
+}
+
 TEST_F(AutogradTest, GradSpMM) {
   Param* x = MakeParam("x", 4, 3);
   const graph::CsrMatrix sparse = graph::CsrMatrix::FromTriplets(

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -53,6 +54,8 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->scale, nullptr);
     EXPECT_NE(t->reduce_max, nullptr);
     EXPECT_NE(t->score_block, nullptr);
+    EXPECT_NE(t->gemm_tile, nullptr);
+    EXPECT_NE(t->tanh, nullptr);
   }
   EXPECT_EQ(Scalar().level, kLevelScalar);
   EXPECT_STREQ(Scalar().name, "scalar");
@@ -190,6 +193,164 @@ TEST(KernelEquivalenceTest, ScoreBlockMatchesDotExactly) {
       for (size_t j = 0; j < items; ++j) {
         EXPECT_EQ(out[j], t->dot(d, u.data(), rows.data() + j * d))
             << t->name << " d=" << d << " item " << j;
+      }
+    }
+  }
+}
+
+// Every (rows, cols) tile shape, full and partial, through both A layouts
+// gemm_tile serves: row-major (NN) and a transposed view (TN).
+TEST(KernelEquivalenceTest, GemmTile) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no SIMD table on this CPU";
+  util::Rng rng(108);
+  const size_t ldb = kGemmTileCols + 3;
+  const size_t ldc = kGemmTileCols + 5;
+  for (const size_t k : {1u, 7u, 64u}) {
+    const auto a = RandomVec(kGemmTileRows * k, &rng);
+    const auto b = RandomVec(k * ldb, &rng);
+    const auto c0 = RandomVec(kGemmTileRows * ldc, &rng);
+    for (const bool transposed_a : {false, true}) {
+      const size_t a_row_stride = transposed_a ? 1 : k;
+      const size_t a_k_stride = transposed_a ? kGemmTileRows : 1;
+      for (size_t rows = 1; rows <= kGemmTileRows; ++rows) {
+        for (size_t cols = 1; cols <= kGemmTileCols; ++cols) {
+          for (const float beta : {0.0f, 1.0f, 2.0f}) {
+            auto cs = c0, cb = c0;
+            Scalar().gemm_tile(rows, cols, k, -0.5f, a.data(), a_row_stride,
+                               a_k_stride, b.data(), ldb, beta, cs.data(),
+                               ldc);
+            Best().gemm_tile(rows, cols, k, -0.5f, a.data(), a_row_stride,
+                             a_k_stride, b.data(), ldb, beta, cb.data(), ldc);
+            for (size_t i = 0; i < kGemmTileRows; ++i) {
+              for (size_t j = 0; j < ldc; ++j) {
+                const size_t at = i * ldc + j;
+                if (i < rows && j < cols) {
+                  ExpectRelClose(cs[at], cb[at], "gemm_tile", k);
+                } else {
+                  // Outside the tile nothing is written.
+                  EXPECT_EQ(cs[at], c0[at]) << "scalar wrote (" << i << ","
+                                            << j << ") of a " << rows << "x"
+                                            << cols << " tile";
+                  EXPECT_EQ(cb[at], c0[at]) << "simd wrote (" << i << ","
+                                            << j << ") of a " << rows << "x"
+                                            << cols << " tile";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, GemmTileBetaZeroIgnoresOldC) {
+  // beta == 0 overwrites C without reading it, so NaN garbage in a fresh
+  // buffer cannot leak into the product.
+  util::Rng rng(109);
+  const size_t k = 9;
+  const auto a = RandomVec(kGemmTileRows * k, &rng);
+  const auto b = RandomVec(k * kGemmTileCols, &rng);
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    for (const size_t cols : {kGemmTileCols, size_t{5}}) {
+      std::vector<float> c(kGemmTileRows * kGemmTileCols,
+                           std::numeric_limits<float>::quiet_NaN());
+      t->gemm_tile(kGemmTileRows, cols, k, 1.0f, a.data(), k, 1, b.data(),
+                   kGemmTileCols, 0.0f, c.data(), kGemmTileCols);
+      for (size_t i = 0; i < kGemmTileRows; ++i) {
+        for (size_t j = 0; j < cols; ++j) {
+          EXPECT_TRUE(std::isfinite(c[i * kGemmTileCols + j]))
+              << t->name << " (" << i << "," << j << ") cols=" << cols;
+        }
+      }
+    }
+  }
+}
+
+// Applies a table's tanh to `x` with the values at every position of an
+// 8-lane body and a remainder, so vector and tail code both see each value.
+std::vector<float> TanhOf(const KernelTable& t, const std::vector<float>& x) {
+  std::vector<float> y(x.size());
+  t.tanh(x.size(), x.data(), y.data());
+  return y;
+}
+
+TEST(KernelTanhTest, WithinBoundOfStdTanhOnDenseSweep) {
+  std::vector<float> x;
+  for (int i = -2000000; i <= 2000000; ++i) x.push_back(i * 1e-5f);
+  x.push_back(1e-30f);
+  x.push_back(-3e-39f);  // subnormal
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    const auto y = TanhOf(*t, x);
+    double worst = 0.0;
+    size_t worst_at = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double err = std::fabs(static_cast<double>(y[i]) - std::tanh(x[i]));
+      if (err > worst) {
+        worst = err;
+        worst_at = i;
+      }
+    }
+    EXPECT_LE(worst, 2e-7) << t->name << " worst at x=" << x[worst_at];
+  }
+}
+
+TEST(KernelTanhTest, OddSignedZerosInfinitiesAndNaN) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(110);
+  std::vector<float> x = {0.0f, -0.0f, inf, -inf, nan, -nan, 1e-20f, 3.0f,
+                          9.0f, 20.0f, 1e30f, 0.5f, 8.999f};
+  for (int i = 0; i < 50; ++i) {
+    x.push_back(static_cast<float>(rng.Gaussian()) * 4.0f);
+  }
+  std::vector<float> neg(x.size());
+  for (size_t i = 0; i < x.size(); ++i) neg[i] = -x[i];
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    const auto y = TanhOf(*t, x);
+    const auto y_neg = TanhOf(*t, neg);
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (std::isnan(x[i])) {
+        EXPECT_TRUE(std::isnan(y[i])) << t->name << " NaN became " << y[i];
+        continue;
+      }
+      EXPECT_EQ(y_neg[i], -y[i]) << t->name << " not odd at x=" << x[i];
+    }
+    EXPECT_EQ(y[0], 0.0f);
+    EXPECT_FALSE(std::signbit(y[0])) << t->name << " tanh(+0)";
+    EXPECT_TRUE(std::signbit(y[1])) << t->name << " tanh(-0)";
+    EXPECT_EQ(y[2], 1.0f) << t->name << " tanh(inf)";
+    EXPECT_EQ(y[3], -1.0f) << t->name << " tanh(-inf)";
+  }
+}
+
+TEST(KernelTanhTest, SimdSaturatesExactlyFromNine) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no SIMD table on this CPU";
+  std::vector<float> x;
+  for (float v = 9.0f; v < 100.0f; v += 0.0137f) {
+    x.push_back(v);
+    x.push_back(-v);
+  }
+  x.push_back(std::numeric_limits<float>::max());
+  const auto y = TanhOf(Best(), x);
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(y[i], x[i] > 0 ? 1.0f : -1.0f) << "x=" << x[i];
+  }
+}
+
+TEST(KernelTanhTest, InPlaceAndTailMatchVectorBody) {
+  // A value's tanh must not depend on its position: chunked callers put
+  // different elements in the remainder lanes depending on the pool size.
+  util::Rng rng(111);
+  const auto x = RandomVec(37, &rng);
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    const auto whole = TanhOf(*t, x);
+    for (size_t offset = 0; offset < 9; ++offset) {
+      std::vector<float> part(x.begin() + offset, x.end());
+      t->tanh(part.size(), part.data(), part.data());
+      for (size_t i = 0; i < part.size(); ++i) {
+        EXPECT_EQ(part[i], whole[offset + i])
+            << t->name << " offset " << offset << " i " << i;
       }
     }
   }

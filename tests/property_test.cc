@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <tuple>
+#include <utility>
 
 #include "autograd/param.h"
 #include "autograd/tape.h"
@@ -18,6 +21,7 @@
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace hosr {
 namespace {
@@ -26,53 +30,104 @@ using tensor::Matrix;
 
 // --- GEMM vs naive reference over a shape sweep -------------------------------
 
-struct GemmShape {
-  size_t m, k, n;
-  bool transpose_a, transpose_b;
-};
+// m crosses the 6-row tile edge, n the 16-column one; k = 1 and n = 1 take
+// the skinny paths, and 64 / 2116 are the tape's d and a user count.
+const size_t kGemmM[] = {1, 5, 6, 7, 13, 64};
+const size_t kGemmN[] = {1, 15, 16, 17, 64};
+const size_t kGemmK[] = {1, 64, 2116};
 
-class GemmPropertyTest : public ::testing::TestWithParam<GemmShape> {};
+using GemmCase = std::tuple<size_t, size_t, size_t, bool, bool>;
+
+class GemmPropertyTest : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmPropertyTest, MatchesNaiveReference) {
-  const GemmShape shape = GetParam();
-  util::Rng rng(shape.m * 131 + shape.k * 17 + shape.n);
-  Matrix a(shape.transpose_a ? shape.k : shape.m,
-           shape.transpose_a ? shape.m : shape.k);
-  Matrix b(shape.transpose_b ? shape.n : shape.k,
-           shape.transpose_b ? shape.k : shape.n);
+  const auto [m, n, k, transpose_a, transpose_b] = GetParam();
+  util::Rng rng(m * 131 + k * 17 + n + (transpose_a ? 7 : 0) +
+                (transpose_b ? 3 : 0));
+  Matrix a(transpose_a ? k : m, transpose_a ? m : k);
+  Matrix b(transpose_b ? n : k, transpose_b ? k : n);
+  Matrix c0(m, n);
   tensor::GaussianInit(&a, 1.0f, &rng);
   tensor::GaussianInit(&b, 1.0f, &rng);
+  tensor::GaussianInit(&c0, 1.0f, &rng);
 
-  Matrix fast(shape.m, shape.n);
-  tensor::Gemm(a, shape.transpose_a, b, shape.transpose_b, 1.0f, 0.0f,
-               &fast);
-
-  Matrix naive(shape.m, shape.n);
-  for (size_t i = 0; i < shape.m; ++i) {
-    for (size_t j = 0; j < shape.n; ++j) {
-      float acc = 0;
-      for (size_t kk = 0; kk < shape.k; ++kk) {
-        const float av = shape.transpose_a ? a(kk, i) : a(i, kk);
-        const float bv = shape.transpose_b ? b(j, kk) : b(kk, j);
-        acc += av * bv;
+  // (1, 0) overwrites; (1, 1) is every backward GEMM's accumulate; the
+  // last pair scales both terms.
+  const std::pair<float, float> kAlphaBeta[] = {
+      {1.0f, 0.0f}, {1.0f, 1.0f}, {-0.5f, 2.0f}};
+  for (const auto& [alpha, beta] : kAlphaBeta) {
+    Matrix fast = c0;
+    tensor::Gemm(a, transpose_a, b, transpose_b, alpha, beta, &fast);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        double acc = 0.0;
+        double magnitude = 0.0;
+        for (size_t kk = 0; kk < k; ++kk) {
+          const double av = transpose_a ? a(kk, i) : a(i, kk);
+          const double bv = transpose_b ? b(j, kk) : b(kk, j);
+          acc += av * bv;
+          magnitude += std::fabs(av * bv);
+        }
+        const double want = alpha * acc + beta * c0(i, j);
+        const double scale =
+            std::fabs(alpha) * magnitude + std::fabs(beta * c0(i, j));
+        ASSERT_NEAR(fast(i, j), want, 1e-5 * scale + 1e-30)
+            << "(" << i << "," << j << ") alpha=" << alpha
+            << " beta=" << beta;
       }
-      naive(i, j) = acc;
     }
   }
-  EXPECT_TRUE(tensor::AllClose(fast, naive, 1e-3 * shape.k));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmPropertyTest,
-    ::testing::Values(GemmShape{1, 1, 1, false, false},
-                      GemmShape{7, 3, 5, false, false},
-                      GemmShape{7, 3, 5, true, false},
-                      GemmShape{7, 3, 5, false, true},
-                      GemmShape{7, 3, 5, true, true},
-                      GemmShape{64, 32, 48, false, false},
-                      GemmShape{1, 100, 1, false, false},
-                      GemmShape{100, 1, 100, false, true},
-                      GemmShape{33, 65, 17, true, true}));
+    ::testing::Combine(::testing::ValuesIn(kGemmM), ::testing::ValuesIn(kGemmN),
+                       ::testing::ValuesIn(kGemmK), ::testing::Bool(),
+                       ::testing::Bool()));
+
+// Tiles are owned by one thread and never split over k, so Gemm is
+// bit-identical whether its ParallelFor fans out over the pool (main
+// thread) or runs inline on one thread (nested inside a pool task).
+TEST(GemmDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
+  struct Shape {
+    size_t m, n, k;
+  };
+  const Shape kShapes[] = {{2116, 64, 64}, {64, 64, 2116}, {2116, 1, 64},
+                           {64, 1, 2116}, {2116, 64, 1}};
+  util::Rng rng(2024);
+  for (const Shape& shape : kShapes) {
+    for (const bool transpose_a : {false, true}) {
+      for (const bool transpose_b : {false, true}) {
+        Matrix a(transpose_a ? shape.k : shape.m,
+                 transpose_a ? shape.m : shape.k);
+        Matrix b(transpose_b ? shape.n : shape.k,
+                 transpose_b ? shape.k : shape.n);
+        Matrix c0(shape.m, shape.n);
+        tensor::GaussianInit(&a, 1.0f, &rng);
+        tensor::GaussianInit(&b, 1.0f, &rng);
+        tensor::GaussianInit(&c0, 1.0f, &rng);
+        Matrix pooled = c0;
+        tensor::Gemm(a, transpose_a, b, transpose_b, 0.75f, 1.0f, &pooled);
+        Matrix inline_run = c0;
+        // Two one-item chunks put the first on a pool worker, where the
+        // nested ParallelFor inside Gemm runs inline.
+        util::ParallelFor(
+            0, 2,
+            [&](size_t begin, size_t) {
+              if (begin != 0) return;
+              tensor::Gemm(a, transpose_a, b, transpose_b, 0.75f, 1.0f,
+                           &inline_run);
+            },
+            /*min_chunk=*/1);
+        ASSERT_EQ(0, std::memcmp(pooled.data(), inline_run.data(),
+                                 pooled.size() * sizeof(float)))
+            << shape.m << "x" << shape.k << "x" << shape.n
+            << " transpose_a=" << transpose_a
+            << " transpose_b=" << transpose_b;
+      }
+    }
+  }
+}
 
 // --- SpMM vs dense reference over random sparsity ------------------------------
 
