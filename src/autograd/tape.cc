@@ -5,6 +5,7 @@
 
 #include "graph/spmm.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace hosr::autograd {
@@ -348,6 +349,12 @@ Value Tape::BroadcastColMul(Value a, Value s) {
       const size_t cols = g.cols();
       Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
       Matrix* gs = sn->requires_grad ? GradFor(sn) : nullptr;
+      if (ga != nullptr) {
+        HOSR_COUNTER("kernels/axpy_flops").Increment(2 * g.size());
+      }
+      if (gs != nullptr) {
+        HOSR_COUNTER("kernels/dot_flops").Increment(2 * g.size());
+      }
       for (size_t r = 0; r < g.rows(); ++r) {
         if (ga != nullptr) {
           kern.axpy(cols, sn->value()(r, 0), g.row(r), ga->row(r));
@@ -441,6 +448,12 @@ Value Tape::RowDot(Value a, Value b) {
       const size_t cols = an->value().cols();
       Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
       Matrix* gb = bn->requires_grad ? GradFor(bn) : nullptr;
+      if (ga != nullptr) {
+        HOSR_COUNTER("kernels/axpy_flops").Increment(2 * an->value().size());
+      }
+      if (gb != nullptr) {
+        HOSR_COUNTER("kernels/axpy_flops").Increment(2 * bn->value().size());
+      }
       for (size_t r = 0; r < g.rows(); ++r) {
         if (ga != nullptr) {
           kern.axpy(cols, g(r, 0), bn->value().row(r), ga->row(r));

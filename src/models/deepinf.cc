@@ -70,7 +70,7 @@ tensor::Matrix DeepInf::PropagateUsersInference() const {
   for (const autograd::Param* w : layer_weights_) {
     h = graph::Spmm(sampled_adjacency_, h);
     h = tensor::MatMul(h, w->value);
-    tensor::Apply(&h, [](float x) { return x > 0.0f ? x : 0.0f; });
+    h = tensor::Relu(h);
   }
   return h;
 }

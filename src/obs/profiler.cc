@@ -429,10 +429,6 @@ Profile Profiler::StopAndCollect() {
     std::memset(&off, 0, sizeof(off));
     setitimer(ITIMER_PROF, &off, nullptr);
     g_armed.store(false, std::memory_order_release);
-    // A SIGPROF generated before the disarm can still be pending. Setting
-    // SIG_IGN discards it, so restoring a default (terminating) action
-    // cannot let it kill the process.
-    std::signal(SIGPROF, SIG_IGN);
     sigaction(SIGPROF, &session.previous_action, nullptr);
     {
       std::lock_guard<std::mutex> collector_lock(session.collector_mutex);

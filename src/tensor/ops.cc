@@ -33,14 +33,6 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
   HOSR_COUNTER("kernels/gemm_flops").Increment(2 * m * n * k);
   if (m == 0 || n == 0) return;
   const kernels::KernelTable& kern = kernels::Active();
-  // out = beta * out before an accumulate-only pass; beta == 0 overwrites.
-  auto scale_row = [&](float* out_row, size_t len) {
-    if (beta == 0.0f) {
-      std::fill(out_row, out_row + len, 0.0f);
-    } else if (beta != 1.0f) {
-      kern.scale(len, beta, out_row);
-    }
-  };
 
   // NT: every element is one dot over two contiguous rows, the order
   // ModelSnapshot::Score and score_block replay, so served scores stay
@@ -51,55 +43,17 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
         [&](size_t row_begin, size_t row_end) {
           for (size_t i = row_begin; i < row_end; ++i) {
             float* out_row = out->row(i);
-            scale_row(out_row, n);
+            if (beta == 0.0f) {
+              std::fill(out_row, out_row + n, 0.0f);
+            } else if (beta != 1.0f) {
+              kern.scale(n, beta, out_row);
+            }
             for (size_t j = 0; j < n; ++j) {
               out_row[j] += alpha * kern.dot(k, a.row(i), b.row(j));
             }
           }
         },
         util::GrainFor(n * k));
-    return;
-  }
-
-  // Skinny shapes: with n == 1 or k == 1 the vector operand is contiguous
-  // whichever way it is stored, so one dot or axpy per row does the work of
-  // a column of mostly empty tiles.
-  if (n == 1 && !transpose_a) {
-    // out(i) = beta * out(i) + alpha * dot(a_i, b).
-    float* out_col = out->data();
-    util::ParallelFor(
-        0, m,
-        [&](size_t row_begin, size_t row_end) {
-          for (size_t i = row_begin; i < row_end; ++i) {
-            const float acc = alpha * kern.dot(k, a.row(i), b.data());
-            out_col[i] = beta == 0.0f ? acc : acc + beta * out_col[i];
-          }
-        },
-        util::GrainFor(k));
-    return;
-  }
-  if (n == 1) {
-    // A^T b: the rows of the stored A are the columns of op(A), so the
-    // product is one axpy per stored row, folded in ascending order.
-    float* out_col = out->data();
-    scale_row(out_col, m);
-    for (size_t p = 0; p < k; ++p) {
-      kern.axpy(m, alpha * b.data()[p], a.row(p), out_col);
-    }
-    return;
-  }
-  if (k == 1) {
-    // Rank-1 update: out(i, :) = beta * out(i, :) + alpha * a_i * b.
-    util::ParallelFor(
-        0, m,
-        [&](size_t row_begin, size_t row_end) {
-          for (size_t i = row_begin; i < row_end; ++i) {
-            float* out_row = out->row(i);
-            scale_row(out_row, n);
-            kern.axpy(n, alpha * a.data()[i], b.data(), out_row);
-          }
-        },
-        util::GrainFor(n));
     return;
   }
 
@@ -130,7 +84,10 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
                          out->data() + i0 * n + j0, n);
         }
       },
-      util::GrainFor(kernels::kGemmTileRows * kernels::kGemmTileCols * k));
+      // Each tile does rows x cols x k useful multiply-adds; a narrow output
+      // (n < 16) counts only its real columns.
+      util::GrainFor(kernels::kGemmTileRows *
+                     std::min(kernels::kGemmTileCols, n) * k));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -174,17 +131,6 @@ void Axpy(float alpha, const Matrix& b, Matrix* a) {
   kernels::Active().axpy(a->size(), alpha, b.data(), a->data());
 }
 
-void Apply(Matrix* m, float (*fn)(float)) {
-  float* p = m->data();
-  const size_t n = m->size();
-  util::ParallelFor(
-      0, n,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) p[i] = fn(p[i]);
-      },
-      util::GrainFor(1));
-}
-
 Matrix Tanh(const Matrix& a) {
   Matrix out = a;
   float* p = out.data();
@@ -200,13 +146,7 @@ Matrix Tanh(const Matrix& a) {
 
 Matrix Relu(const Matrix& a) {
   Matrix out = a;
-  float* p = out.data();
-  util::ParallelFor(
-      0, out.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-      },
-      util::GrainFor(1));
+  Apply(&out, [](float x) { return x > 0.0f ? x : 0.0f; });
   return out;
 }
 

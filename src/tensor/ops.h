@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "util/thread_pool.h"
 
 namespace hosr::tensor {
 
@@ -33,8 +34,18 @@ Matrix Scale(const Matrix& a, float s);
 // a += alpha * b (BLAS axpy over the whole buffer).
 void Axpy(float alpha, const Matrix& b, Matrix* a);
 
-// In-place element-wise map.
-void Apply(Matrix* m, float (*fn)(float));
+// In-place element-wise map, threaded like the other element-wise kernels.
+// A template so `fn` inlines into the loop.
+template <typename Fn>
+void Apply(Matrix* m, Fn fn) {
+  float* p = m->data();
+  util::ParallelFor(
+      0, m->size(),
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) p[i] = fn(p[i]);
+      },
+      util::GrainFor(1));
+}
 
 Matrix Tanh(const Matrix& a);
 Matrix Relu(const Matrix& a);

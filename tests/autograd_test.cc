@@ -139,7 +139,7 @@ TEST_F(AutogradTest, GradMatMul) {
 TEST_F(AutogradTest, GradMatMulAcrossTileEdgesAndSkinnyShapes) {
   // 7 rows and 17 columns leave partial 6x16 GEMM tiles in the forward
   // product and in both backward products; the (n x 1) attention vector
-  // and its rank-1 dgrad take the n == 1 and k == 1 paths.
+  // gives one-column tiles and its dgrad a k == 1 product.
   Param* a = MakeParam("a", 7, 5, 0.5f);
   Param* w = MakeParam("w", 5, 17, 0.5f);
   Param* h = MakeParam("h", 17, 1, 0.5f);

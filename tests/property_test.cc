@@ -30,8 +30,9 @@ using tensor::Matrix;
 
 // --- GEMM vs naive reference over a shape sweep -------------------------------
 
-// m crosses the 6-row tile edge, n the 16-column one; k = 1 and n = 1 take
-// the skinny paths, and 64 / 2116 are the tape's d and a user count.
+// m crosses the 6-row tile edge, n the 16-column one; n = 1 and k = 1 are
+// the attention-score shapes, and 64 / 2116 are the tape's d and a user
+// count.
 const size_t kGemmM[] = {1, 5, 6, 7, 13, 64};
 const size_t kGemmN[] = {1, 15, 16, 17, 64};
 const size_t kGemmK[] = {1, 64, 2116};
