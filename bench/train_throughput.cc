@@ -1,17 +1,14 @@
-// Training throughput of the deterministic parallel engine
-// (docs/PERFORMANCE.md "Parallel training"): trains BPR-MF on a YelpLike
-// synthetic dataset under four trainer configurations —
+// Training throughput of the one trainer loop (docs/PERFORMANCE.md "Sparse
+// optimizer steps"): trains BPR-MF on a YelpLike synthetic dataset with
 //
-//   seq        1 thread, dense optimizer steps (the classic trainer)
-//   par2/par   2/4 workers, sparse optimizer steps (the shipped fast path)
-//   par_dense  4 workers, dense optimizer steps (isolates the step change)
+//   seq_dense   dense optimizer steps (every row of every table)
+//   seq_sparse  row-sparse steps (only the rows the batch gathered)
 //
-// — and publishes samples/sec per configuration plus two ratios:
-// `speedup` (par vs seq, the headline >=2x acceptance gate) and
-// `sparse_step_speedup` (sparse vs dense steps at the same worker count).
-// Before measuring, it byte-compares the training state of a short seq run
-// against a 4-worker run, so the throughput numbers are only ever reported
-// for configurations proven to produce bit-identical trajectories.
+// and publishes samples/sec for each plus their ratio,
+// `sparse_step_speedup`. Before measuring, it byte-compares the training
+// states of short runs on the thread pool and inline inside a pool task, in
+// both step modes, so the numbers are only ever reported for a trainer
+// whose trajectory does not depend on how many threads its kernels use.
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
 //   ./build/bench/train_throughput --metrics_out=bench_metrics/tt.json
@@ -28,6 +25,7 @@
 #include "obs/reporter.h"
 #include "util/flags.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -61,7 +59,7 @@ BenchResult Measure(const data::Dataset& dataset, uint32_t dim,
   config.epochs = 1 + timed_epochs;
   models::BprMf model = MakeModel(dataset, dim);
   models::BprTrainer trainer(&model, &dataset.interactions, config);
-  (void)trainer.RunEpoch();  // warmup: page in tables, spawn threads once
+  (void)trainer.RunEpoch();  // warmup: page in tables, start the pool
   double seconds = 0.0;
   double samples = 0.0;
   while (trainer.epoch() < config.epochs) {
@@ -79,29 +77,46 @@ std::string ReadRaw(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-// Byte-compares training states of a short sequential run vs a 4-worker
-// run; aborts the bench if they diverge (the perf numbers would then be
-// comparing different algorithms, not different engines).
+std::string TrainedState(const data::Dataset& dataset, uint32_t dim,
+                         bool sparse_steps, const std::string& path) {
+  models::TrainConfig config = MakeConfig(/*epochs=*/1);
+  config.sparse_steps = sparse_steps;
+  models::BprMf model = MakeModel(dataset, dim);
+  models::BprTrainer trainer(&model, &dataset.interactions, config);
+  trainer.Train();
+  HOSR_CHECK(trainer.SaveTrainingState(path).ok());
+  std::string bytes = ReadRaw(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// Byte-compares the training state of a short run on the thread pool with
+// one inside a pool task, where every kernel runs inline on one thread;
+// aborts the bench if they diverge.
 void CheckBitIdentity(const data::Dataset& dataset, uint32_t dim) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "hosr_train_bench").string();
   std::filesystem::create_directories(dir);
-  std::string bytes[2];
-  for (int i = 0; i < 2; ++i) {
-    models::TrainConfig config = MakeConfig(/*epochs=*/1);
-    config.train_threads = i == 0 ? 1 : 4;
-    models::BprMf model = MakeModel(dataset, dim);
-    models::BprTrainer trainer(&model, &dataset.interactions, config);
-    trainer.Train();
-    const std::string path = dir + "/state_" + std::to_string(i);
-    HOSR_CHECK(trainer.SaveTrainingState(path).ok());
-    bytes[i] = ReadRaw(path);
-    std::remove(path.c_str());
+  for (const bool sparse : {false, true}) {
+    const std::string pooled =
+        TrainedState(dataset, dim, sparse, dir + "/state_pool");
+    std::string inlined;
+    // Two one-item chunks put the first on a pool worker, where the
+    // kernels' nested ParallelFor runs inline.
+    util::ParallelFor(
+        0, 2,
+        [&](size_t begin, size_t) {
+          if (begin != 0) return;
+          inlined = TrainedState(dataset, dim, sparse, dir + "/state_inline");
+        },
+        /*min_chunk=*/1);
+    HOSR_CHECK(!pooled.empty() && pooled == inlined)
+        << "training state depends on the kernels' thread count ("
+        << (sparse ? "sparse" : "dense") << " steps); refusing to bench";
+    std::printf("bit-identity check: pool == inline training state, %s "
+                "steps (%zu bytes)\n", sparse ? "sparse" : "dense",
+                pooled.size());
   }
-  HOSR_CHECK(!bytes[0].empty() && bytes[0] == bytes[1])
-      << "parallel trainer diverged from sequential; refusing to bench";
-  std::printf("bit-identity check: seq == 4-worker training state (%zu "
-              "bytes)\n", bytes[0].size());
 }
 
 }  // namespace
@@ -127,47 +142,26 @@ int main(int argc, char** argv) {
   CheckBitIdentity(dataset, dim);
 
   models::TrainConfig config = MakeConfig(1);
-  const BenchResult seq = Measure(dataset, dim, config, timed_epochs);
-
-  config.train_threads = 2;
+  const BenchResult dense = Measure(dataset, dim, config, timed_epochs);
   config.sparse_steps = true;
-  const BenchResult par2 = Measure(dataset, dim, config, timed_epochs);
-
-  config.train_threads = 4;
-  const BenchResult par4 = Measure(dataset, dim, config, timed_epochs);
-
-  config.sparse_steps = false;
-  const BenchResult par4_dense = Measure(dataset, dim, config, timed_epochs);
-
-  const double speedup =
-      seq.samples_per_sec > 0.0 ? par4.samples_per_sec / seq.samples_per_sec
-                                : 0.0;
+  const BenchResult sparse = Measure(dataset, dim, config, timed_epochs);
   const double sparse_step_speedup =
-      par4_dense.samples_per_sec > 0.0
-          ? par4.samples_per_sec / par4_dense.samples_per_sec
+      dense.samples_per_sec > 0.0
+          ? sparse.samples_per_sec / dense.samples_per_sec
           : 0.0;
 
   auto& registry = obs::Registry::Global();
-  registry.GetGauge("bench/train_throughput/seq_samples_per_sec")
-      ->Set(seq.samples_per_sec);
-  registry.GetGauge("bench/train_throughput/par2_samples_per_sec")
-      ->Set(par2.samples_per_sec);
-  registry.GetGauge("bench/train_throughput/par_samples_per_sec")
-      ->Set(par4.samples_per_sec);
-  registry.GetGauge("bench/train_throughput/par_dense_samples_per_sec")
-      ->Set(par4_dense.samples_per_sec);
-  registry.GetGauge("bench/train_throughput/speedup")->Set(speedup);
+  registry.GetGauge("bench/train_throughput/seq_dense_samples_per_sec")
+      ->Set(dense.samples_per_sec);
+  registry.GetGauge("bench/train_throughput/seq_sparse_samples_per_sec")
+      ->Set(sparse.samples_per_sec);
   registry.GetGauge("bench/train_throughput/sparse_step_speedup")
       ->Set(sparse_step_speedup);
 
   std::printf(
-      "seq (1 thread, dense):    %10.0f samples/s\n"
-      "par (2 workers, sparse):  %10.0f samples/s\n"
-      "par (4 workers, sparse):  %10.0f samples/s\n"
-      "par (4 workers, dense):   %10.0f samples/s\n"
-      "speedup (par4/seq):       %.2fx\n"
-      "sparse step win (4w):     %.2fx\n",
-      seq.samples_per_sec, par2.samples_per_sec, par4.samples_per_sec,
-      par4_dense.samples_per_sec, speedup, sparse_step_speedup);
+      "seq_dense (dense steps):   %10.0f samples/s\n"
+      "seq_sparse (sparse steps): %10.0f samples/s\n"
+      "sparse step win:           %.2fx\n",
+      dense.samples_per_sec, sparse.samples_per_sec, sparse_step_speedup);
   return 0;
 }

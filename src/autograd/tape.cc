@@ -21,19 +21,16 @@ internal::Node* Tape::NewNode(Matrix value, bool requires_grad) {
   return nodes_.back().get();
 }
 
-internal::Node* Tape::NewParamNode(autograd::Param* param) {
-  auto node = std::make_unique<internal::Node>();
-  node->value_ptr = &param->value;
-  node->requires_grad = true;
-  node->param = param;
-  param_leaves_.push_back(param);
-  nodes_.push_back(std::move(node));
-  return nodes_.back().get();
+ParamGradRows& Tape::GradRowsFor(autograd::Param* param) {
+  for (ParamGradRows& written : grad_rows_) {
+    if (written.param == param) return written;
+  }
+  ParamGradRows& written = grad_rows_.emplace_back();
+  written.param = param;
+  return written;
 }
 
 Matrix* Tape::GradFor(internal::Node* node) {
-  HOSR_CHECK(node->sparse_sink < 0)
-      << "sparse leaves support only GatherRows consumers";
   if (!node->grad_live) {
     node->grad = Matrix(node->value().rows(), node->value().cols());
     node->grad_live = true;
@@ -42,44 +39,19 @@ Matrix* Tape::GradFor(internal::Node* node) {
 }
 
 Value Tape::Param(autograd::Param* param) {
-  internal::Node* node = NewParamNode(param);
-  node->backward = [node] {
-    tensor::Axpy(1.0f, node->grad, &node->param->grad);
+  internal::Node* leaf = NewNode(Matrix(), /*requires_grad=*/true);
+  leaf->value_ptr = &param->value;
+  leaf->param = param;
+  // Runs only when an op other than GatherRows gave the leaf a gradient.
+  leaf->backward = [this, leaf] {
+    tensor::Axpy(1.0f, leaf->grad, &leaf->param->grad);
+    GradRowsFor(leaf->param).dense = true;
   };
-  return Value(node);
+  return Value(leaf);
 }
 
 Value Tape::Constant(Matrix m) {
   return Value(NewNode(std::move(m), /*requires_grad=*/false));
-}
-
-Value Tape::SparseParam(autograd::Param* param) {
-  HOSR_CHECK(param != nullptr);
-  auto sink = std::make_unique<SparseSink>();
-  sink->param = param;
-  sink->cols = param->value.cols();
-  auto node = std::make_unique<internal::Node>();
-  node->value_ptr = &param->value;
-  node->requires_grad = true;
-  node->sparse_sink = static_cast<int>(sinks_.size());
-  sinks_.push_back(std::move(sink));
-  nodes_.push_back(std::move(node));
-  return Value(nodes_.back().get());
-}
-
-Value Tape::SparseShared(int key, const tensor::Matrix* values) {
-  HOSR_CHECK(values != nullptr);
-  HOSR_CHECK(key >= 0) << "shared keys are non-negative";
-  auto sink = std::make_unique<SparseSink>();
-  sink->shared_key = key;
-  sink->cols = values->cols();
-  auto node = std::make_unique<internal::Node>();
-  node->value_ptr = values;
-  node->requires_grad = true;
-  node->sparse_sink = static_cast<int>(sinks_.size());
-  sinks_.push_back(std::move(sink));
-  nodes_.push_back(std::move(node));
-  return Value(nodes_.back().get());
 }
 
 Value Tape::MatMul(Value a, Value b) {
@@ -125,19 +97,14 @@ Value Tape::GatherRows(Value a, std::vector<uint32_t> indices) {
   internal::Node* an = a.node_;
   internal::Node* out = NewNode(tensor::GatherRows(an->value(), indices),
                                 an->requires_grad);
-  if (an->sparse_sink >= 0) {
-    // Sparse leaf: instead of scatter-adding into a dense grad, hand the
-    // (rows, grad rows) pair — already in scan order — to the leaf's sink
-    // segment registered at creation time. Pure moves; the caller (the
-    // parallel trainer's reducer) owns the accumulation order.
-    SparseSink* sink = sinks_[an->sparse_sink].get();
-    const size_t op_index = sink->ops.size();
-    sink->ops.emplace_back();
-    out->backward = [out, sink, op_index,
-                     indices = std::move(indices)]() mutable {
-      SparseSink::OpSegment& seg = sink->ops[op_index];
-      seg.rows = std::move(indices);
-      seg.grads = std::move(out->grad);
+  if (an->param != nullptr) {
+    // The rows go straight into Param::grad, so a gather-only parameter
+    // never gets a dense leaf gradient, and are recorded for sparse steps.
+    out->backward = [this, out, param = an->param,
+                     indices = std::move(indices)] {
+      tensor::ScatterAddRows(out->grad, indices, &param->grad);
+      std::vector<uint32_t>& rows = GradRowsFor(param).rows;
+      rows.insert(rows.end(), indices.begin(), indices.end());
     };
   } else if (out->requires_grad) {
     out->backward = [out, an, indices = std::move(indices)] {
@@ -670,23 +637,6 @@ void Tape::Backward(Value loss) {
   (*g)(0, 0) += 1.0f;
   // Creation order is a topological order, so a single reverse sweep
   // propagates complete gradients.
-  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
-    internal::Node* node = it->get();
-    if (node->grad_live && node->backward) node->backward();
-  }
-}
-
-void Tape::BackwardSeeded(std::vector<std::pair<Value, Matrix>> seeds) {
-  for (auto& seed : seeds) {
-    internal::Node* node = seed.first.node_;
-    HOSR_CHECK(node != nullptr && node->requires_grad);
-    HOSR_CHECK(!node->grad_live) << "seeded node already has a gradient";
-    HOSR_CHECK(seed.second.rows() == node->value().rows() &&
-               seed.second.cols() == node->value().cols())
-        << "seed shape mismatch";
-    node->grad = std::move(seed.second);
-    node->grad_live = true;
-  }
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
     internal::Node* node = it->get();
     if (node->grad_live && node->backward) node->backward();

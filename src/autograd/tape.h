@@ -13,26 +13,16 @@
 
 namespace hosr::autograd {
 
-class Tape;
-
-// Row-sparse gradient destination for the parallel trainer's slice tapes
-// (docs/PERFORMANCE.md "Parallel training"). A sparse leaf created with
-// Tape::SparseParam / Tape::SparseShared routes the backward pass of every
-// GatherRows over it into one of these sinks instead of a dense grad
-// matrix: each gather op gets its own segment holding (row, grad-row)
-// pairs in the exact scan order the monolithic scatter-add would have
-// visited them, so the trainer can replay the monolithic accumulation
-// fold bit-identically across slices.
-struct SparseSink {
-  struct OpSegment {
-    std::vector<uint32_t> rows;  // target rows, batch scan order
-    tensor::Matrix grads;        // (rows.size() x cols), matching order
-  };
-
-  Param* param = nullptr;  // target: exactly one of param / shared_key
-  int shared_key = -1;     // trainer-assigned id of a shared-forward output
-  size_t cols = 0;
-  std::vector<OpSegment> ops;  // one per GatherRows, creation order
+// The rows one parameter's gradient received from a backward pass: the
+// record a row-sparse optimizer step plans from (docs/PERFORMANCE.md
+// "Sparse optimizer steps"). GatherRows over a Param leaf scatter-adds
+// straight into Param::grad and appends its indices to `rows`. A parameter
+// is `dense` once any of its leaves receives a gradient from another op,
+// since that gradient may cover every row.
+struct ParamGradRows {
+  Param* param = nullptr;
+  bool dense = false;
+  std::vector<uint32_t> rows;  // scatter order, may repeat
 };
 
 namespace internal {
@@ -47,7 +37,6 @@ struct Node {
   bool grad_live = false;       // true once grad holds real data
   bool requires_grad = false;
   Param* param = nullptr;       // set for Param leaves
-  int sparse_sink = -1;         // index into the tape's sinks, if a sparse leaf
   // Accumulates input gradients given this node's complete gradient.
   std::function<void()> backward;
 
@@ -96,24 +85,6 @@ class Tape {
   // Non-trainable leaf (moves the matrix in).
   Value Constant(tensor::Matrix m);
 
-  // --- Sparse leaves (parallel trainer slice tapes) --------------------
-  //
-  // Like Param / a borrowed constant, except the backward pass does not
-  // touch `param->grad` (or any dense matrix): every GatherRows over the
-  // leaf records its per-row gradients into a SparseSink segment instead,
-  // in batch scan order, and the caller replays the accumulation in
-  // whatever order reproduces the monolithic tape (trainer.cc owns that
-  // fold). Sparse leaves support ONLY GatherRows consumers — any op that
-  // would need a dense gradient for the leaf aborts.
-
-  // Sparse trainable leaf aliasing `param->value`.
-  Value SparseParam(autograd::Param* param);
-
-  // Sparse leaf over a borrowed value from another tape (a shared-forward
-  // output); `key` identifies the source node to the reducer. `values`
-  // must outlive this tape.
-  Value SparseShared(int key, const tensor::Matrix* values);
-
   // --- Linear algebra --------------------------------------------------
 
   // (n x k) * (k x m) -> (n x m).
@@ -130,7 +101,8 @@ class Tape {
   Value SpMM(const graph::CsrMatrix* matrix, const graph::CsrMatrix* transpose,
              Value dense);
 
-  // out(i, :) = a(indices[i], :). Backward scatter-adds.
+  // out(i, :) = a(indices[i], :). Backward scatter-adds; over a Param
+  // leaf it adds straight into Param::grad and records the rows.
   Value GatherRows(Value a, std::vector<uint32_t> indices);
 
   // --- Element-wise ----------------------------------------------------
@@ -198,37 +170,21 @@ class Tape {
   // sweep, accumulating into every reachable Param's grad.
   void Backward(Value loss);
 
-  // Resumes a shared-forward tape: installs each seed matrix as the
-  // complete gradient of its node (which must not already have one), then
-  // runs the reverse sweep from the end of the tape. Used by the parallel
-  // trainer to finish the shared prefix after reducing the slices' sink
-  // gradients; equivalent to the monolithic sweep reaching those interior
-  // nodes with the same accumulated grads.
-  void BackwardSeeded(std::vector<std::pair<Value, tensor::Matrix>> seeds);
-
-  // Sparse sinks in leaf creation order (stable pointers).
-  const std::vector<std::unique_ptr<SparseSink>>& sparse_sinks() const {
-    return sinks_;
-  }
-
-  // Params with a dense leaf on this tape (creation order, may repeat if
-  // Param() was called twice for the same parameter).
-  const std::vector<autograd::Param*>& param_leaves() const {
-    return param_leaves_;
-  }
+  // Parameters the backward passes wrote gradients into, in the order
+  // they were first written.
+  const std::vector<ParamGradRows>& grad_rows() const { return grad_rows_; }
 
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
   internal::Node* NewNode(tensor::Matrix value, bool requires_grad);
-  internal::Node* NewParamNode(autograd::Param* param);
+  ParamGradRows& GradRowsFor(autograd::Param* param);
 
   // Ensures `node->grad` exists and is zeroed, ready for accumulation.
   static tensor::Matrix* GradFor(internal::Node* node);
 
   std::vector<std::unique_ptr<internal::Node>> nodes_;
-  std::vector<std::unique_ptr<SparseSink>> sinks_;
-  std::vector<autograd::Param*> param_leaves_;
+  std::vector<ParamGradRows> grad_rows_;
 };
 
 }  // namespace hosr::autograd

@@ -215,37 +215,6 @@ Value Hosr::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
   return tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
 }
 
-void Hosr::BuildSharedForward(models::SharedForward* shared,
-                              const data::BprBatch& batch, util::Rng* rng) {
-  (void)batch;
-  (void)rng;
-  shared->outputs.push_back(
-      UserRepresentation(&shared->tape, /*training=*/true));
-}
-
-Value Hosr::BuildLossSlice(autograd::Tape* tape,
-                           const models::SharedForward& shared,
-                           const data::BprBatch& batch, size_t begin,
-                           size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail over this slice's rows: the user gather reads
-  // the shared representation (key 0), the item leaf carries both item
-  // gathers — so the trainer's reduction replays the monolithic fold
-  // bit-identically.
-  Value rep = tape->SparseShared(0, &shared.outputs[0].value());
-  Value u = tape->GatherRows(rep, models::SliceOf(batch.users, begin, end));
-  Value item_param = tape->SparseParam(item_emb_);
-  Value pos = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.pos_items, begin, end)));
-  Value neg = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.neg_items, begin, end)));
-  Value margin = tape->Sub(pos, neg);
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(margin)), scale);
-}
-
 std::vector<Matrix> Hosr::PropagateLayersInference() const {
   std::vector<Matrix> layers;
   layers.reserve(config_.num_layers);

@@ -83,19 +83,6 @@ class Hosr : public models::RankingModel {
   autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                             util::Rng* rng) override;
 
-  // Sliced loss: the propagation/aggregation prefix is the shared forward
-  // (built once per batch, consuming dropout noise exactly as BuildLoss
-  // would); slices gather users from the shared representation and items
-  // from a sparse item leaf.
-  bool SupportsSlicedLoss() const override { return true; }
-  void BuildSharedForward(models::SharedForward* shared,
-                          const data::BprBatch& batch,
-                          util::Rng* rng) override;
-  autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                 const models::SharedForward& shared,
-                                 const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
-
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   // Frozen factors for serving: the user side is the fully aggregated

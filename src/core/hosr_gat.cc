@@ -224,34 +224,6 @@ Value HosrGat::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                      -1.0f);
 }
 
-void HosrGat::BuildSharedForward(models::SharedForward* shared,
-                                 const data::BprBatch& batch,
-                                 util::Rng* rng) {
-  (void)batch;
-  (void)rng;
-  shared->outputs.push_back(
-      UserRepresentation(&shared->tape, /*training=*/true));
-}
-
-Value HosrGat::BuildLossSlice(autograd::Tape* tape,
-                              const models::SharedForward& shared,
-                              const data::BprBatch& batch, size_t begin,
-                              size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail (see Hosr::BuildLossSlice for the contract).
-  Value rep = tape->SparseShared(0, &shared.outputs[0].value());
-  Value u = tape->GatherRows(rep, models::SliceOf(batch.users, begin, end));
-  Value item_param = tape->SparseParam(item_emb_);
-  Value pos = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.pos_items, begin, end)));
-  Value neg = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          models::SliceOf(batch.neg_items, begin, end)));
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(tape->Sub(pos, neg))), scale);
-}
-
 Matrix HosrGat::ScoreAllItems(const std::vector<uint32_t>& users) {
   // Inference goes through the tape (no dropout, full graph) — the GAT
   // forward has no lighter closed form worth duplicating.

@@ -54,17 +54,6 @@ class HosrGat : public models::RankingModel {
   autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                             util::Rng* rng) override;
 
-  // Sliced loss: same split as Hosr — GAT propagation is the shared
-  // forward, the tail gathers are sliced.
-  bool SupportsSlicedLoss() const override { return true; }
-  void BuildSharedForward(models::SharedForward* shared,
-                          const data::BprBatch& batch,
-                          util::Rng* rng) override;
-  autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                 const models::SharedForward& shared,
-                                 const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
-
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   void OnEpochBegin(uint32_t epoch, util::Rng* rng) override;

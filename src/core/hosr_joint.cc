@@ -174,37 +174,6 @@ Value HosrJoint::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                      -1.0f);
 }
 
-void HosrJoint::BuildSharedForward(models::SharedForward* shared,
-                                   const data::BprBatch& batch,
-                                   util::Rng* rng) {
-  (void)batch;
-  (void)rng;
-  shared->outputs.push_back(
-      PropagateAndAggregate(&shared->tape, /*training=*/true));
-}
-
-Value HosrJoint::BuildLossSlice(autograd::Tape* tape,
-                                const models::SharedForward& shared,
-                                const data::BprBatch& batch, size_t begin,
-                                size_t end, util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail: one shared node-representation leaf carries
-  // the user, positive-item, and negative-item gathers (three op segments
-  // on one sink), so the reduction replays the monolithic scatter order.
-  std::vector<uint32_t> pos_nodes(end - begin);
-  std::vector<uint32_t> neg_nodes(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    pos_nodes[i - begin] = num_users_ + batch.pos_items[i];
-    neg_nodes[i - begin] = num_users_ + batch.neg_items[i];
-  }
-  Value nodes = tape->SparseShared(0, &shared.outputs[0].value());
-  Value u = tape->GatherRows(nodes, models::SliceOf(batch.users, begin, end));
-  Value pos = tape->RowDot(u, tape->GatherRows(nodes, std::move(pos_nodes)));
-  Value neg = tape->RowDot(u, tape->GatherRows(nodes, std::move(neg_nodes)));
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(tape->Sub(pos, neg))), scale);
-}
-
 Matrix HosrJoint::FinalNodeEmbeddings() const {
   Matrix h = node_emb_->value;
   std::vector<Matrix> layers;

@@ -25,34 +25,6 @@ autograd::Value BprMf::ScorePairs(autograd::Tape* tape,
   return tape->RowDot(u, v);
 }
 
-autograd::Value BprMf::BuildLossSlice(autograd::Tape* tape,
-                                      const SharedForward& shared,
-                                      const data::BprBatch& batch,
-                                      size_t begin, size_t end,
-                                      util::Rng* slice_rng) {
-  (void)shared;
-  (void)slice_rng;
-  // Mirrors the default BuildLoss node-for-node over this slice's rows —
-  // two ScorePairs-shaped blocks, each with its own user/item leaf — so
-  // the parallel trainer's ordered reduction replays the monolithic
-  // gradient fold bit-identically. Sum is scaled by -1/B with B the FULL
-  // batch size, matching Mean's backward division.
-  const std::vector<uint32_t> users = SliceOf(batch.users, begin, end);
-  autograd::Value pos_u = tape->GatherRows(tape->SparseParam(user_emb_), users);
-  autograd::Value pos_v = tape->GatherRows(tape->SparseParam(item_emb_),
-                                           SliceOf(batch.pos_items, begin,
-                                                   end));
-  autograd::Value pos = tape->RowDot(pos_u, pos_v);
-  autograd::Value neg_u = tape->GatherRows(tape->SparseParam(user_emb_), users);
-  autograd::Value neg_v = tape->GatherRows(tape->SparseParam(item_emb_),
-                                           SliceOf(batch.neg_items, begin,
-                                                   end));
-  autograd::Value neg = tape->RowDot(neg_u, neg_v);
-  autograd::Value margin = tape->Sub(pos, neg);
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(margin)), scale);
-}
-
 tensor::Matrix BprMf::ScoreAllItems(const std::vector<uint32_t>& users) {
   const tensor::Matrix u = tensor::GatherRows(user_emb_->value, users);
   tensor::Matrix scores(users.size(), num_items_);

@@ -29,12 +29,6 @@ class BprMf : public RankingModel {
                              const std::vector<uint32_t>& items,
                              bool training) override;
 
-  bool SupportsSlicedLoss() const override { return true; }
-  autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                 const SharedForward& shared,
-                                 const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
-
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   util::StatusOr<FrozenFactors> ExportFactors() const override;

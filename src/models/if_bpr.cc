@@ -167,52 +167,6 @@ autograd::Value IfBpr::BuildLoss(autograd::Tape* tape,
       loss, tape->Scale(soc_over_neg, -config_.social_term_weight));
 }
 
-void IfBpr::BuildSharedForward(SharedForward* shared,
-                               const data::BprBatch& batch, util::Rng* rng) {
-  // The same social-item draw sequence as BuildLoss, once per batch with
-  // the trainer RNG, so sliced and monolithic training see identical
-  // samples (empty pools draw nothing, exactly as BuildLoss).
-  shared->scratch_indices.reserve(batch.users.size());
-  for (size_t b = 0; b < batch.users.size(); ++b) {
-    const auto& pool = social_items_[batch.users[b]];
-    if (pool.empty()) {
-      shared->scratch_indices.push_back(batch.pos_items[b]);
-    } else {
-      shared->scratch_indices.push_back(pool[rng->UniformInt(pool.size())]);
-    }
-  }
-}
-
-autograd::Value IfBpr::BuildLossSlice(autograd::Tape* tape,
-                                      const SharedForward& shared,
-                                      const data::BprBatch& batch,
-                                      size_t begin, size_t end,
-                                      util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss node-for-node over this slice's rows; both Mean
-  // terms become Sums scaled by their coefficient over the FULL batch
-  // size (same float division as Mean's backward).
-  autograd::Value user_param = tape->SparseParam(user_emb_);
-  autograd::Value item_param = tape->SparseParam(item_emb_);
-  autograd::Value u =
-      tape->GatherRows(user_param, SliceOf(batch.users, begin, end));
-  autograd::Value pos = tape->RowDot(
-      u, tape->GatherRows(item_param, SliceOf(batch.pos_items, begin, end)));
-  autograd::Value soc = tape->RowDot(
-      u, tape->GatherRows(item_param,
-                          SliceOf(shared.scratch_indices, begin, end)));
-  autograd::Value neg = tape->RowDot(
-      u, tape->GatherRows(item_param, SliceOf(batch.neg_items, begin, end)));
-
-  autograd::Value pos_over_soc = tape->Sum(tape->LogSigmoid(tape->Sub(pos, soc)));
-  autograd::Value soc_over_neg = tape->Sum(tape->LogSigmoid(tape->Sub(soc, neg)));
-  const float batch_size = static_cast<float>(batch.size());
-  autograd::Value loss = tape->Scale(pos_over_soc, -1.0f / batch_size);
-  return tape->Add(
-      loss, tape->Scale(soc_over_neg,
-                        -config_.social_term_weight / batch_size));
-}
-
 tensor::Matrix IfBpr::ScoreAllItems(const std::vector<uint32_t>& users) {
   const tensor::Matrix u = tensor::GatherRows(user_emb_->value, users);
   tensor::Matrix scores(users.size(), num_items_);

@@ -47,17 +47,6 @@ class IfBpr : public RankingModel {
   autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                             util::Rng* rng) override;
 
-  // Sliced loss: no shared tensors, but the per-batch social-item sampling
-  // moves into the shared forward so it consumes the trainer RNG exactly
-  // as the monolithic BuildLoss would regardless of slicing.
-  bool SupportsSlicedLoss() const override { return true; }
-  void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
-                          util::Rng* rng) override;
-  autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                 const SharedForward& shared,
-                                 const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
-
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   util::StatusOr<FrozenFactors> ExportFactors() const override;

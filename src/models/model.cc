@@ -1,7 +1,5 @@
 #include "models/model.h"
 
-#include "util/logging.h"
-
 namespace hosr::models {
 
 autograd::Value RankingModel::BuildLoss(autograd::Tape* tape,
@@ -15,21 +13,6 @@ autograd::Value RankingModel::BuildLoss(autograd::Tape* tape,
   autograd::Value margin = tape->Sub(pos, neg);
   autograd::Value log_likelihood = tape->Mean(tape->LogSigmoid(margin));
   return tape->Scale(log_likelihood, -1.0f);
-}
-
-autograd::Value RankingModel::BuildLossSlice(autograd::Tape* tape,
-                                             const SharedForward& shared,
-                                             const data::BprBatch& batch,
-                                             size_t begin, size_t end,
-                                             util::Rng* slice_rng) {
-  (void)tape;
-  (void)shared;
-  (void)batch;
-  (void)begin;
-  (void)end;
-  (void)slice_rng;
-  HOSR_CHECK(false) << name() << " does not support sliced losses";
-  return autograd::Value();
 }
 
 }  // namespace hosr::models

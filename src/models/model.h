@@ -29,30 +29,6 @@ struct FrozenFactors {
   float global_bias = 0.0f;
 };
 
-// Batch-shared forward state for the parallel trainer's sliced loss path
-// (docs/PERFORMANCE.md "Parallel training"). A model that supports slicing
-// builds its batch-independent prefix — e.g. HOSR's propagated user
-// representations — ONCE per batch on `tape`, exposing the tensors slices
-// gather from as `outputs`; slice tapes reference those matrices via
-// Tape::SparseShared(key, ...) where `key` is the output's index here. The
-// trainer finishes the prefix by seeding `tape` with the reduced gathered
-// gradients (Tape::BackwardSeeded).
-struct SharedForward {
-  autograd::Tape tape;
-  std::vector<autograd::Value> outputs;
-  // Model-specific per-batch precomputation that must consume the trainer
-  // RNG exactly as the monolithic BuildLoss would (e.g. IF-BPR's sampled
-  // social items), so sliced and sequential training see identical draws.
-  std::vector<uint32_t> scratch_indices;
-};
-
-// Contiguous [begin, end) sub-range of a batch index column.
-inline std::vector<uint32_t> SliceOf(const std::vector<uint32_t>& v,
-                                     size_t begin, size_t end) {
-  return std::vector<uint32_t>(v.begin() + static_cast<ptrdiff_t>(begin),
-                               v.begin() + static_cast<ptrdiff_t>(end));
-}
-
 // Interface shared by HOSR and every baseline: a model that ranks items for
 // users, trains on BPR triples via the autograd tape, and supports fast
 // (non-differentiable) full scoring for evaluation.
@@ -73,38 +49,6 @@ class RankingModel {
   virtual autograd::Value BuildLoss(autograd::Tape* tape,
                                     const data::BprBatch& batch,
                                     util::Rng* rng);
-
-  // --- Sliced loss (parallel trainer) ---------------------------------
-  //
-  // A model that returns true here guarantees: BuildSharedForward followed
-  // by BuildLossSlice over any partition of [0, batch.size()) into
-  // contiguous slices produces — after the trainer's ordered sink
-  // reduction — gradients bit-identical to one monolithic BuildLoss, for
-  // any slice size and worker count. Each BuildLossSlice call must mirror
-  // the monolithic graph's node-creation order over its rows and scale sum
-  // reductions by the same per-row constant Mean's backward would use
-  // (coefficient divided by the FULL batch size, as a float division).
-  virtual bool SupportsSlicedLoss() const { return false; }
-
-  // Builds the batch-independent forward prefix on shared->tape and any
-  // per-batch scratch that consumes `rng`. Default: nothing shared.
-  virtual void BuildSharedForward(SharedForward* shared,
-                                  const data::BprBatch& batch,
-                                  util::Rng* rng) {
-    (void)shared;
-    (void)batch;
-    (void)rng;
-  }
-
-  // Builds the loss for batch rows [begin, end) on a worker-local tape.
-  // `slice_rng` is the slice's deterministic RNG stream (a pure function
-  // of seed/epoch/batch/slice); models without per-row slice noise ignore
-  // it. Only valid when SupportsSlicedLoss() is true.
-  virtual autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                         const SharedForward& shared,
-                                         const data::BprBatch& batch,
-                                         size_t begin, size_t end,
-                                         util::Rng* slice_rng);
 
   // Differentiable scores for (user, item) pairs: returns a (B x 1) Value.
   // `training` enables dropout.

@@ -1,15 +1,9 @@
 #include "models/trainer.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <iterator>
-#include <limits>
-#include <mutex>
 #include <sstream>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
-#include <utility>
 
 #include "autograd/checkpoint.h"
 #include "obs/metrics.h"
@@ -57,14 +51,11 @@ class PhaseTimer {
   PhaseTimer HOSR_OBS_CONCAT_(hosr_phase_timer_at_line_,        \
                               __LINE__)(HOSR_COUNTER(name))
 
-// Every phase counter the per-epoch utilization gauges cover. Sequential
-// epochs move forward/backward/step; parallel epochs move the engine's five
-// phases; both move sample (prefetcher waits on the consumer side).
+// Every phase counter the per-epoch utilization gauges cover (sample counts
+// the prefetcher waits on the consumer side).
 constexpr const char* kPhaseCounterNames[] = {
-    "trainer/sample_us",         "trainer/forward_us",
-    "trainer/backward_us",       "trainer/shared_forward_us",
-    "trainer/slice_backward_us", "trainer/reduce_us",
-    "trainer/seeded_backward_us", "trainer/step_us",
+    "trainer/sample_us", "trainer/forward_us", "trainer/backward_us",
+    "trainer/step_us",
 };
 
 // "trainer/<phase>_us" -> "trainer/<phase>_util".
@@ -131,11 +122,9 @@ util::StatusOr<util::RngState> ReadRngState(std::istream* in) {
 
 // The config fields a checkpoint bakes in: restoring under a different
 // config would silently train a different run, so they are written out and
-// compared verbatim on load. train_threads / slice_size / prefetch are
-// deliberately ABSENT: the engine's trajectory is bit-identical across all
-// of them (trainer_parallel_test), so checkpoints move freely between
-// thread counts. sparse_steps changes the trajectory (lazy weight decay)
-// and is part of the identity.
+// compared verbatim on load. prefetch is deliberately ABSENT: it never
+// changes the trajectory (trainer_parallel_test). sparse_steps does (lazy
+// weight decay) and is part of the identity.
 void WriteConfig(std::ostream* out, const TrainConfig& config) {
   WritePod(out, config.epochs);
   WritePod(out, config.batch_size);
@@ -181,497 +170,6 @@ util::Status CheckConfig(std::istream* in, uint32_t version,
   return util::Status::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// Worker team for the parallel engine.
-//
-// Deliberately NOT util::ThreadPool::Global(): slice bodies run tensor ops
-// that may themselves ParallelFor into the global pool, and nesting its
-// Wait() can deadlock. All shared state here — the claim cursor included —
-// sits behind one mutex: slice/shard tasks are far coarser than a lock
-// round-trip, and it keeps the team trivially clean under TSan.
-// ---------------------------------------------------------------------------
-class WorkerTeam {
- public:
-  explicit WorkerTeam(size_t workers) {
-    const size_t helpers = workers > 1 ? workers - 1 : 0;
-    threads_.reserve(helpers);
-    for (size_t i = 0; i < helpers; ++i) {
-      threads_.emplace_back([this] { HelperLoop(); });
-    }
-  }
-
-  ~WorkerTeam() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    work_ready_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  WorkerTeam(const WorkerTeam&) = delete;
-  WorkerTeam& operator=(const WorkerTeam&) = delete;
-
-  size_t workers() const { return threads_.size() + 1; }
-
-  // Runs body(0 .. num_tasks-1) across the helpers and the calling thread;
-  // returns once every task has finished. Execution order is unspecified:
-  // the engine keys all work on the task index, never on schedule.
-  void Run(size_t num_tasks, const std::function<void(size_t)>& body) {
-    if (num_tasks == 0) return;
-    if (threads_.empty()) {
-      for (size_t i = 0; i < num_tasks; ++i) body(i);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      body_ = &body;
-      num_tasks_ = num_tasks;
-      next_task_ = 0;
-      completed_ = 0;
-      ++generation_;
-    }
-    work_ready_.notify_all();
-    DrainTasks();
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return completed_ == num_tasks_; });
-    body_ = nullptr;
-  }
-
- private:
-  void DrainTasks() {
-    while (true) {
-      size_t task = 0;
-      const std::function<void(size_t)>* body = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (body_ == nullptr || next_task_ >= num_tasks_) return;
-        task = next_task_++;
-        body = body_;
-      }
-      (*body)(task);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (++completed_ == num_tasks_) all_done_.notify_all();
-      }
-    }
-  }
-
-  void HelperLoop() {
-    uint64_t seen = 0;
-    while (true) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(
-            lock, [this, seen] { return shutdown_ || generation_ != seen; });
-        if (shutdown_) return;
-        seen = generation_;
-      }
-      // A helper that wakes late simply finds the claim cursor exhausted
-      // (or already helps the next generation) — both are harmless.
-      DrainTasks();
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  const std::function<void(size_t)>* body_ = nullptr;
-  size_t num_tasks_ = 0;
-  size_t next_task_ = 0;
-  size_t completed_ = 0;
-  uint64_t generation_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> threads_;
-};
-
-uint64_t MixSeed(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-// Deterministic per-slice RNG seed: a pure function of the run seed and the
-// (epoch, batch, slice) coordinates. Slice streams therefore never depend on
-// worker count or scheduling, and resume needs nothing new checkpointed.
-uint64_t SliceSeed(uint64_t seed, uint64_t epoch, uint64_t batch,
-                   uint64_t slice) {
-  uint64_t z = MixSeed(seed ^ 0x736c696365ULL);  // "slice"
-  z = MixSeed(z ^ epoch);
-  z = MixSeed(z ^ batch);
-  return MixSeed(z ^ slice);
-}
-
-// ---------------------------------------------------------------------------
-// The intra-batch parallel engine (docs/PERFORMANCE.md "Parallel training").
-//
-// Per batch: the model builds its batch-shared forward prefix once, workers
-// build + backward one slice tape each (sparse leaves route gathered row
-// gradients into SparseSink segments instead of dense grads), and a sharded
-// reducer replays the monolithic tape's accumulation sequence:
-//
-//   * sinks reduce in REVERSE creation order — the order the monolithic
-//     reverse sweep reaches their leaves;
-//   * within a sink, segments fold in (reverse op) x (slice ascending) x
-//     (scan) order — exactly the monolithic scatter-add visit sequence,
-//     since slices partition the batch contiguously in order;
-//   * parameter sinks stage per-row (zero-init, then add — matching the
-//     monolithic "0 + c1" first touch) and then transfer each touched row
-//     into param->grad with one add per element, as the monolithic leaf
-//     transfer would. Untouched rows skip the leaf transfer's "+0.0" —
-//     observable only if a gradient held -0.0, which LogSigmoid's backward
-//     cannot produce without exp overflow;
-//   * shared-forward sinks fold straight into a zero-initialized seed
-//     matrix — the seed IS the monolithic interior node's gradient — which
-//     then resumes the shared tape via BackwardSeeded.
-//
-// Every target row is folded and transferred entirely within one row-range
-// shard, so neither the shard count nor the worker count can affect a
-// single bit of the result. That is the whole determinism argument; the
-// rest is bookkeeping.
-// ---------------------------------------------------------------------------
-class ParallelEngine {
- public:
-  ParallelEngine(RankingModel* model, optim::Optimizer* optimizer,
-                 const TrainConfig& config, size_t workers)
-      : model_(model),
-        optimizer_(optimizer),
-        config_(config),
-        sparse_mode_(config.sparse_steps),
-        team_(workers) {
-    autograd::ParamStore* params = model_->params();
-    for (size_t i = 0; i < params->size(); ++i) {
-      param_index_[params->at(i)] = i;
-    }
-    param_step_stamp_.resize(params->size());
-    shard_touched_.resize(team_.workers());
-    for (auto& per_param : shard_touched_) per_param.resize(params->size());
-  }
-
-  // Trains one batch; returns the batch loss (slice losses summed in slice
-  // order — may differ from the monolithic Mean in the last ulp, which is
-  // why stats report it but checkpoints never contain it).
-  double TrainBatch(const data::BprBatch& batch, uint32_t epoch,
-                    size_t batch_index, util::Rng* rng) {
-    autograd::ParamStore* params = model_->params();
-
-    SharedForward shared;
-    {
-      HOSR_TRACE_SPAN("trainer/shared_forward");
-      HOSR_PHASE_US("trainer/shared_forward_us");
-      model_->BuildSharedForward(&shared, batch, rng);
-    }
-
-    const size_t slice_size = config_.slice_size;
-    const size_t num_slices = (batch.size() + slice_size - 1) / slice_size;
-    slice_tapes_.clear();
-    slice_tapes_.resize(num_slices);
-    slice_losses_.assign(num_slices, 0.0f);
-    {
-      HOSR_TRACE_SPAN("trainer/slice_backward");
-      HOSR_PHASE_US("trainer/slice_backward_us");
-      team_.Run(num_slices, [&](size_t s) {
-        const size_t begin = s * slice_size;
-        const size_t end = std::min(batch.size(), begin + slice_size);
-        auto tape = std::make_unique<autograd::Tape>();
-        util::Rng slice_rng(SliceSeed(config_.seed, epoch, batch_index, s));
-        autograd::Value loss = model_->BuildLossSlice(
-            tape.get(), shared, batch, begin, end, &slice_rng);
-        // Slice contract: every parameter a slice reaches must go through
-        // a sparse leaf — a dense Param leaf would race on param->grad
-        // across workers and break the ordered reduction.
-        HOSR_CHECK(tape->param_leaves().empty())
-            << model_->name() << " slice tape has dense parameter leaves";
-        tape->Backward(loss);
-        slice_losses_[s] = loss.value()(0, 0);
-        slice_tapes_[s] = std::move(tape);
-      });
-    }
-
-    const auto& sinks = slice_tapes_[0]->sparse_sinks();
-    CheckSinkStructure(sinks);
-    EnsureTargets(sinks, shared);
-
-    // Seed accumulators for shared-forward outputs that have a sink.
-    std::vector<tensor::Matrix> seeds(shared.outputs.size());
-    for (const Target& t : targets_) {
-      if (t.param == nullptr && seeds[t.shared_key].empty()) {
-        seeds[t.shared_key] = tensor::Matrix(t.rows, t.cols);
-      }
-    }
-
-    if (!sparse_mode_) params->ZeroGrad();
-
-    {
-      HOSR_TRACE_SPAN("trainer/reduce");
-      HOSR_PHASE_US("trainer/reduce_us");
-      for (auto& per_param : shard_touched_) {
-        for (auto& rows : per_param) rows.clear();
-      }
-      const uint32_t num_sinks = static_cast<uint32_t>(targets_.size());
-      const uint32_t stamp_base = NextStampBlock(num_sinks + 1);
-      const size_t num_shards = team_.workers();
-      team_.Run(num_shards, [&](size_t shard) {
-        ReduceShard(shard, num_shards, stamp_base, &seeds);
-      });
-    }
-
-    {
-      HOSR_TRACE_SPAN("trainer/seeded_backward");
-      HOSR_PHASE_US("trainer/seeded_backward_us");
-      std::vector<std::pair<autograd::Value, tensor::Matrix>> seed_pairs;
-      for (size_t key = 0; key < seeds.size(); ++key) {
-        if (seeds[key].empty()) continue;
-        seed_pairs.emplace_back(shared.outputs[key], std::move(seeds[key]));
-      }
-      if (!seed_pairs.empty()) {
-        shared.tape.BackwardSeeded(std::move(seed_pairs));
-      }
-    }
-
-    {
-      HOSR_TRACE_SPAN("trainer/step");
-      HOSR_PHASE_US("trainer/step_us");
-      if (sparse_mode_) {
-        const size_t plan_rows = BuildPlan(shared);
-        HOSR_COUNTER("trainer/sparse_rows").Increment(plan_rows);
-        optimizer_->StepRows(params, plan_);
-        RezeroTouched(params);
-      } else {
-        optimizer_->Step(params);
-      }
-    }
-
-    double batch_loss = 0.0;
-    for (const float l : slice_losses_) batch_loss += l;
-    return batch_loss;
-  }
-
- private:
-  // One reduction destination per sink (structure is stable across batches
-  // for a given model; rebuilt if it ever changes).
-  struct Target {
-    autograd::Param* param = nullptr;
-    int shared_key = -1;
-    size_t param_index = 0;
-    size_t rows = 0;
-    size_t cols = 0;
-    tensor::Matrix staging;            // param targets: per-row fold buffer
-    std::vector<uint32_t> fold_stamp;  // per-row first-touch marker
-    size_t num_ops = 0;
-  };
-
-  void CheckSinkStructure(
-      const std::vector<std::unique_ptr<autograd::SparseSink>>& sinks) {
-    for (size_t s = 1; s < slice_tapes_.size(); ++s) {
-      const auto& other = slice_tapes_[s]->sparse_sinks();
-      HOSR_CHECK(other.size() == sinks.size())
-          << "slice tapes disagree on sparse sink count";
-      for (size_t k = 0; k < sinks.size(); ++k) {
-        HOSR_CHECK(other[k]->param == sinks[k]->param &&
-                   other[k]->shared_key == sinks[k]->shared_key &&
-                   other[k]->cols == sinks[k]->cols &&
-                   other[k]->ops.size() == sinks[k]->ops.size())
-            << "slice tapes disagree on sparse sink structure";
-      }
-    }
-  }
-
-  void EnsureTargets(
-      const std::vector<std::unique_ptr<autograd::SparseSink>>& sinks,
-      const SharedForward& shared) {
-    bool match = targets_.size() == sinks.size();
-    for (size_t k = 0; match && k < sinks.size(); ++k) {
-      const Target& t = targets_[k];
-      const size_t rows =
-          sinks[k]->param != nullptr
-              ? sinks[k]->param->value.rows()
-              : shared.outputs[sinks[k]->shared_key].rows();
-      match = t.param == sinks[k]->param &&
-              t.shared_key == sinks[k]->shared_key &&
-              t.cols == sinks[k]->cols && t.rows == rows &&
-              t.num_ops == sinks[k]->ops.size();
-    }
-    if (match) return;
-    targets_.clear();
-    targets_.resize(sinks.size());
-    for (size_t k = 0; k < sinks.size(); ++k) {
-      Target& t = targets_[k];
-      t.param = sinks[k]->param;
-      t.shared_key = sinks[k]->shared_key;
-      t.cols = sinks[k]->cols;
-      t.num_ops = sinks[k]->ops.size();
-      if (t.param != nullptr) {
-        t.rows = t.param->value.rows();
-        const auto it = param_index_.find(t.param);
-        HOSR_CHECK(it != param_index_.end())
-            << "sparse sink targets a parameter outside the model's store";
-        t.param_index = it->second;
-        t.staging = tensor::Matrix(t.rows, t.cols);
-        t.fold_stamp.assign(t.rows, 0);
-        if (param_step_stamp_[t.param_index].empty()) {
-          param_step_stamp_[t.param_index].assign(t.rows, 0);
-        }
-      } else {
-        HOSR_CHECK(t.shared_key >= 0 &&
-                   static_cast<size_t>(t.shared_key) < shared.outputs.size())
-            << "sparse sink references shared output " << t.shared_key;
-        t.rows = shared.outputs[t.shared_key].rows();
-        HOSR_CHECK(shared.outputs[t.shared_key].cols() == t.cols);
-      }
-    }
-  }
-
-  // Fresh block of `count` stamp values, never colliding with what any
-  // stamp array currently holds (arrays reset on the rare wraparound).
-  uint32_t NextStampBlock(uint32_t count) {
-    if (stamp_counter_ >= std::numeric_limits<uint32_t>::max() - count) {
-      for (Target& t : targets_) {
-        std::fill(t.fold_stamp.begin(), t.fold_stamp.end(), 0);
-      }
-      for (auto& stamps : param_step_stamp_) {
-        std::fill(stamps.begin(), stamps.end(), 0);
-      }
-      stamp_counter_ = 0;
-    }
-    stamp_counter_ += count;
-    return stamp_counter_ - count + 1;
-  }
-
-  void ReduceShard(size_t shard, size_t num_shards, uint32_t stamp_base,
-                   std::vector<tensor::Matrix>* seeds) {
-    const uint32_t step_stamp =
-        stamp_base + static_cast<uint32_t>(targets_.size());
-    for (size_t k = targets_.size(); k-- > 0;) {
-      Target& target = targets_[k];
-      const size_t lo = target.rows * shard / num_shards;
-      const size_t hi = target.rows * (shard + 1) / num_shards;
-      if (lo == hi) continue;
-      if (target.param != nullptr) {
-        ReduceParamSink(k, &target, lo, hi,
-                        stamp_base + static_cast<uint32_t>(k), step_stamp,
-                        shard);
-      } else {
-        ReduceSharedSink(k, target, lo, hi, &(*seeds)[target.shared_key]);
-      }
-    }
-  }
-
-  void ReduceParamSink(size_t k, Target* target, size_t lo, size_t hi,
-                       uint32_t stamp, uint32_t step_stamp, size_t shard) {
-    const size_t cols = target->cols;
-    std::vector<uint32_t> touched;
-    for (size_t op = target->num_ops; op-- > 0;) {
-      for (const auto& tape : slice_tapes_) {
-        const autograd::SparseSink::OpSegment& seg =
-            tape->sparse_sinks()[k]->ops[op];
-        const float* grads = seg.grads.data();
-        for (size_t i = 0; i < seg.rows.size(); ++i) {
-          const uint32_t r = seg.rows[i];
-          if (r < lo || r >= hi) continue;
-          float* dst = target->staging.data() + r * cols;
-          if (target->fold_stamp[r] != stamp) {
-            target->fold_stamp[r] = stamp;
-            touched.push_back(r);
-            std::fill(dst, dst + cols, 0.0f);
-          }
-          const float* src = grads + i * cols;
-          for (size_t c = 0; c < cols; ++c) dst[c] += src[c];
-        }
-      }
-    }
-    autograd::Param* p = target->param;
-    std::vector<uint32_t>& step_stamps = param_step_stamp_[target->param_index];
-    std::vector<uint32_t>& plan_rows =
-        shard_touched_[shard][target->param_index];
-    for (const uint32_t r : touched) {
-      const float* src = target->staging.data() + r * cols;
-      float* dst = p->grad.data() + r * cols;
-      for (size_t c = 0; c < cols; ++c) dst[c] += src[c];
-      if (sparse_mode_ && step_stamps[r] != step_stamp) {
-        step_stamps[r] = step_stamp;
-        plan_rows.push_back(r);
-      }
-    }
-  }
-
-  void ReduceSharedSink(size_t k, const Target& target, size_t lo, size_t hi,
-                        tensor::Matrix* seed) {
-    const size_t cols = target.cols;
-    for (size_t op = target.num_ops; op-- > 0;) {
-      for (const auto& tape : slice_tapes_) {
-        const autograd::SparseSink::OpSegment& seg =
-            tape->sparse_sinks()[k]->ops[op];
-        const float* grads = seg.grads.data();
-        for (size_t i = 0; i < seg.rows.size(); ++i) {
-          const uint32_t r = seg.rows[i];
-          if (r < lo || r >= hi) continue;
-          float* dst = seed->data() + r * cols;
-          const float* src = grads + i * cols;
-          for (size_t c = 0; c < cols; ++c) dst[c] += src[c];
-        }
-      }
-    }
-  }
-
-  // Assembles the StepRows plan: dense RowSets for the shared tape's dense
-  // leaves (their grads are full matrices from BackwardSeeded), sorted
-  // unique row lists for sink-touched embeddings, skip for the rest.
-  // Returns the number of sparse rows planned.
-  size_t BuildPlan(const SharedForward& shared) {
-    autograd::ParamStore* params = model_->params();
-    plan_.clear();
-    plan_.resize(params->size());
-    for (autograd::Param* p : shared.tape.param_leaves()) {
-      plan_[param_index_.at(p)].dense = true;
-    }
-    size_t total_rows = 0;
-    for (size_t i = 0; i < plan_.size(); ++i) {
-      std::vector<uint32_t>& rows = plan_[i].rows;
-      for (const auto& per_param : shard_touched_) {
-        rows.insert(rows.end(), per_param[i].begin(), per_param[i].end());
-      }
-      std::sort(rows.begin(), rows.end());
-      if (!plan_[i].dense) total_rows += rows.size();
-    }
-    return total_rows;
-  }
-
-  // Re-zeroes exactly the gradients this batch populated, so the next
-  // batch starts clean without a dense ZeroGrad sweep.
-  void RezeroTouched(autograd::ParamStore* params) {
-    for (size_t i = 0; i < plan_.size(); ++i) {
-      autograd::Param* p = params->at(i);
-      if (plan_[i].dense) {
-        p->grad.SetZero();
-        continue;
-      }
-      const size_t cols = p->grad.cols();
-      for (const uint32_t r : plan_[i].rows) {
-        float* g = p->grad.data() + r * cols;
-        std::fill(g, g + cols, 0.0f);
-      }
-    }
-  }
-
-  RankingModel* model_;
-  optim::Optimizer* optimizer_;
-  const TrainConfig& config_;
-  const bool sparse_mode_;
-  WorkerTeam team_;
-  std::unordered_map<autograd::Param*, size_t> param_index_;
-  std::vector<std::unique_ptr<autograd::Tape>> slice_tapes_;
-  std::vector<float> slice_losses_;
-  std::vector<Target> targets_;
-  uint32_t stamp_counter_ = 0;
-  // Per-parameter per-row "already in this batch's plan" marker.
-  std::vector<std::vector<uint32_t>> param_step_stamp_;
-  // [shard][param] -> rows that shard transferred this batch.
-  std::vector<std::vector<std::vector<uint32_t>>> shard_touched_;
-  std::vector<optim::RowSet> plan_;
-};
-
 }  // namespace
 
 util::Status TrainConfig::Validate() const {
@@ -684,9 +182,6 @@ util::Status TrainConfig::Validate() const {
   }
   if (weight_decay < 0.0f) {
     return util::Status::InvalidArgument("weight_decay must be >= 0");
-  }
-  if (slice_size == 0) {
-    return util::Status::InvalidArgument("slice_size must be > 0");
   }
   return util::Status::Ok();
 }
@@ -705,76 +200,38 @@ BprTrainer::BprTrainer(RankingModel* model,
   HOSR_CHECK(config.Validate().ok()) << config.Validate().ToString();
 }
 
-size_t BprTrainer::ResolvedWorkers() const {
-  if (config_.train_threads != 0) return config_.train_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-bool BprTrainer::UseParallelEngine() {
-  const bool want = ResolvedWorkers() > 1 || config_.sparse_steps;
-  if (!want) return false;
-  if (model_->SupportsSlicedLoss()) return true;
-  if (!warned_fallback_) {
-    warned_fallback_ = true;
-    HOSR_LOG(Warning) << model_->name()
-                      << " does not support sliced losses; training "
-                         "sequentially with dense optimizer steps";
+void BprTrainer::StepSparse(const autograd::Tape& tape) {
+  autograd::ParamStore* params = model_->params();
+  // Parameters the batch never reached keep an empty, non-dense RowSet and
+  // skip the step.
+  std::vector<optim::RowSet> plan(params->size());
+  size_t sparse_rows = 0;
+  for (const autograd::ParamGradRows& written : tape.grad_rows()) {
+    size_t i = 0;
+    while (i < params->size() && params->at(i) != written.param) ++i;
+    HOSR_CHECK(i < params->size())
+        << "gradient written to a parameter outside the model's store";
+    optim::RowSet& set = plan[i];
+    set.dense = written.dense;
+    if (set.dense) continue;
+    set.rows = written.rows;
+    std::sort(set.rows.begin(), set.rows.end());
+    set.rows.erase(std::unique(set.rows.begin(), set.rows.end()),
+                   set.rows.end());
+    sparse_rows += set.rows.size();
   }
-  HOSR_COUNTER("trainer/fallback_sequential").Increment();
-  return false;
-}
-
-void BprTrainer::RunBatchesSequential(data::BatchPrefetcher* prefetcher,
-                                      size_t num_batches, EpochStats* stats) {
-  double total_loss = 0.0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    const data::BprBatch batch = [&] {
-      HOSR_PHASE_US("trainer/sample_us");
-      return prefetcher->Next();
-    }();
-    stats->samples += batch.size();
-    autograd::Tape tape;
-    autograd::Value loss = [&] {
-      HOSR_TRACE_SPAN("trainer/forward");
-      HOSR_PHASE_US("trainer/forward_us");
-      return model_->BuildLoss(&tape, batch, &rng_);
-    }();
-    {
-      HOSR_TRACE_SPAN("trainer/backward");
-      HOSR_PHASE_US("trainer/backward_us");
-      model_->params()->ZeroGrad();
-      tape.Backward(loss);
+  HOSR_COUNTER("trainer/sparse_rows").Increment(sparse_rows);
+  optimizer_->StepRows(params, plan);
+  for (size_t i = 0; i < plan.size(); ++i) {
+    tensor::Matrix& grad = params->at(i)->grad;
+    if (plan[i].dense) {
+      grad.SetZero();
+      continue;
     }
-    {
-      HOSR_TRACE_SPAN("trainer/step");
-      HOSR_PHASE_US("trainer/step_us");
-      optimizer_->Step(model_->params());
+    for (const uint32_t r : plan[i].rows) {
+      std::fill(grad.row(r), grad.row(r) + grad.cols(), 0.0f);
     }
-    total_loss += loss.value()(0, 0);
   }
-  stats->avg_loss = total_loss / static_cast<double>(num_batches);
-}
-
-void BprTrainer::RunBatchesParallel(data::BatchPrefetcher* prefetcher,
-                                    size_t num_batches, EpochStats* stats) {
-  const size_t workers = ResolvedWorkers();
-  HOSR_GAUGE("trainer/train_threads").Set(static_cast<double>(workers));
-  ParallelEngine engine(model_, optimizer_.get(), config_, workers);
-  // The engine assumes clean gradients on entry; in sparse mode it then
-  // keeps them clean itself by re-zeroing exactly what each batch touched.
-  model_->params()->ZeroGrad();
-  double total_loss = 0.0;
-  for (size_t b = 0; b < num_batches; ++b) {
-    const data::BprBatch batch = [&] {
-      HOSR_PHASE_US("trainer/sample_us");
-      return prefetcher->Next();
-    }();
-    stats->samples += batch.size();
-    total_loss += engine.TrainBatch(batch, epoch_, b, &rng_);
-    HOSR_COUNTER("trainer/parallel_batches").Increment();
-  }
-  stats->avg_loss = total_loss / static_cast<double>(num_batches);
 }
 
 EpochStats BprTrainer::RunEpoch() {
@@ -807,11 +264,41 @@ EpochStats BprTrainer::RunEpoch() {
   EpochStats stats;
   stats.epoch = epoch_;
   stats.batches = num_batches;
-  if (UseParallelEngine()) {
-    RunBatchesParallel(&prefetcher, num_batches, &stats);
-  } else {
-    RunBatchesSequential(&prefetcher, num_batches, &stats);
+  autograd::ParamStore* params = model_->params();
+  // Sparse steps keep the gradients clean by re-zeroing what each batch
+  // wrote, so they need one dense clear per epoch instead of one per batch.
+  if (config_.sparse_steps) params->ZeroGrad();
+  double total_loss = 0.0;
+  for (size_t b = 0; b < num_batches; ++b) {
+    const data::BprBatch batch = [&] {
+      HOSR_PHASE_US("trainer/sample_us");
+      return prefetcher.Next();
+    }();
+    stats.samples += batch.size();
+    autograd::Tape tape;
+    autograd::Value loss = [&] {
+      HOSR_TRACE_SPAN("trainer/forward");
+      HOSR_PHASE_US("trainer/forward_us");
+      return model_->BuildLoss(&tape, batch, &rng_);
+    }();
+    {
+      HOSR_TRACE_SPAN("trainer/backward");
+      HOSR_PHASE_US("trainer/backward_us");
+      if (!config_.sparse_steps) params->ZeroGrad();
+      tape.Backward(loss);
+    }
+    {
+      HOSR_TRACE_SPAN("trainer/step");
+      HOSR_PHASE_US("trainer/step_us");
+      if (config_.sparse_steps) {
+        StepSparse(tape);
+      } else {
+        optimizer_->Step(params);
+      }
+    }
+    total_loss += loss.value()(0, 0);
   }
+  stats.avg_loss = total_loss / static_cast<double>(num_batches);
 
   stats.seconds = timer.ElapsedSeconds();
   stats.samples_per_sec =
@@ -826,8 +313,7 @@ EpochStats BprTrainer::RunEpoch() {
   HOSR_COUNTER("trainer/batches").Increment(num_batches);
 
   // Per-phase epoch timeline: fraction of this epoch's wall clock spent in
-  // each phase (wall time per phase, so parallel phases count once, not per
-  // worker). Phases the active path never entered read 0.
+  // each phase.
   const double epoch_us = stats.seconds * 1e6;
   for (size_t i = 0; i < kNumPhases; ++i) {
     const uint64_t delta_us =

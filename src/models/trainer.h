@@ -25,22 +25,11 @@ struct TrainConfig {
   uint64_t seed = 1;
   bool verbose = false;                // log per-epoch loss
 
-  // --- Parallel training engine (docs/PERFORMANCE.md) -----------------
-  // Worker threads for intra-batch data parallelism: 1 = the sequential
-  // loop, >= 2 = the sliced parallel engine (for models that support it),
-  // 0 = hardware concurrency. The training trajectory is bit-identical
-  // across every value — trainer_parallel_test locks this in — so the
-  // checkpoint format deliberately leaves it out: checkpoints move freely
-  // between thread counts.
-  uint32_t train_threads = 1;
-  // Batch rows per worker slice. Any value >= 1 yields the same
-  // trajectory; smaller slices balance better, larger amortize per-slice
-  // tape overhead.
-  uint32_t slice_size = 128;
-  // Row-sparse optimizer updates: state and weight decay applied only to
-  // embedding rows the batch touched (lazy decay — untouched rows skip a
-  // step's decay entirely). CHANGES the trajectory relative to dense
-  // steps, so it is part of the checkpoint config identity.
+  // Row-sparse optimizer steps (docs/PERFORMANCE.md "Sparse optimizer
+  // steps"): a parameter only GatherRows reached steps just the rows the
+  // batch gathered, and its untouched rows skip the step's weight decay
+  // (lazy decay). CHANGES the trajectory relative to dense steps, so it is
+  // part of the checkpoint config identity.
   bool sparse_steps = false;
   // Overlap batch sampling with backward/step via a background prefetch
   // thread. The batch sequence is unchanged (the prefetcher never samples
@@ -99,18 +88,9 @@ class BprTrainer {
   util::Status RestoreTrainingState(const std::string& path);
 
  private:
-  // Worker count with train_threads == 0 resolved to the hardware.
-  size_t ResolvedWorkers() const;
-  // Whether this epoch runs the sliced parallel engine. Logs (once) and
-  // counts the fallback when the config asks for it but the model cannot
-  // slice its loss.
-  bool UseParallelEngine();
-  // The classic monolithic loop — exactly the arithmetic the engine must
-  // reproduce bit-for-bit.
-  void RunBatchesSequential(data::BatchPrefetcher* prefetcher,
-                            size_t num_batches, EpochStats* stats);
-  void RunBatchesParallel(data::BatchPrefetcher* prefetcher,
-                          size_t num_batches, EpochStats* stats);
+  // Steps the optimizer over the rows `tape`'s backward pass wrote, then
+  // re-zeroes exactly those gradients.
+  void StepSparse(const autograd::Tape& tape);
 
   RankingModel* model_;
   const data::InteractionMatrix* train_;
@@ -119,7 +99,6 @@ class BprTrainer {
   std::unique_ptr<optim::Optimizer> optimizer_;
   util::Rng rng_;
   uint32_t epoch_ = 0;
-  bool warned_fallback_ = false;
 };
 
 }  // namespace hosr::models

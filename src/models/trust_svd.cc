@@ -110,34 +110,6 @@ autograd::Value TrustSvd::BuildLoss(autograd::Tape* tape,
   return tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
 }
 
-void TrustSvd::BuildSharedForward(SharedForward* shared,
-                                  const data::BprBatch& batch,
-                                  util::Rng* rng) {
-  (void)batch;
-  (void)rng;
-  shared->outputs.push_back(EffectiveUserEmbedding(&shared->tape));
-}
-
-autograd::Value TrustSvd::BuildLossSlice(autograd::Tape* tape,
-                                         const SharedForward& shared,
-                                         const data::BprBatch& batch,
-                                         size_t begin, size_t end,
-                                         util::Rng* slice_rng) {
-  (void)slice_rng;
-  // Mirrors BuildLoss's tail (see Hosr::BuildLossSlice for the contract).
-  autograd::Value eff = tape->SparseShared(0, &shared.outputs[0].value());
-  autograd::Value u =
-      tape->GatherRows(eff, SliceOf(batch.users, begin, end));
-  autograd::Value item_emb = tape->SparseParam(item_emb_);
-  autograd::Value pos = tape->RowDot(
-      u, tape->GatherRows(item_emb, SliceOf(batch.pos_items, begin, end)));
-  autograd::Value neg = tape->RowDot(
-      u, tape->GatherRows(item_emb, SliceOf(batch.neg_items, begin, end)));
-  autograd::Value margin = tape->Sub(pos, neg);
-  const float scale = -1.0f / static_cast<float>(batch.size());
-  return tape->Scale(tape->Sum(tape->LogSigmoid(margin)), scale);
-}
-
 tensor::Matrix TrustSvd::ScoreAllItems(const std::vector<uint32_t>& users) {
   const tensor::Matrix eff = EffectiveUserEmbeddingInference();
   const tensor::Matrix u = tensor::GatherRows(eff, users);

@@ -42,16 +42,6 @@ class TrustSvd : public RankingModel {
   autograd::Value BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                             util::Rng* rng) override;
 
-  // Sliced loss: the effective user embedding (SpMM terms) is the shared
-  // forward; the tail gathers are sliced.
-  bool SupportsSlicedLoss() const override { return true; }
-  void BuildSharedForward(SharedForward* shared, const data::BprBatch& batch,
-                          util::Rng* rng) override;
-  autograd::Value BuildLossSlice(autograd::Tape* tape,
-                                 const SharedForward& shared,
-                                 const data::BprBatch& batch, size_t begin,
-                                 size_t end, util::Rng* slice_rng) override;
-
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
   util::StatusOr<FrozenFactors> ExportFactors() const override;

@@ -88,7 +88,7 @@ void ApplyPlan(autograd::ParamStore* params, const std::vector<RowSet>& plan,
 // every float operation — identical to the original flat loop, and the
 // same helper serves StepRows so the sparse path is bitwise the dense
 // per-row update. The dense path deliberately stays single-threaded: it is
-// the baseline the parallel trainer's benchmarks compare against.
+// the baseline bench/train_throughput compares sparse steps against.
 
 void Sgd::UpdateRows(autograd::Param* p, tensor::Matrix* vel,
                      const uint32_t* rows, size_t num_rows) {

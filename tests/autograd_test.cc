@@ -100,6 +100,37 @@ TEST_F(AutogradTest, BackwardThroughTwoParamLeavesOfSameParam) {
   }
 }
 
+TEST_F(AutogradTest, GatherOverParamRecordsRowsAndDenseConsumers) {
+  // `table` is reached only by gathers: its rows land straight in
+  // Param::grad and are recorded. `weight` also feeds a MatMul, which makes
+  // it dense; `unused` never gets a gradient and is not recorded.
+  Param* table = MakeParam("table", 5, 2);
+  Param* weight = MakeParam("weight", 2, 2);
+  MakeParam("unused", 3, 2);
+  Tape tape;
+  Value rows = tape.GatherRows(tape.Param(table), {3, 1, 3});
+  Value w = tape.Param(weight);
+  Value mixed = tape.Add(tape.MatMul(rows, w), tape.GatherRows(w, {0, 0, 1}));
+  store_.ZeroGrad();
+  tape.Backward(tape.Sum(mixed));
+
+  ASSERT_EQ(tape.grad_rows().size(), 2u);
+  const ParamGradRows& w_rows = tape.grad_rows()[0];
+  const ParamGradRows& t_rows = tape.grad_rows()[1];
+  EXPECT_EQ(w_rows.param, weight);
+  EXPECT_TRUE(w_rows.dense);
+  EXPECT_EQ(t_rows.param, table);
+  EXPECT_FALSE(t_rows.dense);
+  EXPECT_EQ(t_rows.rows, (std::vector<uint32_t>{3, 1, 3}));
+  // d/d table(r, :) of sum(table[rows] * w) is (row sums of w) per gather.
+  for (size_t c = 0; c < 2; ++c) {
+    const float w_row_sum = weight->value(c, 0) + weight->value(c, 1);
+    EXPECT_FLOAT_EQ(table->grad(3, c), 2.0f * w_row_sum);
+    EXPECT_FLOAT_EQ(table->grad(1, c), w_row_sum);
+    for (const size_t r : {0, 2, 4}) EXPECT_EQ(table->grad(r, c), 0.0f);
+  }
+}
+
 TEST_F(AutogradTest, ConstantsReceiveNoGradient) {
   Param* p = MakeParam("p", 1, 1);
   Tape tape;

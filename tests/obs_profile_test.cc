@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -226,6 +227,29 @@ TEST(ProfilerTest, ContinuousSessionCapturesStacks) {
   // -rdynamic link the build adds for dladdr).
   EXPECT_NE(profile.collapsed.find("BurnCpu"), std::string::npos)
       << profile.collapsed;
+}
+
+// A timer signal still pending when the session stops must not reach the
+// restored previous action: with SIG_DFL that action terminates the
+// process.
+TEST(ProfilerDeathTest, PendingSigprofDoesNotOutliveStop) {
+  HOSR_SKIP_UNDER_TSAN();
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPROF, SIG_DFL);
+        auto& profiler = obs::Profiler::Global();
+        if (!profiler.Start(obs::Profiler::Options()).ok()) std::_Exit(2);
+        sigset_t sigprof;
+        sigemptyset(&sigprof);
+        sigaddset(&sigprof, SIGPROF);
+        pthread_sigmask(SIG_BLOCK, &sigprof, nullptr);
+        raise(SIGPROF);  // pending on this thread until unblocked
+        (void)profiler.StopAndCollect();
+        pthread_sigmask(SIG_UNBLOCK, &sigprof, nullptr);
+        std::_Exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ProfilerTest, StopWithoutStartReturnsEmptyProfile) {

@@ -6,17 +6,14 @@
 //   train     --data=DIR --checkpoint=FILE [--model=HOSR] [--dim=N]
 //             [--epochs=N] [--lr=F] [--layers=N] [--early-stop]
 //             [--snapshot_out=FILE] [--train_state=FILE] [--resume]
-//             [--train_threads=N] [--train_slice=N] [--sparse_steps]
-//             [--train_prefetch=0]
+//             [--sparse_steps] [--train_prefetch=0]
 //             [--admin_port=N]  live /metricsz, /healthz, /varz, /profilez,
 //                               /timeseriez on 127.0.0.1:N while training
 //                               runs (starts the timeseries recorder too)
 //       Train a model on an on-disk dataset and save its parameters.
-//       --train_threads=N runs the deterministic parallel engine
-//       (docs/PERFORMANCE.md "Parallel training"): bit-identical to
-//       --train_threads=1 at any N (0 = hardware). --sparse_steps applies
-//       row-sparse optimizer updates with lazy weight decay (changes the
-//       trajectory; recorded in the training-state identity).
+//       --sparse_steps applies row-sparse optimizer updates with lazy
+//       weight decay (docs/PERFORMANCE.md "Sparse optimizer steps"; changes
+//       the trajectory and is recorded in the training-state identity).
 //       --snapshot_out additionally freezes the trained model into a
 //       serving snapshot for hosr_serve (docs/SERVING.md).
 //       --train_state saves a crash-safe full training checkpoint (params,
@@ -183,10 +180,6 @@ int RunTrain(const util::Flags& flags) {
       static_cast<float>(flags.GetDouble("weight-decay", 1e-5));
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   config.verbose = flags.GetBool("verbose", false);
-  config.train_threads =
-      static_cast<uint32_t>(flags.GetInt("train_threads", 1));
-  config.slice_size =
-      static_cast<uint32_t>(flags.GetInt("train_slice", 128));
   config.sparse_steps = flags.GetBool("sparse_steps", false);
   config.prefetch = flags.GetBool("train_prefetch", true);
 
