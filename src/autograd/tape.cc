@@ -12,6 +12,19 @@ namespace hosr::autograd {
 
 using tensor::Matrix;
 
+namespace {
+
+// grad += g * x element-wise, straight into the gradient. The product is
+// rounded, then the sum, as with a Hadamard partial added by Axpy.
+void AccumulateProduct(const Matrix& g, const Matrix& x, Matrix* grad) {
+  const float* gp = g.data();
+  const float* xp = x.data();
+  float* out = grad->data();
+  for (size_t i = 0; i < g.size(); ++i) out[i] += gp[i] * xp[i];
+}
+
+}  // namespace
+
 internal::Node* Tape::NewNode(Matrix value, bool requires_grad) {
   auto node = std::make_unique<internal::Node>();
   node->owned_value = std::move(value);
@@ -150,12 +163,10 @@ Value Tape::Hadamard(Value a, Value b) {
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
       if (an->requires_grad) {
-        Matrix partial = tensor::Hadamard(out->grad, bn->value());
-        tensor::Axpy(1.0f, partial, GradFor(an));
+        AccumulateProduct(out->grad, bn->value(), GradFor(an));
       }
       if (bn->requires_grad) {
-        Matrix partial = tensor::Hadamard(out->grad, an->value());
-        tensor::Axpy(1.0f, partial, GradFor(bn));
+        AccumulateProduct(out->grad, an->value(), GradFor(bn));
       }
     };
   }
@@ -586,8 +597,7 @@ Value Tape::Dropout(Value a, float p, bool training, util::Rng* rng) {
                                 an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, mask = std::move(mask)] {
-      Matrix partial = tensor::Hadamard(out->grad, mask);
-      tensor::Axpy(1.0f, partial, GradFor(an));
+      AccumulateProduct(out->grad, mask, GradFor(an));
     };
   }
   return Value(out);

@@ -1,5 +1,6 @@
 #include "core/hosr.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/laplacian.h"
@@ -15,10 +16,6 @@ namespace hosr::core {
 using autograd::Value;
 using tensor::Matrix;
 
-namespace {
-
-// Item-implicit operator of Eq. 11: entry (i, j') for j' in I_i, with the
-// configured decay factor.
 graph::CsrMatrix BuildItemTermOperator(
     const data::InteractionMatrix& interactions, ImplicitDecay decay) {
   // |A_j|: number of users that interacted with item j (for kSqrtBoth).
@@ -48,7 +45,92 @@ graph::CsrMatrix BuildItemTermOperator(
                                         std::move(triplets));
 }
 
-}  // namespace
+LayerAttention LayerAttention::Create(LayerAggregation aggregation,
+                                      const std::string& prefix, uint32_t d,
+                                      autograd::ParamStore* params,
+                                      util::Rng* rng) {
+  LayerAttention attention;
+  if (aggregation != LayerAggregation::kAttention) return attention;
+  attention.proj_user = params->CreateXavier(prefix + "attn_p_u", d, d, rng);
+  attention.proj_output =
+      params->CreateXavier(prefix + "attn_p_o", d, d, rng);
+  attention.vector = params->CreateXavier(prefix + "attn_h", d, 1, rng);
+  return attention;
+}
+
+std::vector<uint32_t> UniqueRows(IdLists id_lists) {
+  std::vector<uint32_t> rows;
+  for (const std::vector<uint32_t>& ids : id_lists) {
+    rows.insert(rows.end(), ids.begin(), ids.end());
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
+                                const std::vector<uint32_t>& ids) {
+  std::vector<uint32_t> local;
+  local.reserve(ids.size());
+  for (const uint32_t id : ids) {
+    const auto it = std::lower_bound(rows.begin(), rows.end(), id);
+    HOSR_CHECK(it != rows.end() && *it == id) << "row " << id;
+    local.push_back(static_cast<uint32_t>(it - rows.begin()));
+  }
+  return local;
+}
+
+// Every op after the gathers is row-wise, and the rows stay ascending, so
+// each kept row is computed exactly as on the full table, and each weight
+// gradient folds the same nonzero terms in the same order.
+Value AggregateLayerRows(autograd::Tape* tape, LayerAggregation aggregation,
+                         const LayerAttention& attention, Value u0,
+                         const std::vector<Value>& layers,
+                         const std::vector<uint32_t>& rows) {
+  const auto rows_of = [&](Value full) {
+    return tape->GatherRows(full, rows);
+  };
+  switch (aggregation) {
+    case LayerAggregation::kLast:
+      return rows_of(layers.back());
+    case LayerAggregation::kAverage: {
+      Value acc = rows_of(layers[0]);
+      for (size_t l = 1; l < layers.size(); ++l) {
+        acc = tape->Add(acc, rows_of(layers[l]));
+      }
+      return tape->Scale(acc, 1.0f / static_cast<float>(layers.size()));
+    }
+    case LayerAggregation::kAttention: {
+      if (layers.size() == 1) return rows_of(layers[0]);
+      HOSR_TRACE_SPAN("hosr/attention_aggregate");
+      // Eq. 8: a_il = ReLU(u_i P_u + u_i^(l) P_o) h^T.
+      Value projected_u0 =
+          tape->MatMul(rows_of(u0), tape->Param(attention.proj_user));
+      Value p_o = tape->Param(attention.proj_output);
+      Value h_vec = tape->Param(attention.vector);
+      std::vector<Value> layer_rows;
+      Value scores;  // (rows x k), built by concatenation
+      for (size_t l = 0; l < layers.size(); ++l) {
+        layer_rows.push_back(rows_of(layers[l]));
+        Value hidden = tape->Relu(
+            tape->Add(projected_u0, tape->MatMul(layer_rows[l], p_o)));
+        Value a_l = tape->MatMul(hidden, h_vec);  // (rows x 1)
+        scores = l == 0 ? a_l : tape->ConcatCols(scores, a_l);
+      }
+      // Eq. 9: softmax over layers; Eq. 10: weighted sum.
+      Value weights = tape->RowSoftmax(scores);
+      Value aggregated;
+      for (size_t l = 0; l < layers.size(); ++l) {
+        Value weighted = tape->BroadcastColMul(
+            layer_rows[l], tape->SliceCols(weights, l, 1));
+        aggregated = l == 0 ? weighted : tape->Add(aggregated, weighted);
+      }
+      return aggregated;
+    }
+  }
+  HOSR_CHECK(false) << "unreachable aggregation";
+  return layers.back();
+}
 
 util::Status Hosr::Config::Validate() const {
   if (embedding_dim == 0) {
@@ -91,13 +173,8 @@ Hosr::Hosr(const data::Dataset& train, const Config& config)
           util::StrFormat("gcn_w%u", layer + 1), d, d, &rng));
     }
   }
-  if (config.aggregation == LayerAggregation::kAttention) {
-    attn_proj_user_ = params_.CreateXavier("attn_p_u", d, d, &rng);
-    attn_proj_output_ = params_.CreateXavier("attn_p_o", d, d, &rng);
-    attn_vector_ = params_.CreateXavier("attn_h", d, 1, &rng);
-  } else {
-    attn_proj_user_ = attn_proj_output_ = attn_vector_ = nullptr;
-  }
+  attention_ =
+      LayerAttention::Create(config.aggregation, "", d, &params_, &rng);
 }
 
 void Hosr::RebuildActiveLaplacian(const graph::SocialGraph& graph) {
@@ -139,65 +216,26 @@ std::vector<Value> Hosr::PropagateLayers(autograd::Tape* tape,
   return layers;
 }
 
-Value Hosr::AggregateLayers(autograd::Tape* tape, Value u0,
-                            const std::vector<Value>& layers) {
-  switch (config_.aggregation) {
-    case LayerAggregation::kLast:
-      return layers.back();
-    case LayerAggregation::kAverage: {
-      Value acc = layers[0];
-      for (size_t l = 1; l < layers.size(); ++l) {
-        acc = tape->Add(acc, layers[l]);
-      }
-      return tape->Scale(acc, 1.0f / static_cast<float>(layers.size()));
-    }
-    case LayerAggregation::kAttention: {
-      if (layers.size() == 1) return layers[0];
-      HOSR_TRACE_SPAN("hosr/attention_aggregate");
-      // Eq. 8: a_il = ReLU(u_i P_u + u_i^(l) P_o) h^T.
-      Value projected_u0 = tape->MatMul(u0, tape->Param(attn_proj_user_));
-      Value p_o = tape->Param(attn_proj_output_);
-      Value h_vec = tape->Param(attn_vector_);
-      Value scores;  // (n x k), built by concatenation
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value hidden =
-            tape->Relu(tape->Add(projected_u0, tape->MatMul(layers[l], p_o)));
-        Value a_l = tape->MatMul(hidden, h_vec);  // (n x 1)
-        scores = l == 0 ? a_l : tape->ConcatCols(scores, a_l);
-      }
-      // Eq. 9: softmax over layers; Eq. 10: weighted sum.
-      Value weights = tape->RowSoftmax(scores);
-      Value aggregated;
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value s_l = tape->SliceCols(weights, l, 1);
-        Value weighted = tape->BroadcastColMul(layers[l], s_l);
-        aggregated = l == 0 ? weighted : tape->Add(aggregated, weighted);
-      }
-      return aggregated;
-    }
-  }
-  HOSR_CHECK(false) << "unreachable aggregation";
-  return layers.back();
-}
-
-Value Hosr::UserRepresentation(autograd::Tape* tape, bool training) {
-  Value u0 = tape->Param(user_emb_);
+Value Hosr::UserRepresentation(autograd::Tape* tape,
+                               const std::vector<uint32_t>& users,
+                               bool training) {
   std::vector<Value> layers = PropagateLayers(tape, training);
-  Value aggregated = AggregateLayers(tape, u0, layers);
+  const std::vector<uint32_t> rows = UniqueRows({users});
+  Value rep = AggregateLayerRows(tape, config_.aggregation, attention_,
+                                 tape->Param(user_emb_), layers, rows);
   if (config_.item_implicit_term) {
     // Eq. 11: add 1/sqrt(|I_i|) * sum of interacted item embeddings.
     Value implicit =
         tape->SpMM(&item_term_, &item_term_t_, tape->Param(item_emb_));
-    aggregated = tape->Add(aggregated, implicit);
+    rep = tape->Add(rep, tape->GatherRows(implicit, rows));
   }
-  return aggregated;
+  return tape->GatherRows(rep, LocalRows(rows, users));
 }
 
 Value Hosr::ScorePairs(autograd::Tape* tape,
                        const std::vector<uint32_t>& users,
                        const std::vector<uint32_t>& items, bool training) {
-  Value rep = UserRepresentation(tape, training);
-  Value u = tape->GatherRows(rep, users);
+  Value u = UserRepresentation(tape, users, training);
   Value v = tape->GatherRows(tape->Param(item_emb_), items);
   return tape->RowDot(u, v);
 }
@@ -205,8 +243,7 @@ Value Hosr::ScorePairs(autograd::Tape* tape,
 Value Hosr::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                       util::Rng* rng) {
   (void)rng;
-  Value rep = UserRepresentation(tape, /*training=*/true);
-  Value u = tape->GatherRows(rep, batch.users);
+  Value u = UserRepresentation(tape, batch.users, /*training=*/true);
   Value item_param = tape->Param(item_emb_);
   Value pos = tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
   Value neg = tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
@@ -269,13 +306,13 @@ Matrix Hosr::AggregateLayersInference(
 Matrix Hosr::AttentionWeightsFor(const std::vector<Matrix>& layers) const {
   HOSR_CHECK(config_.aggregation == LayerAggregation::kAttention);
   const Matrix projected_u0 =
-      tensor::MatMul(user_emb_->value, attn_proj_user_->value);
+      tensor::MatMul(user_emb_->value, attention_.proj_user->value);
   Matrix scores(num_users_, layers.size());
   for (size_t l = 0; l < layers.size(); ++l) {
-    Matrix hidden = tensor::MatMul(layers[l], attn_proj_output_->value);
+    Matrix hidden = tensor::MatMul(layers[l], attention_.proj_output->value);
     tensor::Axpy(1.0f, projected_u0, &hidden);
     hidden = tensor::Relu(hidden);
-    const Matrix a_l = tensor::MatMul(hidden, attn_vector_->value);
+    const Matrix a_l = tensor::MatMul(hidden, attention_.vector->value);
     for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
   }
   Matrix weights = tensor::RowSoftmax(scores);

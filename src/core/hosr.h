@@ -1,6 +1,8 @@
 #ifndef HOSR_CORE_HOSR_H_
 #define HOSR_CORE_HOSR_H_
 
+#include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,47 @@ enum class ImplicitDecay {
   kSqrtUserItems,  // 1/sqrt(|I_i|)            (the paper's choice)
   kSqrtBoth,       // 1/sqrt(|I_i| |A_j|)      (the alternative it mentions)
 };
+
+// The attention network of Eqs. 8-10, shared by HOSR, HOSR-GAT and
+// HOSR-Joint. All null unless the aggregation is kAttention.
+struct LayerAttention {
+  autograd::Param* proj_user = nullptr;    // P_u (d x d)
+  autograd::Param* proj_output = nullptr;  // P_o (d x d)
+  autograd::Param* vector = nullptr;       // h   (d x 1)
+
+  // Creates `<prefix>attn_p_u`, `<prefix>attn_p_o` and `<prefix>attn_h`
+  // for kAttention; an all-null network otherwise.
+  static LayerAttention Create(LayerAggregation aggregation,
+                               const std::string& prefix, uint32_t d,
+                               autograd::ParamStore* params, util::Rng* rng);
+};
+
+// Item-implicit operator of Eq. 11 (n x m): entry (i, j) for j in I_i,
+// weighted by `decay`.
+graph::CsrMatrix BuildItemTermOperator(
+    const data::InteractionMatrix& interactions, ImplicitDecay decay);
+
+using IdLists =
+    std::initializer_list<std::reference_wrapper<const std::vector<uint32_t>>>;
+
+// Sorted unique ids of all `id_lists`: the rows of a full-graph table that
+// a batch reads.
+std::vector<uint32_t> UniqueRows(IdLists id_lists);
+
+// Position of each of `ids` in `rows` (sorted; must contain every id).
+std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
+                                const std::vector<uint32_t>& ids);
+
+// Aggregates the full-graph layer outputs `layers` (k tables of n x d) on
+// `rows` only (sorted, unique): gathers those rows of each layer, and of
+// the layer-0 table `u0` for attention, then runs the row-wise tail
+// (last / average / Eqs. 8-10). Row i of the result belongs to rows[i].
+autograd::Value AggregateLayerRows(autograd::Tape* tape,
+                                   LayerAggregation aggregation,
+                                   const LayerAttention& attention,
+                                   autograd::Value u0,
+                                   const std::vector<autograd::Value>& layers,
+                                   const std::vector<uint32_t>& rows);
 
 // HOSR — the paper's High-Order Social Recommender (Sec. 2): k stacked GCN
 // layers propagate user embeddings along the social graph (Eqs. 3-6), an
@@ -107,11 +150,12 @@ class Hosr : public models::RankingModel {
   // Builds all k layer outputs on the tape; returns them in order 1..k.
   std::vector<autograd::Value> PropagateLayers(autograd::Tape* tape,
                                                bool training);
-  // Aggregates layer outputs per config (attention / average / last).
-  autograd::Value AggregateLayers(autograd::Tape* tape, autograd::Value u0,
-                                  const std::vector<autograd::Value>& layers);
-  // Differentiable final user embedding incl. item-implicit term.
-  autograd::Value UserRepresentation(autograd::Tape* tape, bool training);
+  // Differentiable final embeddings incl. the item-implicit term of
+  // `users` (may repeat): propagation runs on the full graph, the Eq. 8-11
+  // tail once per unique user.
+  autograd::Value UserRepresentation(autograd::Tape* tape,
+                                     const std::vector<uint32_t>& users,
+                                     bool training);
 
   // Inference-mode mirrors (plain tensor ops on current param values).
   std::vector<tensor::Matrix> PropagateLayersInference() const;
@@ -138,9 +182,7 @@ class Hosr : public models::RankingModel {
   autograd::Param* user_emb_;
   autograd::Param* item_emb_;
   std::vector<autograd::Param*> layer_weights_;  // W^(k), Eq. 4
-  autograd::Param* attn_proj_user_;              // P_u, Eq. 8
-  autograd::Param* attn_proj_output_;            // P_o, Eq. 8
-  autograd::Param* attn_vector_;                 // h,   Eq. 8 (d x 1)
+  LayerAttention attention_;                     // Eqs. 8-10
 };
 
 }  // namespace hosr::core

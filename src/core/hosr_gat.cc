@@ -1,7 +1,5 @@
 #include "core/hosr_gat.h"
 
-#include <cmath>
-
 #include "graph/sampling.h"
 #include "graph/spmm.h"
 #include "obs/metrics.h"
@@ -13,26 +11,6 @@ namespace hosr::core {
 
 using autograd::Value;
 using tensor::Matrix;
-
-namespace {
-
-// Item-implicit operator of Eq. 11 with the paper's 1/sqrt(|I_i|) decay.
-graph::CsrMatrix BuildItemTermOperator(
-    const data::InteractionMatrix& interactions) {
-  std::vector<graph::Triplet> triplets;
-  triplets.reserve(interactions.nnz());
-  for (uint32_t u = 0; u < interactions.num_users(); ++u) {
-    const auto& items = interactions.ItemsOf(u);
-    if (items.empty()) continue;
-    const float w = 1.0f / std::sqrt(static_cast<float>(items.size()));
-    for (const uint32_t j : items) triplets.push_back({u, j, w});
-  }
-  return graph::CsrMatrix::FromTriplets(interactions.num_users(),
-                                        interactions.num_items(),
-                                        std::move(triplets));
-}
-
-}  // namespace
 
 util::Status HosrGat::Config::Validate() const {
   if (embedding_dim == 0) {
@@ -80,14 +58,12 @@ HosrGat::HosrGat(const data::Dataset& train, const Config& config)
       config_(config),
       social_(train.social),
       dropout_rng_(config.seed ^ 0xc2b2ae3d27d4eb4fULL),
-      item_term_(BuildItemTermOperator(train.interactions)),
+      edges_(BuildEdges(social_)),
+      active_edges_(edges_),
+      item_term_(BuildItemTermOperator(train.interactions,
+                                       ImplicitDecay::kSqrtUserItems)),
       item_term_t_(item_term_.Transpose()) {
   HOSR_CHECK(config.Validate().ok()) << config.Validate().ToString();
-  EdgeArrays full = BuildEdges(social_);
-  edge_offsets_ = full.offsets;
-  edge_sources_ = full.sources;
-  edge_targets_ = full.targets;
-  active_edges_ = std::move(full);
 
   util::Rng rng(config.seed);
   const uint32_t d = config.embedding_dim;
@@ -103,13 +79,8 @@ HosrGat::HosrGat(const data::Dataset& train, const Config& config)
     edge_attn_tgt_.push_back(params_.CreateXavier(
         util::StrFormat("gat_a_tgt%u", layer + 1), d, 1, &rng));
   }
-  if (config.aggregation == LayerAggregation::kAttention) {
-    attn_proj_user_ = params_.CreateXavier("gat_attn_p_u", d, d, &rng);
-    attn_proj_output_ = params_.CreateXavier("gat_attn_p_o", d, d, &rng);
-    attn_vector_ = params_.CreateXavier("gat_attn_h", d, 1, &rng);
-  } else {
-    attn_proj_user_ = attn_proj_output_ = attn_vector_ = nullptr;
-  }
+  attention_ =
+      LayerAttention::Create(config.aggregation, "gat_", d, &params_, &rng);
 }
 
 void HosrGat::OnEpochBegin(uint32_t epoch, util::Rng* rng) {
@@ -136,16 +107,11 @@ Value HosrGat::GatLayer(autograd::Tape* tape, Value h, size_t layer,
                        &dropout_rng_);
 }
 
-Value HosrGat::UserRepresentation(autograd::Tape* tape, bool training) {
+Value HosrGat::UserRepresentation(autograd::Tape* tape,
+                                  const std::vector<uint32_t>& users,
+                                  bool training) {
   // Full-graph edges at inference; epoch-thinned edges while training.
-  EdgeArrays inference_edges;
-  const EdgeArrays* edges = &active_edges_;
-  if (!training) {
-    inference_edges.offsets = edge_offsets_;
-    inference_edges.sources = edge_sources_;
-    inference_edges.targets = edge_targets_;
-    edges = &inference_edges;
-  }
+  const EdgeArrays& edges = training ? active_edges_ : edges_;
 
   Value u0 = tape->Param(user_emb_);
   std::vector<Value> layers;
@@ -153,61 +119,25 @@ Value HosrGat::UserRepresentation(autograd::Tape* tape, bool training) {
   Value h = u0;
   for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
     obs::ScopedSpan span(obs::IndexedSpanName("hosr_gat/layer_", layer + 1));
-    h = GatLayer(tape, h, layer, *edges, training);
+    h = GatLayer(tape, h, layer, edges, training);
     layers.push_back(h);
   }
 
-  Value aggregated;
-  switch (config_.aggregation) {
-    case LayerAggregation::kLast:
-      aggregated = layers.back();
-      break;
-    case LayerAggregation::kAverage: {
-      Value acc = layers[0];
-      for (size_t l = 1; l < layers.size(); ++l) {
-        acc = tape->Add(acc, layers[l]);
-      }
-      aggregated = tape->Scale(acc, 1.0f / static_cast<float>(layers.size()));
-      break;
-    }
-    case LayerAggregation::kAttention: {
-      if (layers.size() == 1) {
-        aggregated = layers[0];
-        break;
-      }
-      Value projected = tape->MatMul(u0, tape->Param(attn_proj_user_));
-      Value p_o = tape->Param(attn_proj_output_);
-      Value h_vec = tape->Param(attn_vector_);
-      Value scores;
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value hidden =
-            tape->Relu(tape->Add(projected, tape->MatMul(layers[l], p_o)));
-        Value a_l = tape->MatMul(hidden, h_vec);
-        scores = l == 0 ? a_l : tape->ConcatCols(scores, a_l);
-      }
-      Value weights = tape->RowSoftmax(scores);
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value weighted =
-            tape->BroadcastColMul(layers[l], tape->SliceCols(weights, l, 1));
-        aggregated = l == 0 ? weighted : tape->Add(aggregated, weighted);
-      }
-      break;
-    }
-  }
-
+  const std::vector<uint32_t> rows = UniqueRows({users});
+  Value rep = AggregateLayerRows(tape, config_.aggregation, attention_, u0,
+                                 layers, rows);
   if (config_.item_implicit_term) {
     Value implicit =
         tape->SpMM(&item_term_, &item_term_t_, tape->Param(item_emb_));
-    aggregated = tape->Add(aggregated, implicit);
+    rep = tape->Add(rep, tape->GatherRows(implicit, rows));
   }
-  return aggregated;
+  return tape->GatherRows(rep, LocalRows(rows, users));
 }
 
 Value HosrGat::ScorePairs(autograd::Tape* tape,
                           const std::vector<uint32_t>& users,
                           const std::vector<uint32_t>& items, bool training) {
-  Value rep = UserRepresentation(tape, training);
-  Value u = tape->GatherRows(rep, users);
+  Value u = UserRepresentation(tape, users, training);
   Value v = tape->GatherRows(tape->Param(item_emb_), items);
   return tape->RowDot(u, v);
 }
@@ -215,8 +145,7 @@ Value HosrGat::ScorePairs(autograd::Tape* tape,
 Value HosrGat::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                          util::Rng* rng) {
   (void)rng;
-  Value rep = UserRepresentation(tape, /*training=*/true);
-  Value u = tape->GatherRows(rep, batch.users);
+  Value u = UserRepresentation(tape, batch.users, /*training=*/true);
   Value item_param = tape->Param(item_emb_);
   Value pos = tape->RowDot(u, tape->GatherRows(item_param, batch.pos_items));
   Value neg = tape->RowDot(u, tape->GatherRows(item_param, batch.neg_items));
@@ -228,10 +157,9 @@ Matrix HosrGat::ScoreAllItems(const std::vector<uint32_t>& users) {
   // Inference goes through the tape (no dropout, full graph) — the GAT
   // forward has no lighter closed form worth duplicating.
   autograd::Tape tape;
-  Value rep = UserRepresentation(&tape, /*training=*/false);
-  const Matrix gathered = tensor::GatherRows(rep.value(), users);
+  Value u = UserRepresentation(&tape, users, /*training=*/false);
   Matrix scores(users.size(), num_items_);
-  tensor::Gemm(gathered, false, item_emb_->value, true, 1.0f, 0.0f, &scores);
+  tensor::Gemm(u.value(), false, item_emb_->value, true, 1.0f, 0.0f, &scores);
   return scores;
 }
 
@@ -239,13 +167,13 @@ std::vector<float> HosrGat::FirstLayerEdgeAttention() {
   autograd::Tape tape;
   Value hw =
       tape.MatMul(tape.Param(user_emb_), tape.Param(layer_weights_[0]));
-  Value src_feat = tape.GatherRows(hw, edge_sources_);
-  Value tgt_feat = tape.GatherRows(hw, edge_targets_);
+  Value src_feat = tape.GatherRows(hw, edges_.sources);
+  Value tgt_feat = tape.GatherRows(hw, edges_.targets);
   Value scores = tape.LeakyRelu(
       tape.Add(tape.MatMul(src_feat, tape.Param(edge_attn_src_[0])),
                tape.MatMul(tgt_feat, tape.Param(edge_attn_tgt_[0]))),
       config_.leaky_slope);
-  Value alpha = tape.SegmentSoftmax(scores, edge_offsets_);
+  Value alpha = tape.SegmentSoftmax(scores, edges_.offsets);
   std::vector<float> result(alpha.rows());
   for (size_t e = 0; e < result.size(); ++e) {
     result[e] = alpha.value()(e, 0);

@@ -64,8 +64,8 @@ class HosrGat : public models::RankingModel {
   // (self-loops included), inference mode. Entry e weights edge
   // (EdgeSource(e) -> edge_targets()[e]). For tests and introspection.
   std::vector<float> FirstLayerEdgeAttention();
-  const std::vector<size_t>& edge_offsets() const { return edge_offsets_; }
-  const std::vector<uint32_t>& edge_targets() const { return edge_targets_; }
+  const std::vector<size_t>& edge_offsets() const { return edges_.offsets; }
+  const std::vector<uint32_t>& edge_targets() const { return edges_.targets; }
 
  private:
   // Flattened "self + neighbors" edge arrays for the given graph.
@@ -80,7 +80,11 @@ class HosrGat : public models::RankingModel {
   autograd::Value GatLayer(autograd::Tape* tape, autograd::Value h,
                            size_t layer, const EdgeArrays& edges,
                            bool training);
-  autograd::Value UserRepresentation(autograd::Tape* tape, bool training);
+  // Final embeddings of `users` (may repeat); the aggregation and Eq. 11
+  // run once per unique user.
+  autograd::Value UserRepresentation(autograd::Tape* tape,
+                                     const std::vector<uint32_t>& users,
+                                     bool training);
 
   uint32_t num_users_;
   uint32_t num_items_;
@@ -88,9 +92,7 @@ class HosrGat : public models::RankingModel {
   graph::SocialGraph social_;
   util::Rng dropout_rng_;
   // Full-graph edges (inference) and the epoch's thinned edges (training).
-  std::vector<size_t> edge_offsets_;
-  std::vector<uint32_t> edge_sources_;
-  std::vector<uint32_t> edge_targets_;
+  EdgeArrays edges_;
   EdgeArrays active_edges_;
   graph::CsrMatrix item_term_;
   graph::CsrMatrix item_term_t_;
@@ -100,9 +102,7 @@ class HosrGat : public models::RankingModel {
   std::vector<autograd::Param*> layer_weights_;
   std::vector<autograd::Param*> edge_attn_src_;  // (d x 1) per layer
   std::vector<autograd::Param*> edge_attn_tgt_;  // (d x 1) per layer
-  autograd::Param* attn_proj_user_;
-  autograd::Param* attn_proj_output_;
-  autograd::Param* attn_vector_;
+  LayerAttention attention_;
 };
 
 }  // namespace hosr::core

@@ -47,13 +47,8 @@ HosrJoint::HosrJoint(const data::Dataset& train, const Config& config)
     layer_weights_.push_back(params_.CreateXavier(
         util::StrFormat("joint_w%u", layer + 1), d, d, &rng));
   }
-  if (config.aggregation == LayerAggregation::kAttention) {
-    attn_proj_node_ = params_.CreateXavier("joint_attn_p_u", d, d, &rng);
-    attn_proj_output_ = params_.CreateXavier("joint_attn_p_o", d, d, &rng);
-    attn_vector_ = params_.CreateXavier("joint_attn_h", d, 1, &rng);
-  } else {
-    attn_proj_node_ = attn_proj_output_ = attn_vector_ = nullptr;
-  }
+  attention_ = LayerAttention::Create(config.aggregation, "joint_", d,
+                                      &params_, &rng);
 }
 
 graph::CsrMatrix HosrJoint::BuildJointLaplacian(
@@ -92,7 +87,9 @@ void HosrJoint::OnEpochBegin(uint32_t epoch, util::Rng* rng) {
   active_laplacian_ = BuildJointLaplacian(kept_social, kept_interactions);
 }
 
-Value HosrJoint::PropagateAndAggregate(autograd::Tape* tape, bool training) {
+Value HosrJoint::PropagateAndAggregate(autograd::Tape* tape,
+                                       const std::vector<uint32_t>& rows,
+                                       bool training) {
   const graph::CsrMatrix* laplacian =
       training ? &active_laplacian_ : &base_laplacian_;
   Value e0 = tape->Param(node_emb_);
@@ -107,69 +104,46 @@ Value HosrJoint::PropagateAndAggregate(autograd::Tape* tape, bool training) {
     h = tape->Dropout(h, config_.embedding_dropout, training, &dropout_rng_);
     layers.push_back(h);
   }
+  return AggregateLayerRows(tape, config_.aggregation, attention_, e0, layers,
+                            rows);
+}
 
-  switch (config_.aggregation) {
-    case LayerAggregation::kLast:
-      return layers.back();
-    case LayerAggregation::kAverage: {
-      Value acc = layers[0];
-      for (size_t l = 1; l < layers.size(); ++l) acc = tape->Add(acc, layers[l]);
-      return tape->Scale(acc, 1.0f / static_cast<float>(layers.size()));
-    }
-    case LayerAggregation::kAttention: {
-      if (layers.size() == 1) return layers[0];
-      Value projected = tape->MatMul(e0, tape->Param(attn_proj_node_));
-      Value p_o = tape->Param(attn_proj_output_);
-      Value h_vec = tape->Param(attn_vector_);
-      Value scores;
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value hidden =
-            tape->Relu(tape->Add(projected, tape->MatMul(layers[l], p_o)));
-        Value a_l = tape->MatMul(hidden, h_vec);
-        scores = l == 0 ? a_l : tape->ConcatCols(scores, a_l);
-      }
-      Value weights = tape->RowSoftmax(scores);
-      Value aggregated;
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Value weighted =
-            tape->BroadcastColMul(layers[l], tape->SliceCols(weights, l, 1));
-        aggregated = l == 0 ? weighted : tape->Add(aggregated, weighted);
-      }
-      return aggregated;
-    }
+std::vector<uint32_t> HosrJoint::ItemNodes(
+    const std::vector<uint32_t>& items) const {
+  std::vector<uint32_t> nodes(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    HOSR_CHECK(items[i] < num_items_);
+    nodes[i] = num_users_ + items[i];
   }
-  HOSR_CHECK(false) << "unreachable aggregation";
-  return layers.back();
+  return nodes;
 }
 
 Value HosrJoint::ScorePairs(autograd::Tape* tape,
                             const std::vector<uint32_t>& users,
                             const std::vector<uint32_t>& items,
                             bool training) {
-  Value nodes = PropagateAndAggregate(tape, training);
-  std::vector<uint32_t> item_nodes(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    HOSR_CHECK(items[i] < num_items_);
-    item_nodes[i] = num_users_ + items[i];
-  }
-  Value u = tape->GatherRows(nodes, users);
-  Value v = tape->GatherRows(nodes, item_nodes);
+  const std::vector<uint32_t> item_nodes = ItemNodes(items);
+  const std::vector<uint32_t> rows = UniqueRows({users, item_nodes});
+  Value nodes = PropagateAndAggregate(tape, rows, training);
+  Value u = tape->GatherRows(nodes, LocalRows(rows, users));
+  Value v = tape->GatherRows(nodes, LocalRows(rows, item_nodes));
   return tape->RowDot(u, v);
 }
 
 Value HosrJoint::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                            util::Rng* rng) {
   (void)rng;
-  Value nodes = PropagateAndAggregate(tape, /*training=*/true);
-  std::vector<uint32_t> pos_nodes(batch.pos_items.size());
-  std::vector<uint32_t> neg_nodes(batch.neg_items.size());
-  for (size_t i = 0; i < batch.pos_items.size(); ++i) {
-    pos_nodes[i] = num_users_ + batch.pos_items[i];
-    neg_nodes[i] = num_users_ + batch.neg_items[i];
-  }
-  Value u = tape->GatherRows(nodes, batch.users);
-  Value pos = tape->RowDot(u, tape->GatherRows(nodes, pos_nodes));
-  Value neg = tape->RowDot(u, tape->GatherRows(nodes, neg_nodes));
+  const std::vector<uint32_t> pos_nodes = ItemNodes(batch.pos_items);
+  const std::vector<uint32_t> neg_nodes = ItemNodes(batch.neg_items);
+  // The loss reads user and item nodes alike; the tail runs on their union.
+  const std::vector<uint32_t> rows =
+      UniqueRows({batch.users, pos_nodes, neg_nodes});
+  Value nodes = PropagateAndAggregate(tape, rows, /*training=*/true);
+  Value u = tape->GatherRows(nodes, LocalRows(rows, batch.users));
+  Value pos =
+      tape->RowDot(u, tape->GatherRows(nodes, LocalRows(rows, pos_nodes)));
+  Value neg =
+      tape->RowDot(u, tape->GatherRows(nodes, LocalRows(rows, neg_nodes)));
   return tape->Scale(tape->Mean(tape->LogSigmoid(tape->Sub(pos, neg))),
                      -1.0f);
 }
@@ -198,13 +172,14 @@ Matrix HosrJoint::FinalNodeEmbeddings() const {
     case LayerAggregation::kAttention: {
       if (layers.size() == 1) return layers[0];
       const Matrix projected =
-          tensor::MatMul(node_emb_->value, attn_proj_node_->value);
+          tensor::MatMul(node_emb_->value, attention_.proj_user->value);
       Matrix scores(node_emb_->value.rows(), layers.size());
       for (size_t l = 0; l < layers.size(); ++l) {
-        Matrix hidden = tensor::MatMul(layers[l], attn_proj_output_->value);
+        Matrix hidden =
+            tensor::MatMul(layers[l], attention_.proj_output->value);
         tensor::Axpy(1.0f, projected, &hidden);
         hidden = tensor::Relu(hidden);
-        const Matrix a_l = tensor::MatMul(hidden, attn_vector_->value);
+        const Matrix a_l = tensor::MatMul(hidden, attention_.vector->value);
         for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
       }
       const Matrix weights = tensor::RowSoftmax(scores);

@@ -72,7 +72,13 @@ class HosrJoint : public models::RankingModel {
       const std::vector<std::pair<uint32_t, uint32_t>>& social_edges,
       const std::vector<data::Interaction>& interactions) const;
 
-  autograd::Value PropagateAndAggregate(autograd::Tape* tape, bool training);
+  // Full-graph propagation, then the aggregation on `rows` only (sorted
+  // unique node ids): (rows.size() x d).
+  autograd::Value PropagateAndAggregate(autograd::Tape* tape,
+                                        const std::vector<uint32_t>& rows,
+                                        bool training);
+  // Node ids of `items` (checked): items follow the users.
+  std::vector<uint32_t> ItemNodes(const std::vector<uint32_t>& items) const;
 
   uint32_t num_users_;
   uint32_t num_items_;
@@ -85,9 +91,7 @@ class HosrJoint : public models::RankingModel {
   autograd::ParamStore params_;
   autograd::Param* node_emb_;  // (n + m) x d, users then items
   std::vector<autograd::Param*> layer_weights_;
-  autograd::Param* attn_proj_node_;
-  autograd::Param* attn_proj_output_;
-  autograd::Param* attn_vector_;
+  LayerAttention attention_;
 };
 
 }  // namespace hosr::core

@@ -45,24 +45,56 @@ const data::Dataset& MediumDataset() {
   return *dataset;
 }
 
+// Checks BuildLoss's gradients on two batches: distinct sorted users, and
+// unsorted repeated users with repeated items (item 0 twice as a positive,
+// item 5 as a positive and a negative), which exercise the unique-and-remap
+// step of the row-restricted loss tail.
 template <typename Model>
 void ExpectGradients(Model* model, double tol = 8e-2) {
-  data::BprBatch batch;
-  batch.users = {0, 2, 4};
-  batch.pos_items = {0, 3, 5};
-  batch.neg_items = {2, 1, 4};
+  const std::vector<data::BprBatch> batches = {
+      {{0, 2, 4}, {0, 3, 5}, {2, 1, 4}},
+      {{4, 0, 4, 2}, {5, 0, 0, 3}, {1, 2, 5, 4}},
+  };
   std::vector<autograd::Param*> params;
   for (size_t i = 0; i < model->params()->size(); ++i) {
     params.push_back(model->params()->at(i));
   }
-  const auto result = autograd::CheckGradients(
-      [&](autograd::Tape* tape) {
-        util::Rng rng(1);
-        return model->BuildLoss(tape, batch, &rng);
-      },
-      params, /*eps=*/2e-3, tol, /*zero_tol=*/2e-3);
-  EXPECT_TRUE(result.passed) << "worst: " << result.worst_entry
-                             << " rel err: " << result.max_relative_error;
+  for (const data::BprBatch& batch : batches) {
+    const auto result = autograd::CheckGradients(
+        [&](autograd::Tape* tape) {
+          util::Rng rng(1);
+          return model->BuildLoss(tape, batch, &rng);
+        },
+        params, /*eps=*/2e-3, tol, /*zero_tol=*/2e-3);
+    EXPECT_TRUE(result.passed)
+        << "users " << batch.users.size() << ", worst: "
+        << result.worst_entry << " rel err: " << result.max_relative_error;
+  }
+}
+
+// BuildLoss runs the aggregation and Eq. 11 on the batch's unique rows
+// only. Without dropout its value must equal -mean log sigmoid(s+ - s-)
+// computed from ScoreAllItems, so a row set that loses or mislabels a row
+// the loss reads fails here. Each user is scored in its own call: HOSR and
+// HOSR-Joint score on every row anyway, and HOSR-GAT, whose ScoreAllItems
+// runs the same tape tail, then has a one-row set that needs no remap.
+template <typename Model>
+void ExpectLossMatchesScoreAllItems(Model* model) {
+  data::BprSampler sampler(&MediumDataset().interactions, 3);
+  const data::BprBatch batch = sampler.SampleBatch(96);
+  ASSERT_LT(UniqueRows({batch.users}).size(), batch.size());  // users repeat
+  autograd::Tape tape;
+  util::Rng rng(1);
+  const double loss = model->BuildLoss(&tape, batch, &rng).value()(0, 0);
+  double expected = 0.0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const tensor::Matrix scores = model->ScoreAllItems({batch.users[i]});
+    const double margin = static_cast<double>(scores(0, batch.pos_items[i])) -
+                          scores(0, batch.neg_items[i]);
+    expected += std::log1p(std::exp(-margin));
+  }
+  expected /= static_cast<double>(batch.size());
+  EXPECT_NEAR(loss, expected, 1e-5 * expected);
 }
 
 template <typename Model>
@@ -77,6 +109,44 @@ double TrainBriefly(Model* model, const data::Dataset& dataset,
   models::BprTrainer trainer(model, &dataset.interactions, config);
   const auto history = trainer.Train();
   return history.back().avg_loss / history.front().avg_loss;
+}
+
+// --- Row-restricted loss tail ------------------------------------------------
+
+TEST(RowRestrictedLossTest, HosrMatchesScoreAllItems) {
+  for (const LayerAggregation aggregation :
+       {LayerAggregation::kLast, LayerAggregation::kAverage,
+        LayerAggregation::kAttention}) {
+    SCOPED_TRACE(static_cast<int>(aggregation));
+    Hosr::Config config;
+    config.embedding_dim = 8;
+    config.aggregation = aggregation;
+    config.graph_dropout = 0.0f;
+    config.init_stddev = 0.5f;  // margins far from zero
+    config.seed = 31;
+    Hosr model(MediumDataset(), config);
+    ExpectLossMatchesScoreAllItems(&model);
+  }
+}
+
+TEST(RowRestrictedLossTest, HosrGatMatchesScoreAllItems) {
+  HosrGat::Config config;
+  config.embedding_dim = 8;
+  config.graph_dropout = 0.0f;
+  config.init_stddev = 0.5f;
+  config.seed = 32;
+  HosrGat model(MediumDataset(), config);
+  ExpectLossMatchesScoreAllItems(&model);
+}
+
+TEST(RowRestrictedLossTest, HosrJointMatchesScoreAllItems) {
+  HosrJoint::Config config;
+  config.embedding_dim = 8;
+  config.graph_dropout = 0.0f;
+  config.init_stddev = 0.5f;
+  config.seed = 33;
+  HosrJoint model(MediumDataset(), config);
+  ExpectLossMatchesScoreAllItems(&model);
 }
 
 // --- HosrJoint ---------------------------------------------------------------

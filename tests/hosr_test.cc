@@ -340,23 +340,28 @@ TEST_P(HosrGradientTest, FullModelGradientsCheck) {
   config.seed = 15;
   Hosr model(d, config);
 
-  data::BprBatch batch;
-  batch.users = {0, 2, 4};
-  batch.pos_items = {0, 3, 5};
-  batch.neg_items = {2, 1, 4};
+  // Distinct sorted users, then unsorted repeated users: the loss tail runs
+  // on the unique users and remaps the batch onto them.
+  const std::vector<data::BprBatch> batches = {
+      {{0, 2, 4}, {0, 3, 5}, {2, 1, 4}},
+      {{4, 0, 4, 2}, {5, 0, 0, 3}, {1, 2, 5, 4}},
+  };
 
   std::vector<autograd::Param*> params;
   for (size_t i = 0; i < model.params()->size(); ++i) {
     params.push_back(model.params()->at(i));
   }
-  const auto result = autograd::CheckGradients(
-      [&](autograd::Tape* tape) {
-        util::Rng rng(1);
-        return model.BuildLoss(tape, batch, &rng);
-      },
-      params, /*eps=*/2e-3, /*tolerance=*/0.1, /*zero_tol=*/1e-3);
-  EXPECT_TRUE(result.passed) << "worst: " << result.worst_entry
-                             << " rel err: " << result.max_relative_error;
+  for (const data::BprBatch& batch : batches) {
+    const auto result = autograd::CheckGradients(
+        [&](autograd::Tape* tape) {
+          util::Rng rng(1);
+          return model.BuildLoss(tape, batch, &rng);
+        },
+        params, /*eps=*/2e-3, /*tolerance=*/0.1, /*zero_tol=*/1e-3);
+    EXPECT_TRUE(result.passed)
+        << "users " << batch.users.size() << ", worst: "
+        << result.worst_entry << " rel err: " << result.max_relative_error;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAggregations, HosrGradientTest,
