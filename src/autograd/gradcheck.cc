@@ -1,6 +1,7 @@
 #include "autograd/gradcheck.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -47,7 +48,12 @@ GradCheckResult CheckGradients(const std::function<Value(Tape*)>& build_loss,
         }
         const double denom =
             std::max({std::fabs(numeric), std::fabs(analytic), 1e-8});
-        const double rel_error = std::fabs(numeric - analytic) / denom;
+        double rel_error = std::fabs(numeric - analytic) / denom;
+        // A NaN on either side fails the check rather than slipping past
+        // the comparisons below.
+        if (std::isnan(rel_error)) {
+          rel_error = std::numeric_limits<double>::infinity();
+        }
         if (rel_error > result.max_relative_error) {
           result.max_relative_error = rel_error;
           result.worst_entry =

@@ -1,5 +1,6 @@
 #include "autograd/tape.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -14,13 +15,41 @@ using tensor::Matrix;
 
 namespace {
 
-// grad += g * x element-wise, straight into the gradient. The product is
-// rounded, then the sum, as with a Hadamard partial added by Axpy.
-void AccumulateProduct(const Matrix& g, const Matrix& x, Matrix* grad) {
+// grad = term(i) element-wise for a first contribution, grad += term(i)
+// for a later one. Assigning x writes what 0 + x wrote into a zero-filled
+// gradient, up to the sign of an exact zero.
+template <typename Term>
+void Contribute(bool assign, Matrix* grad, Term term) {
+  float* out = grad->data();
+  const size_t n = grad->size();
+  if (assign) {
+    for (size_t i = 0; i < n; ++i) out[i] = term(i);
+  } else {
+    for (size_t i = 0; i < n; ++i) out[i] += term(i);
+  }
+}
+
+// grad (+)= alpha * g: a copy or a scaled copy for a first contribution,
+// an axpy for a later one.
+void ContributeScaled(bool assign, float alpha, const Matrix& g,
+                      Matrix* grad) {
+  if (!assign) {
+    tensor::Axpy(alpha, g, grad);
+  } else if (alpha == 1.0f) {
+    std::copy_n(g.data(), g.size(), grad->data());
+  } else {
+    const float* gp = g.data();
+    Contribute(true, grad, [gp, alpha](size_t i) { return alpha * gp[i]; });
+  }
+}
+
+// grad (+)= g * x element-wise. The product is rounded, then the sum, as
+// with a Hadamard partial added by Axpy.
+void ContributeProduct(bool assign, const Matrix& g, const Matrix& x,
+                       Matrix* grad) {
   const float* gp = g.data();
   const float* xp = x.data();
-  float* out = grad->data();
-  for (size_t i = 0; i < g.size(); ++i) out[i] += gp[i] * xp[i];
+  Contribute(assign, grad, [gp, xp](size_t i) { return gp[i] * xp[i]; });
 }
 
 }  // namespace
@@ -43,12 +72,20 @@ ParamGradRows& Tape::GradRowsFor(autograd::Param* param) {
   return written;
 }
 
-Matrix* Tape::GradFor(internal::Node* node) {
-  if (!node->grad_live) {
-    node->grad = Matrix(node->value().rows(), node->value().cols());
+Tape::GradSlot Tape::GradFor(internal::Node* node) {
+  const bool assign = !node->grad_live;
+  if (assign) {
+    node->grad =
+        Matrix::Uninitialized(node->value().rows(), node->value().cols());
     node->grad_live = true;
   }
-  return &node->grad;
+  return {&node->grad, assign};
+}
+
+Matrix* Tape::ZeroedGradFor(internal::Node* node) {
+  const GradSlot slot = GradFor(node);
+  if (slot.assign) slot.grad->SetZero();
+  return slot.grad;
 }
 
 Value Tape::Param(autograd::Param* param) {
@@ -75,14 +112,16 @@ Value Tape::MatMul(Value a, Value b) {
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
       if (an->requires_grad) {
-        // dA += dOut * B^T through the NN tiles against a transposed copy
+        // dA (+)= dOut * B^T through the NN tiles against a transposed copy
         // of B (the d x d weight), rather than the dot-per-element NT path.
+        const GradSlot ga = GradFor(an);
         tensor::Gemm(out->grad, false, tensor::Transpose(bn->value()), false,
-                     1.0f, 1.0f, GradFor(an));
+                     1.0f, ga.assign ? 0.0f : 1.0f, ga.grad);
       }
       if (bn->requires_grad) {
-        tensor::Gemm(an->value(), true, out->grad, false, 1.0f, 1.0f,
-                     GradFor(bn));
+        const GradSlot gb = GradFor(bn);
+        tensor::Gemm(an->value(), true, out->grad, false, 1.0f,
+                     gb.assign ? 0.0f : 1.0f, gb.grad);
       }
     };
   }
@@ -100,7 +139,12 @@ Value Tape::SpMM(const graph::CsrMatrix* matrix,
       NewNode(graph::Spmm(*matrix, dn->value()), dn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, dn, transpose] {
-      graph::SpmmAccumulate(*transpose, out->grad, GradFor(dn));
+      const GradSlot gd = GradFor(dn);
+      if (gd.assign) {
+        graph::Spmm(*transpose, out->grad, gd.grad);
+      } else {
+        graph::SpmmAccumulate(*transpose, out->grad, gd.grad);
+      }
     };
   }
   return Value(out);
@@ -121,7 +165,7 @@ Value Tape::GatherRows(Value a, std::vector<uint32_t> indices) {
     };
   } else if (out->requires_grad) {
     out->backward = [out, an, indices = std::move(indices)] {
-      tensor::ScatterAddRows(out->grad, indices, GradFor(an));
+      tensor::ScatterAddRows(out->grad, indices, ZeroedGradFor(an));
     };
   }
   return Value(out);
@@ -134,8 +178,14 @@ Value Tape::Add(Value a, Value b) {
                                 an->requires_grad || bn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
-      if (an->requires_grad) tensor::Axpy(1.0f, out->grad, GradFor(an));
-      if (bn->requires_grad) tensor::Axpy(1.0f, out->grad, GradFor(bn));
+      if (an->requires_grad) {
+        const GradSlot ga = GradFor(an);
+        ContributeScaled(ga.assign, 1.0f, out->grad, ga.grad);
+      }
+      if (bn->requires_grad) {
+        const GradSlot gb = GradFor(bn);
+        ContributeScaled(gb.assign, 1.0f, out->grad, gb.grad);
+      }
     };
   }
   return Value(out);
@@ -148,8 +198,14 @@ Value Tape::Sub(Value a, Value b) {
                                 an->requires_grad || bn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
-      if (an->requires_grad) tensor::Axpy(1.0f, out->grad, GradFor(an));
-      if (bn->requires_grad) tensor::Axpy(-1.0f, out->grad, GradFor(bn));
+      if (an->requires_grad) {
+        const GradSlot ga = GradFor(an);
+        ContributeScaled(ga.assign, 1.0f, out->grad, ga.grad);
+      }
+      if (bn->requires_grad) {
+        const GradSlot gb = GradFor(bn);
+        ContributeScaled(gb.assign, -1.0f, out->grad, gb.grad);
+      }
     };
   }
   return Value(out);
@@ -163,10 +219,12 @@ Value Tape::Hadamard(Value a, Value b) {
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
       if (an->requires_grad) {
-        AccumulateProduct(out->grad, bn->value(), GradFor(an));
+        const GradSlot ga = GradFor(an);
+        ContributeProduct(ga.assign, out->grad, bn->value(), ga.grad);
       }
       if (bn->requires_grad) {
-        AccumulateProduct(out->grad, an->value(), GradFor(bn));
+        const GradSlot gb = GradFor(bn);
+        ContributeProduct(gb.assign, out->grad, an->value(), gb.grad);
       }
     };
   }
@@ -178,7 +236,10 @@ Value Tape::Scale(Value a, float s) {
   internal::Node* out =
       NewNode(tensor::Scale(an->value(), s), an->requires_grad);
   if (out->requires_grad) {
-    out->backward = [out, an, s] { tensor::Axpy(s, out->grad, GradFor(an)); };
+    out->backward = [out, an, s] {
+      const GradSlot ga = GradFor(an);
+      ContributeScaled(ga.assign, s, out->grad, ga.grad);
+    };
   }
   return Value(out);
 }
@@ -189,14 +250,12 @@ Value Tape::Tanh(Value a) {
       NewNode(tensor::Tanh(an->value()), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an] {
-      Matrix* ga = GradFor(an);
-      const Matrix& y = out->value();
-      const float* yp = y.data();
+      const GradSlot ga = GradFor(an);
+      const float* yp = out->value().data();
       const float* gp = out->grad.data();
-      float* gap = ga->data();
-      for (size_t i = 0; i < y.size(); ++i) {
-        gap[i] += gp[i] * (1.0f - yp[i] * yp[i]);
-      }
+      Contribute(ga.assign, ga.grad, [yp, gp](size_t i) {
+        return gp[i] * (1.0f - yp[i] * yp[i]);
+      });
     };
   }
   return Value(out);
@@ -208,12 +267,17 @@ Value Tape::Relu(Value a) {
       NewNode(tensor::Relu(an->value()), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an] {
-      Matrix* ga = GradFor(an);
+      const GradSlot ga = GradFor(an);
       const float* xp = an->value().data();
       const float* gp = out->grad.data();
-      float* gap = ga->data();
-      for (size_t i = 0; i < out->value().size(); ++i) {
-        if (xp[i] > 0.0f) gap[i] += gp[i];
+      float* gap = ga.grad->data();
+      const size_t n = out->value().size();
+      if (ga.assign) {
+        for (size_t i = 0; i < n; ++i) gap[i] = xp[i] > 0.0f ? gp[i] : 0.0f;
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          if (xp[i] > 0.0f) gap[i] += gp[i];
+        }
       }
     };
   }
@@ -231,31 +295,12 @@ Value Tape::LeakyRelu(Value a, float slope) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, slope] {
-      Matrix* ga = GradFor(an);
+      const GradSlot ga = GradFor(an);
       const float* xp = an->value().data();
       const float* gp = out->grad.data();
-      float* gap = ga->data();
-      for (size_t i = 0; i < out->value().size(); ++i) {
-        gap[i] += gp[i] * (xp[i] > 0.0f ? 1.0f : slope);
-      }
-    };
-  }
-  return Value(out);
-}
-
-Value Tape::Sigmoid(Value a) {
-  internal::Node* an = a.node_;
-  internal::Node* out =
-      NewNode(tensor::Sigmoid(an->value()), an->requires_grad);
-  if (out->requires_grad) {
-    out->backward = [out, an] {
-      Matrix* ga = GradFor(an);
-      const float* yp = out->value().data();
-      const float* gp = out->grad.data();
-      float* gap = ga->data();
-      for (size_t i = 0; i < out->value().size(); ++i) {
-        gap[i] += gp[i] * yp[i] * (1.0f - yp[i]);
-      }
+      Contribute(ga.assign, ga.grad, [xp, gp, slope](size_t i) {
+        return gp[i] * (xp[i] > 0.0f ? 1.0f : slope);
+      });
     };
   }
   return Value(out);
@@ -274,13 +319,12 @@ Value Tape::LogSigmoid(Value a) {
   if (out->requires_grad) {
     out->backward = [out, an] {
       // d/dx log(sigmoid(x)) = sigmoid(-x).
-      Matrix* ga = GradFor(an);
+      const GradSlot ga = GradFor(an);
       const float* xp = an->value().data();
       const float* gp = out->grad.data();
-      float* gap = ga->data();
-      for (size_t i = 0; i < out->value().size(); ++i) {
-        gap[i] += gp[i] / (1.0f + std::exp(xp[i]));
-      }
+      Contribute(ga.assign, ga.grad, [xp, gp](size_t i) {
+        return gp[i] / (1.0f + std::exp(xp[i]));
+      });
     };
   }
   return Value(out);
@@ -302,10 +346,13 @@ Value Tape::AddRowBroadcast(Value a, Value bias) {
       NewNode(std::move(y), an->requires_grad || bn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
-      if (an->requires_grad) tensor::Axpy(1.0f, out->grad, GradFor(an));
+      if (an->requires_grad) {
+        const GradSlot ga = GradFor(an);
+        ContributeScaled(ga.assign, 1.0f, out->grad, ga.grad);
+      }
       if (bn->requires_grad) {
-        Matrix col_sum = tensor::ColSum(out->grad);
-        tensor::Axpy(1.0f, col_sum, GradFor(bn));
+        const GradSlot gb = GradFor(bn);
+        ContributeScaled(gb.assign, 1.0f, tensor::ColSum(out->grad), gb.grad);
       }
     };
   }
@@ -321,24 +368,29 @@ Value Tape::BroadcastColMul(Value a, Value s) {
   if (out->requires_grad) {
     out->backward = [out, an, sn] {
       // One pass over the rows, straight into the gradients:
-      // dA_r += s_r * dOut_r and ds_r += dOut_r . A_r.
+      // dA_r (+)= s_r * dOut_r and ds_r (+)= dOut_r . A_r. A first
+      // contribution zeroes each row of dA just before its axpy.
       const kernels::KernelTable& kern = kernels::Active();
       const Matrix& g = out->grad;
       const size_t cols = g.cols();
-      Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
-      Matrix* gs = sn->requires_grad ? GradFor(sn) : nullptr;
-      if (ga != nullptr) {
+      const GradSlot ga = an->requires_grad ? GradFor(an) : GradSlot{};
+      const GradSlot gs = sn->requires_grad ? GradFor(sn) : GradSlot{};
+      if (ga.grad != nullptr) {
         HOSR_COUNTER("kernels/axpy_flops").Increment(2 * g.size());
       }
-      if (gs != nullptr) {
+      if (gs.grad != nullptr) {
         HOSR_COUNTER("kernels/dot_flops").Increment(2 * g.size());
       }
       for (size_t r = 0; r < g.rows(); ++r) {
-        if (ga != nullptr) {
-          kern.axpy(cols, sn->value()(r, 0), g.row(r), ga->row(r));
+        if (ga.grad != nullptr) {
+          float* ga_row = ga.grad->row(r);
+          if (ga.assign) std::fill_n(ga_row, cols, 0.0f);
+          kern.axpy(cols, sn->value()(r, 0), g.row(r), ga_row);
         }
-        if (gs != nullptr) {
-          (*gs)(r, 0) += kern.dot(cols, g.row(r), an->value().row(r));
+        if (gs.grad != nullptr) {
+          const float d = kern.dot(cols, g.row(r), an->value().row(r));
+          float& gs_r = (*gs.grad)(r, 0);
+          gs_r = gs.assign ? d : gs_r + d;
         }
       }
     };
@@ -352,7 +404,7 @@ Value Tape::ConcatCols(Value a, Value b) {
   const Matrix& av = an->value();
   const Matrix& bv = bn->value();
   HOSR_CHECK(av.rows() == bv.rows());
-  Matrix y(av.rows(), av.cols() + bv.cols());
+  Matrix y = Matrix::Uninitialized(av.rows(), av.cols() + bv.cols());
   for (size_t r = 0; r < av.rows(); ++r) {
     float* yr = y.row(r);
     const float* ar = av.row(r);
@@ -366,22 +418,22 @@ Value Tape::ConcatCols(Value a, Value b) {
     out->backward = [out, an, bn] {
       const size_t a_cols = an->value().cols();
       const size_t b_cols = bn->value().cols();
-      if (an->requires_grad) {
-        Matrix* ga = GradFor(an);
-        for (size_t r = 0; r < ga->rows(); ++r) {
-          const float* gr = out->grad.row(r);
-          float* gar = ga->row(r);
-          for (size_t c = 0; c < a_cols; ++c) gar[c] += gr[c];
+      // Each input's gradient is a column block of dOut.
+      const auto contribute_cols = [out](internal::Node* in, size_t begin,
+                                         size_t num_cols) {
+        const GradSlot gi = GradFor(in);
+        for (size_t r = 0; r < gi.grad->rows(); ++r) {
+          const float* gr = out->grad.row(r) + begin;
+          float* gir = gi.grad->row(r);
+          if (gi.assign) {
+            std::copy_n(gr, num_cols, gir);
+          } else {
+            for (size_t c = 0; c < num_cols; ++c) gir[c] += gr[c];
+          }
         }
-      }
-      if (bn->requires_grad) {
-        Matrix* gb = GradFor(bn);
-        for (size_t r = 0; r < gb->rows(); ++r) {
-          const float* gr = out->grad.row(r) + a_cols;
-          float* gbr = gb->row(r);
-          for (size_t c = 0; c < b_cols; ++c) gbr[c] += gr[c];
-        }
-      }
+      };
+      if (an->requires_grad) contribute_cols(an, 0, a_cols);
+      if (bn->requires_grad) contribute_cols(bn, a_cols, b_cols);
     };
   }
   return Value(out);
@@ -393,7 +445,7 @@ Value Tape::SliceCols(Value a, size_t col_begin, size_t num_cols) {
   HOSR_CHECK(col_begin + num_cols <= av.cols())
       << "slice [" << col_begin << ", " << col_begin + num_cols << ") of "
       << av.cols() << " cols";
-  Matrix y(av.rows(), num_cols);
+  Matrix y = Matrix::Uninitialized(av.rows(), num_cols);
   for (size_t r = 0; r < av.rows(); ++r) {
     const float* ar = av.row(r) + col_begin;
     std::copy(ar, ar + num_cols, y.row(r));
@@ -401,7 +453,7 @@ Value Tape::SliceCols(Value a, size_t col_begin, size_t num_cols) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, col_begin, num_cols] {
-      Matrix* ga = GradFor(an);
+      Matrix* ga = ZeroedGradFor(an);
       for (size_t r = 0; r < ga->rows(); ++r) {
         const float* gr = out->grad.row(r);
         float* gar = ga->row(r) + col_begin;
@@ -419,26 +471,29 @@ Value Tape::RowDot(Value a, Value b) {
                                 an->requires_grad || bn->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, bn] {
-      // dA_r += dOut_r * B_r and dB_r += dOut_r * A_r, straight into the
-      // gradients.
+      // dA_r (+)= dOut_r * B_r and dB_r (+)= dOut_r * A_r, straight into
+      // the gradients. A first contribution zeroes each row just before its
+      // axpy.
       const kernels::KernelTable& kern = kernels::Active();
       const Matrix& g = out->grad;
       const size_t cols = an->value().cols();
-      Matrix* ga = an->requires_grad ? GradFor(an) : nullptr;
-      Matrix* gb = bn->requires_grad ? GradFor(bn) : nullptr;
-      if (ga != nullptr) {
+      const GradSlot ga = an->requires_grad ? GradFor(an) : GradSlot{};
+      const GradSlot gb = bn->requires_grad ? GradFor(bn) : GradSlot{};
+      if (ga.grad != nullptr) {
         HOSR_COUNTER("kernels/axpy_flops").Increment(2 * an->value().size());
       }
-      if (gb != nullptr) {
+      if (gb.grad != nullptr) {
         HOSR_COUNTER("kernels/axpy_flops").Increment(2 * bn->value().size());
       }
+      const auto axpy_row = [&](const GradSlot& slot, const float* x,
+                                size_t r) {
+        float* row = slot.grad->row(r);
+        if (slot.assign) std::fill_n(row, cols, 0.0f);
+        kern.axpy(cols, g(r, 0), x, row);
+      };
       for (size_t r = 0; r < g.rows(); ++r) {
-        if (ga != nullptr) {
-          kern.axpy(cols, g(r, 0), bn->value().row(r), ga->row(r));
-        }
-        if (gb != nullptr) {
-          kern.axpy(cols, g(r, 0), an->value().row(r), gb->row(r));
-        }
+        if (ga.grad != nullptr) axpy_row(ga, bn->value().row(r), r);
+        if (gb.grad != nullptr) axpy_row(gb, an->value().row(r), r);
       }
     };
   }
@@ -452,17 +507,18 @@ Value Tape::RowSoftmax(Value a) {
   if (out->requires_grad) {
     out->backward = [out, an] {
       // dx_rc = s_rc * (g_rc - sum_j g_rj s_rj).
-      Matrix* ga = GradFor(an);
+      const GradSlot ga = GradFor(an);
       const Matrix& s = out->value();
       const Matrix& g = out->grad;
       for (size_t r = 0; r < s.rows(); ++r) {
         const float* sr = s.row(r);
         const float* gr = g.row(r);
-        float* gar = ga->row(r);
+        float* gar = ga.grad->row(r);
         float dot = 0.0f;
         for (size_t c = 0; c < s.cols(); ++c) dot += gr[c] * sr[c];
         for (size_t c = 0; c < s.cols(); ++c) {
-          gar[c] += sr[c] * (gr[c] - dot);
+          const float dx = sr[c] * (gr[c] - dot);
+          gar[c] = ga.assign ? dx : gar[c] + dx;
         }
       }
     };
@@ -489,7 +545,8 @@ Value Tape::SegmentSoftmax(Value scores, std::vector<size_t> offsets) {
   HOSR_CHECK(x.cols() == 1) << "SegmentSoftmax expects an (E x 1) column";
   CheckSegmentOffsets(offsets, x.rows());
 
-  Matrix y(x.rows(), 1);
+  // Every entry lies in exactly one segment, so y is written in full.
+  Matrix y = Matrix::Uninitialized(x.rows(), 1);
   const size_t num_segments = offsets.size() - 1;
   for (size_t s = 0; s < num_segments; ++s) {
     const size_t begin = offsets[s];
@@ -510,8 +567,9 @@ Value Tape::SegmentSoftmax(Value scores, std::vector<size_t> offsets) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, offsets = std::move(offsets)] {
-      // Per segment: dx_e = s_e * (g_e - sum_j g_j s_j).
-      Matrix* ga = GradFor(an);
+      // Per segment: dx_e = s_e * (g_e - sum_j g_j s_j). The segments cover
+      // every entry, so a first contribution assigns.
+      const GradSlot ga = GradFor(an);
       const Matrix& s_val = out->value();
       const Matrix& g = out->grad;
       for (size_t s = 0; s + 1 < offsets.size(); ++s) {
@@ -520,7 +578,9 @@ Value Tape::SegmentSoftmax(Value scores, std::vector<size_t> offsets) {
         float dot = 0.0f;
         for (size_t e = begin; e < end; ++e) dot += g(e, 0) * s_val(e, 0);
         for (size_t e = begin; e < end; ++e) {
-          (*ga)(e, 0) += s_val(e, 0) * (g(e, 0) - dot);
+          const float dx = s_val(e, 0) * (g(e, 0) - dot);
+          float& v = (*ga.grad)(e, 0);
+          v = ga.assign ? dx : v + dx;
         }
       }
     };
@@ -559,21 +619,30 @@ Value Tape::SegmentWeightedSum(Value alpha, Value feats,
       const Matrix& a_v = alpha_node->value();
       const Matrix& f_v = feats_node->value();
       const size_t dim = f_v.cols();
-      Matrix* ga = alpha_node->requires_grad ? GradFor(alpha_node) : nullptr;
-      Matrix* gf = feats_node->requires_grad ? GradFor(feats_node) : nullptr;
+      // The segments cover every edge, so a first contribution assigns.
+      // Edge e's alpha entry is written before its feature row, which keeps
+      // this right when alpha and feats are one (E x 1) node.
+      const GradSlot ga =
+          alpha_node->requires_grad ? GradFor(alpha_node) : GradSlot{};
+      const GradSlot gf =
+          feats_node->requires_grad ? GradFor(feats_node) : GradSlot{};
       for (size_t s = 0; s + 1 < offsets.size(); ++s) {
         const float* grad_row = out->grad.row(s);
         for (size_t e = offsets[s]; e < offsets[s + 1]; ++e) {
-          if (ga != nullptr) {
+          if (ga.grad != nullptr) {
             const float* fr = f_v.row(e);
             float acc = 0.0f;
             for (size_t c = 0; c < dim; ++c) acc += grad_row[c] * fr[c];
-            (*ga)(e, 0) += acc;
+            float& v = (*ga.grad)(e, 0);
+            v = ga.assign ? acc : v + acc;
           }
-          if (gf != nullptr) {
+          if (gf.grad != nullptr) {
             const float w = a_v(e, 0);
-            float* gfr = gf->row(e);
-            for (size_t c = 0; c < dim; ++c) gfr[c] += w * grad_row[c];
+            float* gfr = gf.grad->row(e);
+            for (size_t c = 0; c < dim; ++c) {
+              const float dx = w * grad_row[c];
+              gfr[c] = gf.assign ? dx : gfr[c] + dx;
+            }
           }
         }
       }
@@ -588,7 +657,8 @@ Value Tape::Dropout(Value a, float p, bool training, util::Rng* rng) {
   HOSR_CHECK(p < 1.0f) << "dropout probability must be < 1";
   HOSR_CHECK(rng != nullptr);
   const float keep_scale = 1.0f / (1.0f - p);
-  Matrix mask(an->value().rows(), an->value().cols());
+  Matrix mask =
+      Matrix::Uninitialized(an->value().rows(), an->value().cols());
   float* mp = mask.data();
   for (size_t i = 0; i < mask.size(); ++i) {
     mp[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
@@ -597,7 +667,8 @@ Value Tape::Dropout(Value a, float p, bool training, util::Rng* rng) {
                                 an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an, mask = std::move(mask)] {
-      AccumulateProduct(out->grad, mask, GradFor(an));
+      const GradSlot ga = GradFor(an);
+      ContributeProduct(ga.assign, out->grad, mask, ga.grad);
     };
   }
   return Value(out);
@@ -610,10 +681,9 @@ Value Tape::Mean(Value a) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an] {
-      Matrix* ga = GradFor(an);
-      const float g = out->grad(0, 0) / static_cast<float>(ga->size());
-      float* gap = ga->data();
-      for (size_t i = 0; i < ga->size(); ++i) gap[i] += g;
+      const GradSlot ga = GradFor(an);
+      const float g = out->grad(0, 0) / static_cast<float>(ga.grad->size());
+      Contribute(ga.assign, ga.grad, [g](size_t) { return g; });
     };
   }
   return Value(out);
@@ -626,10 +696,9 @@ Value Tape::Sum(Value a) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an] {
-      Matrix* ga = GradFor(an);
+      const GradSlot ga = GradFor(an);
       const float g = out->grad(0, 0);
-      float* gap = ga->data();
-      for (size_t i = 0; i < ga->size(); ++i) gap[i] += g;
+      Contribute(ga.assign, ga.grad, [g](size_t) { return g; });
     };
   }
   return Value(out);
@@ -643,8 +712,9 @@ void Tape::Backward(Value loss) {
       << "Backward requires a scalar (1x1) loss";
   HOSR_CHECK(loss_node->requires_grad)
       << "loss does not depend on any parameter";
-  Matrix* g = GradFor(loss_node);
-  (*g)(0, 0) += 1.0f;
+  const GradSlot seed = GradFor(loss_node);
+  float& g = (*seed.grad)(0, 0);
+  g = seed.assign ? 1.0f : g + 1.0f;
   // Creation order is a topological order, so a single reverse sweep
   // propagates complete gradients.
   for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {

@@ -33,11 +33,11 @@ struct Node {
   // Interior nodes own their value; Param leaves alias the Param's matrix.
   tensor::Matrix owned_value;
   const tensor::Matrix* value_ptr = nullptr;
-  tensor::Matrix grad;          // allocated lazily on first accumulation
-  bool grad_live = false;       // true once grad holds real data
+  tensor::Matrix grad;          // allocated by the first contribution
+  bool grad_live = false;       // true once GradFor has allocated grad
   bool requires_grad = false;
   Param* param = nullptr;       // set for Param leaves
-  // Accumulates input gradients given this node's complete gradient.
+  // Contributes input gradients given this node's complete gradient.
   std::function<void()> backward;
 
   const tensor::Matrix& value() const { return *value_ptr; }
@@ -69,8 +69,12 @@ class Value {
 //   Value loss = tape.Mean(...);            // scalar (1x1)
 //   tape.Backward(loss);                    // accumulates into Param::grad
 //
-// Gradients *accumulate* across Backward calls until ParamStore::ZeroGrad.
-// All shape mismatches abort (programming errors).
+// Param::grad *accumulates* across Backward calls until an optimizer step
+// (which leaves every gradient it stepped at zero) or ParamStore::ZeroGrad.
+// Inside one pass, the first contribution to an interior node's gradient
+// assigns it and later ones add (Tape::GradFor); only ops that write part
+// of a gradient start from zeros. All shape mismatches abort (programming
+// errors).
 class Tape {
  public:
   Tape() = default;
@@ -115,7 +119,6 @@ class Tape {
   Value Relu(Value a);
   // max(x, slope * x) with slope in [0, 1) (GAT's edge-score activation).
   Value LeakyRelu(Value a, float slope = 0.2f);
-  Value Sigmoid(Value a);
   // Numerically stable log(sigmoid(x)).
   Value LogSigmoid(Value a);
 
@@ -180,8 +183,17 @@ class Tape {
   internal::Node* NewNode(tensor::Matrix value, bool requires_grad);
   ParamGradRows& GradRowsFor(autograd::Param* param);
 
-  // Ensures `node->grad` exists and is zeroed, ready for accumulation.
-  static tensor::Matrix* GradFor(internal::Node* node);
+  // One backward contribution's view of a node's gradient. The first
+  // contribution gets uninitialised storage and `assign` set, and must
+  // write every element; later ones get `assign` clear and add.
+  struct GradSlot {
+    tensor::Matrix* grad;
+    bool assign;
+  };
+  static GradSlot GradFor(internal::Node* node);
+
+  // For ops that write only part of a gradient: zero-filled on first use.
+  static tensor::Matrix* ZeroedGradFor(internal::Node* node);
 
   std::vector<std::unique_ptr<internal::Node>> nodes_;
   std::vector<ParamGradRows> grad_rows_;

@@ -67,7 +67,8 @@ void SpmmAccumulate(const CsrMatrix& sparse, const tensor::Matrix& dense,
 }
 
 tensor::Matrix Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense) {
-  tensor::Matrix out(sparse.num_rows(), dense.cols());
+  tensor::Matrix out =
+      tensor::Matrix::Uninitialized(sparse.num_rows(), dense.cols());
   Spmm(sparse, dense, &out);
   return out;
 }

@@ -7,8 +7,9 @@
 namespace hosr::graph {
 
 // out = sparse * dense. dense is (sparse.num_cols x d); out must be
-// pre-sized to (sparse.num_rows x d). Threaded over output rows; cost
-// O(nnz * d) — the linear-in-|A| propagation cost of Sec. 2.5.
+// pre-sized to (sparse.num_rows x d) and is overwritten without being read,
+// so it may be uninitialised. Threaded over output rows; cost O(nnz * d) —
+// the linear-in-|A| propagation cost of Sec. 2.5.
 void Spmm(const CsrMatrix& sparse, const tensor::Matrix& dense,
           tensor::Matrix* out);
 

@@ -16,6 +16,11 @@
 #include "kernels/kernels.h"
 
 namespace hosr::kernels {
+
+// Defined in avx2_exact.cc, which is built without contraction.
+void RmsPropAvx2(size_t n, float lr, float weight_decay, float decay,
+                 float epsilon, float* value, float* grad, float* ms);
+
 namespace {
 
 // Horizontal sum of an 8-lane register with a fixed combination tree:
@@ -316,7 +321,7 @@ void TanhAvx2(size_t n, const float* x, float* y) {
 constexpr KernelTable kAvx2Table = {
     "avx2",        kLevelAvx2, AxpyAvx2,      Axpy2Avx2,
     DotAvx2,       ScaleAvx2,  ReduceMaxAvx2, ScoreBlockAvx2,
-    GemmTileAvx2,  TanhAvx2,
+    GemmTileAvx2,  TanhAvx2,   RmsPropAvx2,
 };
 
 }  // namespace

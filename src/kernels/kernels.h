@@ -6,12 +6,13 @@
 namespace hosr::kernels {
 
 // Runtime-dispatched dense microkernels backing every dense hot path in the
-// library (tensor::Gemm/Axpy/RowDot/Tanh, graph::Spmm, the serving GEMV, the
-// evaluator's top-K scan). The instruction set is probed once per process
-// (CPUID) and every call site reads the same resolved table, so a process
-// never mixes ISA levels: each kernel has a fixed reduction order within a
-// level, which preserves the train-resume and snapshot bit-identity
-// contracts (docs/ROBUSTNESS.md) for any fixed dispatch mode.
+// library (tensor::Gemm/Axpy/RowDot/Tanh, graph::Spmm, the RMSprop step, the
+// serving GEMV, the evaluator's top-K scan). The instruction set is probed
+// once per process (CPUID) and every call site reads the same resolved
+// table, so a process never mixes ISA levels: each kernel has a fixed
+// reduction order within a level, which preserves the train-resume and
+// snapshot bit-identity contracts (docs/ROBUSTNESS.md) for any fixed
+// dispatch mode.
 //
 // Setting the environment variable HOSR_FORCE_SCALAR (to anything but "0")
 // before the first kernel call pins dispatch to the portable scalar table —
@@ -83,6 +84,21 @@ struct KernelTable {
   // std::tanh; the SIMD table is within 2e-7 absolute of it and returns
   // exactly +-1 for |x| >= 9.
   void (*tanh)(size_t n, const float* x, float* y);
+
+  // One RMSprop step over n elements that also clears the gradient it
+  // consumed. For i in [0, n), each operation rounded in this order:
+  //   g        = grad[i] + weight_decay * value[i]
+  //   ms[i]    = decay * ms[i] + ((1 - decay) * g) * g
+  //   value[i] = value[i] - (lr * g) / (sqrt(ms[i]) + epsilon)
+  //   grad[i]  = 0
+  // Unlike the other kernels, every table returns the same bits: the SIMD
+  // code uses only correctly rounded IEEE operations (vsqrtps, vdivps) in
+  // this order, and is built with floating-point contraction off, since
+  // GCC would otherwise fuse _mm256_add_ps(_mm256_mul_ps(...)) into an
+  // FMA and round once where the scalar loop rounds twice. kernels_test
+  // checks the bit equality.
+  void (*rmsprop)(size_t n, float lr, float weight_decay, float decay,
+                  float epsilon, float* value, float* grad, float* ms);
 };
 
 // The table every hot path uses. Resolved exactly once per process from

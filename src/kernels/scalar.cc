@@ -75,10 +75,20 @@ void TanhScalar(size_t n, const float* x, float* y) {
   for (size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
 }
 
+void RmsPropScalar(size_t n, float lr, float weight_decay, float decay,
+                   float epsilon, float* value, float* grad, float* ms) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = grad[i] + weight_decay * value[i];
+    ms[i] = decay * ms[i] + (1.0f - decay) * g * g;
+    value[i] -= lr * g / (std::sqrt(ms[i]) + epsilon);
+    grad[i] = 0.0f;
+  }
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",        kLevelScalar, AxpyScalar,      Axpy2Scalar,
     DotScalar,       ScaleScalar,  ReduceMaxScalar, ScoreBlockScalar,
-    GemmTileScalar,  TanhScalar,
+    GemmTileScalar,  TanhScalar,   RmsPropScalar,
 };
 
 }  // namespace

@@ -221,17 +221,9 @@ void BprTrainer::StepSparse(const autograd::Tape& tape) {
     sparse_rows += set.rows.size();
   }
   HOSR_COUNTER("trainer/sparse_rows").Increment(sparse_rows);
+  // The plan covers every row the batch wrote, and StepRows zeroes the
+  // gradient of each row it steps.
   optimizer_->StepRows(params, plan);
-  for (size_t i = 0; i < plan.size(); ++i) {
-    tensor::Matrix& grad = params->at(i)->grad;
-    if (plan[i].dense) {
-      grad.SetZero();
-      continue;
-    }
-    for (const uint32_t r : plan[i].rows) {
-      std::fill(grad.row(r), grad.row(r) + grad.cols(), 0.0f);
-    }
-  }
 }
 
 EpochStats BprTrainer::RunEpoch() {
@@ -265,9 +257,11 @@ EpochStats BprTrainer::RunEpoch() {
   stats.epoch = epoch_;
   stats.batches = num_batches;
   autograd::ParamStore* params = model_->params();
-  // Sparse steps keep the gradients clean by re-zeroing what each batch
-  // wrote, so they need one dense clear per epoch instead of one per batch.
-  if (config_.sparse_steps) params->ZeroGrad();
+  // Every step leaves the gradients it stepped at zero, and a batch's steps
+  // cover every gradient its backward pass wrote, so the batch loop never
+  // clears them. One clear per epoch drops gradients that code outside the
+  // loop accumulated without a step.
+  params->ZeroGrad();
   double total_loss = 0.0;
   for (size_t b = 0; b < num_batches; ++b) {
     const data::BprBatch batch = [&] {
@@ -284,7 +278,6 @@ EpochStats BprTrainer::RunEpoch() {
     {
       HOSR_TRACE_SPAN("trainer/backward");
       HOSR_PHASE_US("trainer/backward_us");
-      if (!config_.sparse_steps) params->ZeroGrad();
       tape.Backward(loss);
     }
     {

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "kernels/kernels.h"
 #include "tensor/serialize.h"
 #include "util/logging.h"
 
@@ -87,8 +88,9 @@ void ApplyPlan(autograd::ParamStore* params, const std::vector<RowSet>& plan,
 // as row iteration; row-major storage makes the element order — and thus
 // every float operation — identical to the original flat loop, and the
 // same helper serves StepRows so the sparse path is bitwise the dense
-// per-row update. The dense path deliberately stays single-threaded: it is
-// the baseline bench/train_throughput compares sparse steps against.
+// per-row update. Each loop zeroes the gradient element it has read. The
+// dense path deliberately stays single-threaded: it is the baseline
+// bench/train_throughput compares sparse steps against.
 
 void Sgd::UpdateRows(autograd::Param* p, tensor::Matrix* vel,
                      const uint32_t* rows, size_t num_rows) {
@@ -96,10 +98,11 @@ void Sgd::UpdateRows(autograd::Param* p, tensor::Matrix* vel,
   for (size_t k = 0; k < num_rows; ++k) {
     const size_t r = rows != nullptr ? rows[k] : k;
     float* value = p->value.row(r);
-    const float* grad = p->grad.row(r);
+    float* grad = p->grad.row(r);
     float* v = vel->row(r);
     for (size_t c = 0; c < cols; ++c) {
       const float g = grad[c] + weight_decay_ * value[c];
+      grad[c] = 0.0f;
       if (momentum_ != 0.0f) {
         v[c] = momentum_ * v[c] + g;
         value[c] -= learning_rate_ * v[c];
@@ -128,19 +131,21 @@ void Sgd::StepRows(autograd::ParamStore* params,
             });
 }
 
+// The element loop is the rmsprop kernel, whose SIMD table returns the
+// scalar loop's bits; a dense step is one call over the whole parameter.
 void RmsProp::UpdateRows(autograd::Param* p, tensor::Matrix* ms,
                          const uint32_t* rows, size_t num_rows) {
+  const kernels::KernelTable& kern = kernels::Active();
+  if (rows == nullptr) {
+    kern.rmsprop(p->value.size(), learning_rate_, weight_decay_, decay_,
+                 epsilon_, p->value.data(), p->grad.data(), ms->data());
+    return;
+  }
   const size_t cols = p->value.cols();
   for (size_t k = 0; k < num_rows; ++k) {
-    const size_t r = rows != nullptr ? rows[k] : k;
-    float* value = p->value.row(r);
-    const float* grad = p->grad.row(r);
-    float* m = ms->row(r);
-    for (size_t c = 0; c < cols; ++c) {
-      const float g = grad[c] + weight_decay_ * value[c];
-      m[c] = decay_ * m[c] + (1.0f - decay_) * g * g;
-      value[c] -= learning_rate_ * g / (std::sqrt(m[c]) + epsilon_);
-    }
+    const size_t r = rows[k];
+    kern.rmsprop(cols, learning_rate_, weight_decay_, decay_, epsilon_,
+                 p->value.row(r), p->grad.row(r), ms->row(r));
   }
 }
 
@@ -169,11 +174,12 @@ void Adam::UpdateRows(autograd::Param* p, tensor::Matrix* m_state,
   for (size_t k = 0; k < num_rows; ++k) {
     const size_t r = rows != nullptr ? rows[k] : k;
     float* value = p->value.row(r);
-    const float* grad = p->grad.row(r);
+    float* grad = p->grad.row(r);
     float* m = m_state->row(r);
     float* v = v_state->row(r);
     for (size_t c = 0; c < cols; ++c) {
       const float g = grad[c] + weight_decay_ * value[c];
+      grad[c] = 0.0f;
       m[c] = beta1_ * m[c] + (1.0f - beta1_) * g;
       v[c] = beta2_ * v[c] + (1.0f - beta2_) * g * g;
       const float m_hat = m[c] / bias1;
@@ -215,10 +221,11 @@ void AdaGrad::UpdateRows(autograd::Param* p, tensor::Matrix* acc_state,
   for (size_t k = 0; k < num_rows; ++k) {
     const size_t r = rows != nullptr ? rows[k] : k;
     float* value = p->value.row(r);
-    const float* grad = p->grad.row(r);
+    float* grad = p->grad.row(r);
     float* acc = acc_state->row(r);
     for (size_t c = 0; c < cols; ++c) {
       const float g = grad[c] + weight_decay_ * value[c];
+      grad[c] = 0.0f;
       acc[c] += g * g;
       value[c] -= learning_rate_ * g / (std::sqrt(acc[c]) + epsilon_);
     }

@@ -32,14 +32,17 @@ class Optimizer {
   Optimizer(const Optimizer&) = delete;
   Optimizer& operator=(const Optimizer&) = delete;
 
-  // Applies one update from the accumulated gradients, then leaves the
-  // gradients untouched (caller zeroes via ParamStore::ZeroGrad).
+  // Applies one update from the accumulated gradients and leaves every
+  // gradient it stepped at zero, in the same pass, so the next backward
+  // pass accumulates from zero with no ParamStore::ZeroGrad in between.
   virtual void Step(autograd::ParamStore* params) = 0;
 
   // Row-sparse update: applies the exact per-row arithmetic Step would —
-  // bitwise, including state updates — but only to the rows selected in
-  // `plan` (one RowSet per parameter). Rows outside the plan keep their
-  // values AND their optimizer state, which makes weight decay *lazy*: an
+  // bitwise, including state updates and the gradient reset — but only to
+  // the rows selected in `plan` (one RowSet per parameter). Rows outside
+  // the plan keep their values, their optimizer state AND their gradient,
+  // so a plan must cover every row a backward pass wrote (the trainer
+  // plans from Tape::grad_rows()). That makes weight decay *lazy*: an
   // untouched embedding row skips this step's decay entirely. That is a
   // deliberate semantic difference from dense Step, so the trainer records
   // sparse-vs-dense in the checkpoint config identity. The base fallback
@@ -66,11 +69,6 @@ class Optimizer {
   float weight_decay() const { return weight_decay_; }
 
  protected:
-  // grad + weight_decay * value, element i of parameter p.
-  float RegularizedGrad(const autograd::Param& p, size_t i) const {
-    return p.grad.data()[i] + weight_decay_ * p.value.data()[i];
-  }
-
   float learning_rate_;
   float weight_decay_;
 };

@@ -16,6 +16,27 @@ void CheckSameShape(const Matrix& a, const Matrix& b) {
                              << b.rows() << "x" << b.cols();
 }
 
+// out[i] = fn(a[i]) into fresh storage, threaded like the other
+// element-wise kernels. A template so `fn` inlines into the loop.
+template <typename Fn>
+Matrix Map(const Matrix& a, Fn fn) {
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  // One captured reference keeps the body inside std::function's local
+  // storage, so ParallelFor allocates only its chunk tasks.
+  const struct {
+    const float* src;
+    float* dst;
+    Fn fn;
+  } map{a.data(), out.data(), fn};
+  util::ParallelFor(
+      0, a.size(),
+      [&map](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) map.dst[i] = map.fn(map.src[i]);
+      },
+      util::GrainFor(1));
+  return out;
+}
+
 }  // namespace
 
 void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
@@ -91,7 +112,7 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
+  Matrix out = Matrix::Uninitialized(a.rows(), b.cols());
   Gemm(a, false, b, false, 1.0f, 0.0f, &out);
   return out;
 }
@@ -132,35 +153,26 @@ void Axpy(float alpha, const Matrix& b, Matrix* a) {
 }
 
 Matrix Tanh(const Matrix& a) {
-  Matrix out = a;
-  float* p = out.data();
-  const kernels::KernelTable& kern = kernels::Active();
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  // Two pointer captures fit std::function's local storage (see Map).
   util::ParallelFor(
       0, out.size(),
-      [&](size_t begin, size_t end) {
-        kern.tanh(end - begin, p + begin, p + begin);
+      [src = a.data(), dst = out.data()](size_t begin, size_t end) {
+        kernels::Active().tanh(end - begin, src + begin, dst + begin);
       },
       util::GrainFor(1));
   return out;
 }
 
 Matrix Relu(const Matrix& a) {
-  Matrix out = a;
-  Apply(&out, [](float x) { return x > 0.0f ? x : 0.0f; });
-  return out;
-}
-
-Matrix Sigmoid(const Matrix& a) {
-  Matrix out = a;
-  Apply(&out, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-  return out;
+  return Map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
 
 Matrix RowDot(const Matrix& a, const Matrix& b) {
   CheckSameShape(a, b);
   HOSR_COUNTER("kernels/dot_flops").Increment(2 * a.size());
   const kernels::KernelTable& kern = kernels::Active();
-  Matrix out(a.rows(), 1);
+  Matrix out = Matrix::Uninitialized(a.rows(), 1);
   for (size_t r = 0; r < a.rows(); ++r) {
     out(r, 0) = kern.dot(a.cols(), a.row(r), b.row(r));
   }
@@ -189,7 +201,7 @@ Matrix ColSum(const Matrix& a) {
 }
 
 Matrix RowSoftmax(const Matrix& a) {
-  Matrix out(a.rows(), a.cols());
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
   for (size_t r = 0; r < a.rows(); ++r) {
     const float* ar = a.row(r);
     float* orow = out.row(r);
@@ -219,7 +231,7 @@ Matrix BroadcastColMul(const Matrix& a, const Matrix& scale) {
 }
 
 Matrix GatherRows(const Matrix& a, const std::vector<uint32_t>& indices) {
-  Matrix out(indices.size(), a.cols());
+  Matrix out = Matrix::Uninitialized(indices.size(), a.cols());
   for (size_t i = 0; i < indices.size(); ++i) {
     HOSR_CHECK(indices[i] < a.rows()) << indices[i] << " >= " << a.rows();
     std::copy(a.row(indices[i]), a.row(indices[i]) + a.cols(), out.row(i));
@@ -240,7 +252,7 @@ void ScatterAddRows(const Matrix& a, const std::vector<uint32_t>& indices,
 }
 
 Matrix Transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
+  Matrix out = Matrix::Uninitialized(a.cols(), a.rows());
   for (size_t r = 0; r < a.rows(); ++r) {
     const float* ar = a.row(r);
     for (size_t c = 0; c < a.cols(); ++c) out(c, r) = ar[c];

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tensor/matrix.h"
-#include "util/thread_pool.h"
 
 namespace hosr::tensor {
 
@@ -15,8 +14,9 @@ namespace hosr::tensor {
 
 // out = alpha * op(a) * op(b) + beta * out, where op transposes when the
 // corresponding flag is set. `out` must be pre-sized to the result shape
-// (and is overwritten entirely when beta == 0). The result is bit-identical
-// for any thread-pool size. With only transpose_b set, every element is
+// (and is overwritten without being read when beta == 0, so it may be
+// uninitialised). The result is bit-identical for any thread-pool size.
+// With only transpose_b set, every element is
 // out = beta * out + alpha * dot(a_i, b_j) through the dot kernel, the
 // order ModelSnapshot::Score and the serving scan replay.
 void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
@@ -34,22 +34,8 @@ Matrix Scale(const Matrix& a, float s);
 // a += alpha * b (BLAS axpy over the whole buffer).
 void Axpy(float alpha, const Matrix& b, Matrix* a);
 
-// In-place element-wise map, threaded like the other element-wise kernels.
-// A template so `fn` inlines into the loop.
-template <typename Fn>
-void Apply(Matrix* m, Fn fn) {
-  float* p = m->data();
-  util::ParallelFor(
-      0, m->size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) p[i] = fn(p[i]);
-      },
-      util::GrainFor(1));
-}
-
 Matrix Tanh(const Matrix& a);
 Matrix Relu(const Matrix& a);
-Matrix Sigmoid(const Matrix& a);
 
 // Row-wise dot products of equally-shaped (n x d) matrices -> (n x 1).
 Matrix RowDot(const Matrix& a, const Matrix& b);

@@ -23,12 +23,19 @@ class AutogradTest : public ::testing::Test {
     return store_.CreateGaussian(name, rows, cols, stddev, &rng_);
   }
 
+  // Runs the check twice: as is, and with uninitialised storage poisoned,
+  // so an op that reads its output or a gradient before the first write
+  // fails the check.
   void ExpectGradsOk(const std::function<Value(Tape*)>& build,
                      std::vector<Param*> params, double tol = 5e-2) {
-    const GradCheckResult result = CheckGradients(build, params, 1e-2, tol);
-    EXPECT_TRUE(result.passed)
-        << "worst: " << result.worst_entry
-        << " rel err: " << result.max_relative_error;
+    for (const bool poison : {false, true}) {
+      tensor::SetPoisonUninitializedForTesting(poison);
+      const GradCheckResult result = CheckGradients(build, params, 1e-2, tol);
+      tensor::SetPoisonUninitializedForTesting(false);
+      EXPECT_TRUE(result.passed)
+          << (poison ? "poisoned, " : "") << "worst: " << result.worst_entry
+          << " rel err: " << result.max_relative_error;
+    }
   }
 
   ParamStore store_;
@@ -206,6 +213,30 @@ TEST_F(AutogradTest, GradGatherRows) {
       {x});
 }
 
+TEST_F(AutogradTest, GradGatherRowsOfInteriorNode) {
+  // The gather writes only the gathered rows of its input's gradient, so
+  // its first contribution must zero the rest (ascending rows with gaps,
+  // and repeated unsorted rows); a later one adds to what is there.
+  Param* x = MakeParam("x", 5, 3, 0.5f);
+  for (const std::vector<uint32_t>& idx :
+       {std::vector<uint32_t>{1, 3}, std::vector<uint32_t>{3, 1, 3}}) {
+    ExpectGradsOk(
+        [&](Tape* t) {
+          Value g = t->GatherRows(t->Tanh(t->Param(x)), idx);
+          return t->Sum(t->Hadamard(g, g));
+        },
+        {x});
+    ExpectGradsOk(
+        [&](Tape* t) {
+          Value h = t->Tanh(t->Param(x));
+          Value g = t->GatherRows(h, idx);  // runs after the Hadamard below
+          return t->Add(t->Sum(t->Hadamard(g, g)),
+                        t->Sum(t->Hadamard(h, h)));
+        },
+        {x});
+  }
+}
+
 TEST_F(AutogradTest, GradAddSubScale) {
   Param* a = MakeParam("a", 2, 3);
   Param* b = MakeParam("b", 2, 3);
@@ -246,12 +277,6 @@ TEST_F(AutogradTest, GradReluAwayFromKink) {
         return t->Sum(t->Hadamard(r, r));
       },
       {a});
-}
-
-TEST_F(AutogradTest, GradSigmoid) {
-  Param* a = MakeParam("a", 2, 3);
-  ExpectGradsOk(
-      [&](Tape* t) { return t->Sum(t->Sigmoid(t->Param(a))); }, {a});
 }
 
 TEST_F(AutogradTest, GradLogSigmoid) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -56,6 +58,7 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->score_block, nullptr);
     EXPECT_NE(t->gemm_tile, nullptr);
     EXPECT_NE(t->tanh, nullptr);
+    EXPECT_NE(t->rmsprop, nullptr);
   }
   EXPECT_EQ(Scalar().level, kLevelScalar);
   EXPECT_STREQ(Scalar().name, "scalar");
@@ -351,6 +354,39 @@ TEST(KernelTanhTest, InPlaceAndTailMatchVectorBody) {
       for (size_t i = 0; i < part.size(); ++i) {
         EXPECT_EQ(part[i], whole[offset + i])
             << t->name << " offset " << offset << " i " << i;
+      }
+    }
+  }
+}
+
+// --- rmsprop: every table returns the scalar bits -----------------------------
+
+// A multiply and an add contracted into one FMA round once where the scalar
+// loop rounds twice, so an rmsprop built with contraction on fails this.
+TEST(KernelRmsPropTest, BitEqualToScalarAndClearsGradient) {
+  util::Rng rng(131);
+  for (const float grad_scale : {0.0f, 1e-30f, 1e-3f, 1.0f, 1e6f}) {
+    for (size_t n = 0; n <= 67; ++n) {
+      const auto value = RandomVec(n, &rng);
+      auto grad = RandomVec(n, &rng);
+      for (float& g : grad) g *= grad_scale;
+      auto ms = RandomVec(n, &rng);
+      for (float& m : ms) m = 0.01f * m * m;
+      auto vs = value, gs = grad, ms_s = ms;
+      auto vb = value, gb = grad, ms_b = ms;
+      Scalar().rmsprop(n, 1e-3f, 1e-5f, 0.9f, 1e-8f, vs.data(), gs.data(),
+                       ms_s.data());
+      Best().rmsprop(n, 1e-3f, 1e-5f, 0.9f, 1e-8f, vb.data(), gb.data(),
+                     ms_b.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(vs[i]), std::bit_cast<uint32_t>(vb[i]))
+            << "value " << i << " of n=" << n << " grad scale " << grad_scale;
+        ASSERT_EQ(std::bit_cast<uint32_t>(ms_s[i]),
+                  std::bit_cast<uint32_t>(ms_b[i]))
+            << "mean square " << i << " of n=" << n << " grad scale "
+            << grad_scale;
+        ASSERT_EQ(std::bit_cast<uint32_t>(gs[i]), 0u) << "scalar grad " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(gb[i]), 0u) << "simd grad " << i;
       }
     }
   }

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "autograd/param.h"
 #include "autograd/tape.h"
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
+#include "util/random.h"
 
 namespace hosr::optim {
 namespace {
@@ -68,10 +73,12 @@ TEST(SgdTest, MomentumAccumulatesVelocity) {
   autograd::Param* x = store.Create("x", 1, 1);
   x->value(0, 0) = 0.0f;
   Sgd sgd(0.1f, 0.0f, /*momentum=*/0.9f);
-  // Two steps with constant gradient 1: v1 = 1, v2 = 1.9.
+  // Two steps with constant gradient 1: v1 = 1, v2 = 1.9. A step consumes
+  // the gradient, so it is set before each one.
   x->grad(0, 0) = 1.0f;
   sgd.Step(&store);
   EXPECT_NEAR(x->value(0, 0), -0.1f, 1e-6);
+  x->grad(0, 0) = 1.0f;
   sgd.Step(&store);
   EXPECT_NEAR(x->value(0, 0), -0.1f - 0.19f, 1e-6);
 }
@@ -100,6 +107,78 @@ TEST(RmsPropTest, StepSizeAdaptsToGradientScale) {
     const float moved = before - x->value(0, 0);
     EXPECT_GT(moved, 0.5f) << g;
     EXPECT_LT(moved, 20.0f) << g;
+  }
+}
+
+// The RMSprop element loop as it stood before the rmsprop kernel: the
+// oracle the kernel-backed optimizer must match bit for bit.
+void ReferenceRmsPropStep(float lr, float weight_decay, float decay,
+                          float epsilon, const tensor::Matrix& grad,
+                          tensor::Matrix* value, tensor::Matrix* ms) {
+  float* w = value->data();
+  float* m = ms->data();
+  for (size_t i = 0; i < value->size(); ++i) {
+    const float g = grad.data()[i] + weight_decay * w[i];
+    m[i] = decay * m[i] + (1.0f - decay) * g * g;
+    w[i] -= lr * g / (std::sqrt(m[i]) + epsilon);
+  }
+}
+
+TEST(RmsPropTest, StepAndStepRowsMatchReferenceLoopBitwise) {
+  // 7 x 9: a dense step runs 63 elements in one call, a row step 9 per row
+  // (one 8-lane block and a tail in the SIMD table).
+  util::Rng rng(17);
+  autograd::ParamStore dense_store, rows_store;
+  autograd::Param* dense = dense_store.CreateGaussian("p", 7, 9, 1.0f, &rng);
+  autograd::Param* rows = rows_store.Create("p", 7, 9);
+  rows->value = dense->value;
+  tensor::Matrix ref_value = dense->value;
+  tensor::Matrix ref_ms(7, 9);
+  RmsProp dense_opt(0.01f, 0.001f);
+  RmsProp rows_opt(0.01f, 0.001f);
+  std::vector<RowSet> plan(1);
+  plan[0].rows = {0, 1, 2, 3, 4, 5, 6};
+  for (int step = 0; step < 3; ++step) {
+    tensor::Matrix grad(7, 9);
+    for (size_t i = 0; i < grad.size(); ++i) {
+      grad.data()[i] = static_cast<float>(rng.Gaussian()) * (step + 1);
+    }
+    dense->grad = grad;
+    rows->grad = grad;
+    ReferenceRmsPropStep(0.01f, 0.001f, 0.9f, 1e-8f, grad, &ref_value,
+                         &ref_ms);
+    dense_opt.Step(&dense_store);
+    rows_opt.StepRows(&rows_store, plan);
+    for (size_t i = 0; i < grad.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(ref_value.data()[i]),
+                std::bit_cast<uint32_t>(dense->value.data()[i]))
+          << "Step, step " << step << " element " << i;
+      ASSERT_EQ(std::bit_cast<uint32_t>(ref_value.data()[i]),
+                std::bit_cast<uint32_t>(rows->value.data()[i]))
+          << "StepRows, step " << step << " element " << i;
+      ASSERT_EQ(dense->grad.data()[i], 0.0f) << "Step left a gradient";
+      ASSERT_EQ(rows->grad.data()[i], 0.0f) << "StepRows left a gradient";
+    }
+  }
+}
+
+TEST(OptimizerTest, EveryStepClearsTheGradientItStepped) {
+  for (const std::string name : {"sgd", "rmsprop", "adam", "adagrad"}) {
+    autograd::ParamStore store;
+    autograd::Param* p = store.Create("p", 4, 3);
+    p->grad.Fill(0.5f);
+    auto opt = MakeOptimizer(name, 0.1f, 0.01f);
+    std::vector<RowSet> plan(1);
+    plan[0].rows = {1, 3};
+    opt->StepRows(&store, plan);
+    for (size_t r = 0; r < 4; ++r) {
+      const float want = r == 1 || r == 3 ? 0.0f : 0.5f;
+      for (size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ(p->grad(r, c), want) << name << " StepRows row " << r;
+      }
+    }
+    opt->Step(&store);
+    EXPECT_EQ(tensor::MaxAbs(p->grad), 0.0) << name << " Step";
   }
 }
 

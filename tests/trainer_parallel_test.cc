@@ -7,6 +7,8 @@
 // kill-and-resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,15 +17,20 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/checkpoint.h"
+#include "core/hosr.h"
+#include "core/hosr_gat.h"
+#include "core/hosr_joint.h"
 #include "core/model_zoo.h"
 #include "data/sampler.h"
 #include "data/synthetic.h"
 #include "models/bpr_mf.h"
 #include "models/trainer.h"
 #include "optim/optimizer.h"
+#include "tensor/matrix.h"
 #include "tensor/serialize.h"
 #include "util/fileio.h"
 #include "util/logging.h"
@@ -174,6 +181,88 @@ TEST(TrainerDeterminismTest, PrefetchDoesNotChangeTrajectory) {
   config.prefetch = false;
   EXPECT_EQ(prefetched, TrainedStateBytes(factory, config, "nopf"))
       << "prefetch toggle changed the trajectory";
+}
+
+// --- uninitialised storage ---------------------------------------------------
+
+// The raw bytes of every parameter value, in store order.
+std::string ParamBytes(const autograd::ParamStore& params) {
+  std::string bytes;
+  for (size_t i = 0; i < params.size(); ++i) {
+    const tensor::Matrix& value = params.at(i)->value;
+    bytes.append(reinterpret_cast<const char*>(value.data()),
+                 value.size() * sizeof(float));
+  }
+  return bytes;
+}
+
+// Ops write their outputs and first gradient contributions into
+// uninitialised storage. Poisoning that storage with NaN must change
+// nothing: an op that reads an element before writing it turns the
+// parameters NaN. The unpoisoned run may reuse the heap of a poisoned one,
+// so the poisoned parameters must also be finite.
+TEST(UninitializedStorageTest, TwoBatchesIgnorePoisonedStorage) {
+  const data::Dataset& dataset = TestDataset();
+  std::vector<std::pair<std::string, ModelFactory>> factories;
+  for (const auto& [tag, aggregation] :
+       {std::pair{"last", core::LayerAggregation::kLast},
+        std::pair{"average", core::LayerAggregation::kAverage},
+        std::pair{"attention", core::LayerAggregation::kAttention}}) {
+    factories.emplace_back(std::string("HOSR ") + tag, [&dataset,
+                                                        aggregation] {
+      core::Hosr::Config config;
+      config.embedding_dim = 6;
+      config.num_layers = 2;
+      config.aggregation = aggregation;
+      config.embedding_dropout = 0.1f;
+      return std::make_unique<core::Hosr>(dataset, config);
+    });
+  }
+  factories.emplace_back("HOSR-GAT", [&dataset] {
+    core::HosrGat::Config config;
+    config.embedding_dim = 6;
+    config.num_layers = 2;
+    return std::make_unique<core::HosrGat>(dataset, config);
+  });
+  factories.emplace_back("HOSR-Joint", [&dataset] {
+    core::HosrJoint::Config config;
+    config.embedding_dim = 6;
+    config.num_layers = 2;
+    return std::make_unique<core::HosrJoint>(dataset, config);
+  });
+  factories.emplace_back("NCF", ZooFactory("NCF"));
+  factories.emplace_back("DeepInf", ZooFactory("DeepInf"));
+
+  // One epoch of two batches.
+  models::TrainConfig config = BaseConfig();
+  config.epochs = 1;
+  config.batch_size = (dataset.interactions.nnz() + 1) / 2;
+  for (const bool sparse_steps : {false, true}) {
+    config.sparse_steps = sparse_steps;
+    for (const auto& [name, factory] : factories) {
+      std::string bytes[2];
+      for (const bool poison : {false, true}) {
+        tensor::SetPoisonUninitializedForTesting(poison);
+        auto model = factory();
+        models::BprTrainer trainer(model.get(), &dataset.interactions,
+                                   config);
+        const std::vector<models::EpochStats> history = trainer.Train();
+        tensor::SetPoisonUninitializedForTesting(false);
+        ASSERT_EQ(history.size(), 1u);
+        ASSERT_EQ(history[0].batches, 2u) << name;
+        bytes[poison] = ParamBytes(*model->params());
+      }
+      const auto* floats = reinterpret_cast<const float*>(bytes[1].data());
+      const size_t num_floats = bytes[1].size() / sizeof(float);
+      EXPECT_TRUE(std::all_of(floats, floats + num_floats,
+                              [](float x) { return std::isfinite(x); }))
+          << name << ": a parameter is not finite under poison";
+      EXPECT_TRUE(bytes[0] == bytes[1])
+          << name << (sparse_steps ? " sparse" : " dense") << ": "
+          << DifferingBytes(bytes[0], bytes[1])
+          << " parameter bytes differ under poison";
+    }
+  }
 }
 
 // --- sparse optimizer steps --------------------------------------------------
@@ -380,16 +469,17 @@ TEST(SparseOptimizerTest, DenseRowPlanMatchesStepBitwise) {
     autograd::Param* a = store_a.CreateGaussian("p", 5, 3, 1.0f, &rng);
     autograd::Param* b = store_b.Create("p", 5, 3);
     b->value = a->value;
-    for (size_t i = 0; i < a->grad.size(); ++i) {
-      a->grad.data()[i] = 0.25f * static_cast<float>(i) - 1.5f;
-    }
-    b->grad = a->grad;
 
     auto opt_a = optim::MakeOptimizer(name, 0.05f, 0.01f);
     auto opt_b = optim::MakeOptimizer(name, 0.05f, 0.01f);
     std::vector<optim::RowSet> plan(1);
     plan[0].dense = true;
     for (int step = 0; step < 3; ++step) {
+      // A step consumes the gradient, so both get the same one each step.
+      for (size_t i = 0; i < a->grad.size(); ++i) {
+        a->grad.data()[i] = 0.25f * static_cast<float>(i) - 1.5f;
+      }
+      b->grad = a->grad;
       opt_a->Step(&store_a);
       opt_b->StepRows(&store_b, plan);
     }
