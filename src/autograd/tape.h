@@ -50,6 +50,8 @@ class Value {
  public:
   Value() : node_(nullptr) {}
 
+  // False for a default-constructed handle, which names no node.
+  bool defined() const { return node_ != nullptr; }
   const tensor::Matrix& value() const { return node_->value(); }
   size_t rows() const { return node_->value().rows(); }
   size_t cols() const { return node_->value().cols(); }

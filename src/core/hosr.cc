@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "graph/laplacian.h"
 #include "graph/sampling.h"
-#include "graph/spmm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -68,6 +68,12 @@ std::vector<uint32_t> UniqueRows(IdLists id_lists) {
   return rows;
 }
 
+std::vector<uint32_t> AllRows(uint32_t n) {
+  std::vector<uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
 std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
                                 const std::vector<uint32_t>& ids) {
   std::vector<uint32_t> local;
@@ -86,7 +92,7 @@ std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
 Value AggregateLayerRows(autograd::Tape* tape, LayerAggregation aggregation,
                          const LayerAttention& attention, Value u0,
                          const std::vector<Value>& layers,
-                         const std::vector<uint32_t>& rows) {
+                         const std::vector<uint32_t>& rows, Value* weights) {
   const auto rows_of = [&](Value full) {
     return tape->GatherRows(full, rows);
   };
@@ -118,11 +124,12 @@ Value AggregateLayerRows(autograd::Tape* tape, LayerAggregation aggregation,
         scores = l == 0 ? a_l : tape->ConcatCols(scores, a_l);
       }
       // Eq. 9: softmax over layers; Eq. 10: weighted sum.
-      Value weights = tape->RowSoftmax(scores);
+      Value softmax = tape->RowSoftmax(scores);
+      if (weights != nullptr) *weights = softmax;
       Value aggregated;
       for (size_t l = 0; l < layers.size(); ++l) {
         Value weighted = tape->BroadcastColMul(
-            layer_rows[l], tape->SliceCols(weights, l, 1));
+            layer_rows[l], tape->SliceCols(softmax, l, 1));
         aggregated = l == 0 ? weighted : tape->Add(aggregated, weighted);
       }
       return aggregated;
@@ -216,13 +223,30 @@ std::vector<Value> Hosr::PropagateLayers(autograd::Tape* tape,
   return layers;
 }
 
+Value Hosr::AggregateUsers(autograd::Tape* tape,
+                           const std::vector<uint32_t>& rows, bool training,
+                           Value* weights) {
+  const std::vector<Value> layers = PropagateLayers(tape, training);
+  Value softmax;
+  Value aggregated = AggregateLayerRows(tape, config_.aggregation, attention_,
+                                        tape->Param(user_emb_), layers, rows,
+                                        &softmax);
+  if (softmax.defined() && !training && obs::Enabled()) {
+    // Distribution of post-softmax layer weights (Eq. 9): how much each
+    // scored user leans on each propagation depth.
+    auto& histogram = HOSR_HISTOGRAM("hosr/attn_softmax_weight");
+    const Matrix& w = softmax.value();
+    for (size_t i = 0; i < w.size(); ++i) histogram.Observe(w.data()[i]);
+  }
+  if (weights != nullptr) *weights = softmax;
+  return aggregated;
+}
+
 Value Hosr::UserRepresentation(autograd::Tape* tape,
                                const std::vector<uint32_t>& users,
                                bool training) {
-  std::vector<Value> layers = PropagateLayers(tape, training);
   const std::vector<uint32_t> rows = UniqueRows({users});
-  Value rep = AggregateLayerRows(tape, config_.aggregation, attention_,
-                                 tape->Param(user_emb_), layers, rows);
+  Value rep = AggregateUsers(tape, rows, training);
   if (config_.item_implicit_term) {
     // Eq. 11: add 1/sqrt(|I_i|) * sum of interacted item embeddings.
     Value implicit =
@@ -252,114 +276,35 @@ Value Hosr::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
   return tape->Scale(tape->Mean(tape->LogSigmoid(margin)), -1.0f);
 }
 
-std::vector<Matrix> Hosr::PropagateLayersInference() const {
-  std::vector<Matrix> layers;
-  layers.reserve(config_.num_layers);
-  Matrix h = user_emb_->value;
-  for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
-    obs::ScopedSpan span(obs::IndexedSpanName("hosr/layer_", layer + 1));
-    h = graph::Spmm(base_laplacian_, h);
-    if (config_.use_layer_weights) {
-      h = tensor::MatMul(h, layer_weights_[layer]->value);
-    }
-    if (config_.use_activation) {
-      h = config_.activation == Activation::kTanh ? tensor::Tanh(h)
-                                                  : tensor::Relu(h);
-    }
-    layers.push_back(h);
-  }
-  return layers;
-}
-
-Matrix Hosr::AggregateLayersInference(
-    const std::vector<Matrix>& layers) const {
-  switch (config_.aggregation) {
-    case LayerAggregation::kLast:
-      return layers.back();
-    case LayerAggregation::kAverage: {
-      Matrix acc = layers[0];
-      for (size_t l = 1; l < layers.size(); ++l) {
-        tensor::Axpy(1.0f, layers[l], &acc);
-      }
-      return tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()));
-    }
-    case LayerAggregation::kAttention: {
-      if (layers.size() == 1) return layers[0];
-      const Matrix weights = AttentionWeightsFor(layers);
-      Matrix acc(num_users_, config_.embedding_dim);
-      for (size_t l = 0; l < layers.size(); ++l) {
-        const Matrix& layer = layers[l];
-        for (size_t r = 0; r < acc.rows(); ++r) {
-          const float w = weights(r, l);
-          float* ar = acc.row(r);
-          const float* lr = layer.row(r);
-          for (size_t c = 0; c < acc.cols(); ++c) ar[c] += w * lr[c];
-        }
-      }
-      return acc;
-    }
-  }
-  HOSR_CHECK(false) << "unreachable aggregation";
-  return layers.back();
-}
-
-Matrix Hosr::AttentionWeightsFor(const std::vector<Matrix>& layers) const {
+Matrix Hosr::AttentionWeights() {
   HOSR_CHECK(config_.aggregation == LayerAggregation::kAttention);
-  const Matrix projected_u0 =
-      tensor::MatMul(user_emb_->value, attention_.proj_user->value);
-  Matrix scores(num_users_, layers.size());
-  for (size_t l = 0; l < layers.size(); ++l) {
-    Matrix hidden = tensor::MatMul(layers[l], attention_.proj_output->value);
-    tensor::Axpy(1.0f, projected_u0, &hidden);
-    hidden = tensor::Relu(hidden);
-    const Matrix a_l = tensor::MatMul(hidden, attention_.vector->value);
-    for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
-  }
-  Matrix weights = tensor::RowSoftmax(scores);
-  if (obs::Enabled()) {
-    // Distribution of post-softmax layer weights (Eq. 9): how much each
-    // user leans on each propagation depth.
-    auto& histogram = HOSR_HISTOGRAM("hosr/attn_softmax_weight");
-    for (size_t r = 0; r < weights.rows(); ++r) {
-      for (size_t c = 0; c < weights.cols(); ++c) {
-        histogram.Observe(weights(r, c));
-      }
-    }
-  }
-  return weights;
+  // One layer needs no softmax: its weight is 1 for every user.
+  if (config_.num_layers == 1) return Matrix(num_users_, 1, 1.0f);
+  autograd::Tape tape;
+  Value weights;
+  AggregateUsers(&tape, AllRows(num_users_), /*training=*/false, &weights);
+  return weights.value();
 }
 
-Matrix Hosr::AttentionWeights() const {
-  return AttentionWeightsFor(PropagateLayersInference());
-}
-
-Matrix Hosr::FinalUserEmbeddings() const {
-  return AggregateLayersInference(PropagateLayersInference());
+Matrix Hosr::FinalUserEmbeddings() {
+  autograd::Tape tape;
+  return AggregateUsers(&tape, AllRows(num_users_), /*training=*/false)
+      .value();
 }
 
 Matrix Hosr::ScoreAllItems(const std::vector<uint32_t>& users) {
   HOSR_TRACE_SPAN("hosr/score_all_items");
-  Matrix rep = FinalUserEmbeddings();
-  if (config_.item_implicit_term) {
-    const Matrix implicit = graph::Spmm(item_term_, item_emb_->value);
-    tensor::Axpy(1.0f, implicit, &rep);
-  }
-  const Matrix u = tensor::GatherRows(rep, users);
-  Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u, false, item_emb_->value, true, 1.0f, 0.0f, &scores);
-  return scores;
+  autograd::Tape tape;
+  const Value u = UserRepresentation(&tape, users, /*training=*/false);
+  return tensor::MatMulNT(u.value(), item_emb_->value);
 }
 
-util::StatusOr<models::FrozenFactors> Hosr::ExportFactors() const {
+util::StatusOr<models::FrozenFactors> Hosr::ExportFactors() {
+  autograd::Tape tape;
   models::FrozenFactors factors;
-  // Same composition as ScoreAllItems: aggregated propagation output plus
-  // the Eq. 11 item-implicit term, on the full (dropout-free) graph.
-  Matrix rep = FinalUserEmbeddings();
-  if (config_.item_implicit_term) {
-    const Matrix implicit = graph::Spmm(item_term_, item_emb_->value);
-    tensor::Axpy(1.0f, implicit, &rep);
-  }
-  factors.user_factors = std::move(rep);
+  factors.user_factors =
+      UserRepresentation(&tape, AllRows(num_users_), /*training=*/false)
+          .value();
   factors.item_factors = item_emb_->value;
   return factors;
 }

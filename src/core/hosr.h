@@ -57,6 +57,9 @@ using IdLists =
 // a batch reads.
 std::vector<uint32_t> UniqueRows(IdLists id_lists);
 
+// 0, 1, ..., n - 1: every row of an n-row table.
+std::vector<uint32_t> AllRows(uint32_t n);
+
 // Position of each of `ids` in `rows` (sorted; must contain every id).
 std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
                                 const std::vector<uint32_t>& ids);
@@ -65,12 +68,15 @@ std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
 // `rows` only (sorted, unique): gathers those rows of each layer, and of
 // the layer-0 table `u0` for attention, then runs the row-wise tail
 // (last / average / Eqs. 8-10). Row i of the result belongs to rows[i].
+// If the tail runs the Eq. 9 softmax (kAttention over more than one layer)
+// and `weights` is not null, *weights is set to its (rows x k) output.
 autograd::Value AggregateLayerRows(autograd::Tape* tape,
                                    LayerAggregation aggregation,
                                    const LayerAttention& attention,
                                    autograd::Value u0,
                                    const std::vector<autograd::Value>& layers,
-                                   const std::vector<uint32_t>& rows);
+                                   const std::vector<uint32_t>& rows,
+                                   autograd::Value* weights = nullptr);
 
 // HOSR — the paper's High-Order Social Recommender (Sec. 2): k stacked GCN
 // layers propagate user embeddings along the social graph (Eqs. 3-6), an
@@ -128,41 +134,38 @@ class Hosr : public models::RankingModel {
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
-  // Frozen factors for serving: the user side is the fully aggregated
-  // inference embedding including the item-implicit term, so snapshot
-  // scores match ScoreAllItems bit for bit.
-  util::StatusOr<models::FrozenFactors> ExportFactors() const override;
+  // Frozen factors for serving: the user side is ScoreAllItems' user
+  // representation of every user, so snapshot scores match it bit for bit.
+  util::StatusOr<models::FrozenFactors> ExportFactors() override;
 
   // Re-samples the graph-dropout adjacency (Sec. 2.4: once per epoch).
   void OnEpochBegin(uint32_t epoch, util::Rng* rng) override;
 
   autograd::ParamStore* params() override { return &params_; }
 
-  // Per-user attention weights over layers, inference mode: (n x k).
-  // Only meaningful for kAttention aggregation — Fig. 7's data.
-  tensor::Matrix AttentionWeights() const;
+  // Per-user Eq. 9 attention weights over layers, inference mode: (n x k),
+  // all ones when k = 1. kAttention only — Fig. 7's data.
+  tensor::Matrix AttentionWeights();
 
   // Final inference-mode user embeddings (aggregated, without the
   // item-implicit term): (n x d).
-  tensor::Matrix FinalUserEmbeddings() const;
+  tensor::Matrix FinalUserEmbeddings();
 
  private:
   // Builds all k layer outputs on the tape; returns them in order 1..k.
   std::vector<autograd::Value> PropagateLayers(autograd::Tape* tape,
                                                bool training);
-  // Differentiable final embeddings incl. the item-implicit term of
-  // `users` (may repeat): propagation runs on the full graph, the Eq. 8-11
-  // tail once per unique user.
+  // Eqs. 3-10: full-graph propagation, aggregated on `rows` as in
+  // AggregateLayerRows; inference calls observe hosr/attn_softmax_weight.
+  autograd::Value AggregateUsers(autograd::Tape* tape,
+                                 const std::vector<uint32_t>& rows,
+                                 bool training,
+                                 autograd::Value* weights = nullptr);
+  // Final embeddings incl. the item-implicit term of `users` (may repeat):
+  // the Eq. 8-11 tail runs once per unique user.
   autograd::Value UserRepresentation(autograd::Tape* tape,
                                      const std::vector<uint32_t>& users,
                                      bool training);
-
-  // Inference-mode mirrors (plain tensor ops on current param values).
-  std::vector<tensor::Matrix> PropagateLayersInference() const;
-  tensor::Matrix AggregateLayersInference(
-      const std::vector<tensor::Matrix>& layers) const;
-  tensor::Matrix AttentionWeightsFor(
-      const std::vector<tensor::Matrix>& layers) const;
 
   void RebuildActiveLaplacian(const graph::SocialGraph& graph);
 

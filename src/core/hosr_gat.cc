@@ -1,7 +1,6 @@
 #include "core/hosr_gat.h"
 
 #include "graph/sampling.h"
-#include "graph/spmm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -91,8 +90,9 @@ void HosrGat::OnEpochBegin(uint32_t epoch, util::Rng* rng) {
   active_edges_ = BuildEdges(thinned);
 }
 
-Value HosrGat::GatLayer(autograd::Tape* tape, Value h, size_t layer,
-                        const EdgeArrays& edges, bool training) {
+HosrGat::EdgeAttention HosrGat::AttendEdges(autograd::Tape* tape, Value h,
+                                            size_t layer,
+                                            const EdgeArrays& edges) {
   Value hw = tape->MatMul(h, tape->Param(layer_weights_[layer]));
   Value src_feat = tape->GatherRows(hw, edges.sources);
   Value tgt_feat = tape->GatherRows(hw, edges.targets);
@@ -100,8 +100,14 @@ Value HosrGat::GatLayer(autograd::Tape* tape, Value h, size_t layer,
       tape->Add(tape->MatMul(src_feat, tape->Param(edge_attn_src_[layer])),
                 tape->MatMul(tgt_feat, tape->Param(edge_attn_tgt_[layer]))),
       config_.leaky_slope);
-  Value alpha = tape->SegmentSoftmax(scores, edges.offsets);
-  Value aggregated = tape->SegmentWeightedSum(alpha, tgt_feat, edges.offsets);
+  return {tape->SegmentSoftmax(scores, edges.offsets), tgt_feat};
+}
+
+Value HosrGat::GatLayer(autograd::Tape* tape, Value h, size_t layer,
+                        const EdgeArrays& edges, bool training) {
+  const EdgeAttention attention = AttendEdges(tape, h, layer, edges);
+  Value aggregated = tape->SegmentWeightedSum(
+      attention.alpha, attention.target_features, edges.offsets);
   Value activated = tape->Tanh(aggregated);
   return tape->Dropout(activated, config_.embedding_dropout, training,
                        &dropout_rng_);
@@ -154,30 +160,16 @@ Value HosrGat::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
 }
 
 Matrix HosrGat::ScoreAllItems(const std::vector<uint32_t>& users) {
-  // Inference goes through the tape (no dropout, full graph) — the GAT
-  // forward has no lighter closed form worth duplicating.
   autograd::Tape tape;
   Value u = UserRepresentation(&tape, users, /*training=*/false);
-  Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u.value(), false, item_emb_->value, true, 1.0f, 0.0f, &scores);
-  return scores;
+  return tensor::MatMulNT(u.value(), item_emb_->value);
 }
 
 std::vector<float> HosrGat::FirstLayerEdgeAttention() {
   autograd::Tape tape;
-  Value hw =
-      tape.MatMul(tape.Param(user_emb_), tape.Param(layer_weights_[0]));
-  Value src_feat = tape.GatherRows(hw, edges_.sources);
-  Value tgt_feat = tape.GatherRows(hw, edges_.targets);
-  Value scores = tape.LeakyRelu(
-      tape.Add(tape.MatMul(src_feat, tape.Param(edge_attn_src_[0])),
-               tape.MatMul(tgt_feat, tape.Param(edge_attn_tgt_[0]))),
-      config_.leaky_slope);
-  Value alpha = tape.SegmentSoftmax(scores, edges_.offsets);
-  std::vector<float> result(alpha.rows());
-  for (size_t e = 0; e < result.size(); ++e) {
-    result[e] = alpha.value()(e, 0);
-  }
+  const Matrix& alpha =
+      AttendEdges(&tape, tape.Param(user_emb_), 0, edges_).alpha.value();
+  std::vector<float> result(alpha.data(), alpha.data() + alpha.size());
   if (obs::Enabled()) {
     auto& histogram = HOSR_HISTOGRAM("hosr_gat/edge_attn_weight");
     for (const float weight : result) histogram.Observe(weight);

@@ -76,6 +76,14 @@ class HosrGat : public models::RankingModel {
   };
   static EdgeArrays BuildEdges(const graph::SocialGraph& graph);
 
+  // The edge-score half of a GAT layer: alpha (E x 1), the softmax of each
+  // source's edge scores, and the rows of h W at the edges' targets.
+  struct EdgeAttention {
+    autograd::Value alpha;
+    autograd::Value target_features;
+  };
+  EdgeAttention AttendEdges(autograd::Tape* tape, autograd::Value h,
+                            size_t layer, const EdgeArrays& edges);
   // One GAT propagation step on the tape.
   autograd::Value GatLayer(autograd::Tape* tape, autograd::Value h,
                            size_t layer, const EdgeArrays& edges,

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "graph/laplacian.h"
-#include "graph/spmm.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
 
@@ -118,21 +117,30 @@ std::vector<uint32_t> HosrJoint::ItemNodes(
   return nodes;
 }
 
+std::pair<Value, Value> HosrJoint::UserAndItemRows(
+    autograd::Tape* tape, const std::vector<uint32_t>& users,
+    const std::vector<uint32_t>& items, bool training) {
+  // Ids at or past n are item nodes, not users.
+  for (const uint32_t user : users) HOSR_CHECK(user < num_users_) << user;
+  const std::vector<uint32_t> item_nodes = ItemNodes(items);
+  const std::vector<uint32_t> rows = UniqueRows({users, item_nodes});
+  Value nodes = PropagateAndAggregate(tape, rows, training);
+  return {tape->GatherRows(nodes, LocalRows(rows, users)),
+          tape->GatherRows(nodes, LocalRows(rows, item_nodes))};
+}
+
 Value HosrJoint::ScorePairs(autograd::Tape* tape,
                             const std::vector<uint32_t>& users,
                             const std::vector<uint32_t>& items,
                             bool training) {
-  const std::vector<uint32_t> item_nodes = ItemNodes(items);
-  const std::vector<uint32_t> rows = UniqueRows({users, item_nodes});
-  Value nodes = PropagateAndAggregate(tape, rows, training);
-  Value u = tape->GatherRows(nodes, LocalRows(rows, users));
-  Value v = tape->GatherRows(nodes, LocalRows(rows, item_nodes));
+  const auto [u, v] = UserAndItemRows(tape, users, items, training);
   return tape->RowDot(u, v);
 }
 
 Value HosrJoint::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                            util::Rng* rng) {
   (void)rng;
+  for (const uint32_t user : batch.users) HOSR_CHECK(user < num_users_) << user;
   const std::vector<uint32_t> pos_nodes = ItemNodes(batch.pos_items);
   const std::vector<uint32_t> neg_nodes = ItemNodes(batch.neg_items);
   // The loss reads user and item nodes alike; the tail runs on their union.
@@ -148,69 +156,18 @@ Value HosrJoint::BuildLoss(autograd::Tape* tape, const data::BprBatch& batch,
                      -1.0f);
 }
 
-Matrix HosrJoint::FinalNodeEmbeddings() const {
-  Matrix h = node_emb_->value;
-  std::vector<Matrix> layers;
-  layers.reserve(config_.num_layers);
-  for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
-    h = graph::Spmm(base_laplacian_, h);
-    h = tensor::MatMul(h, layer_weights_[layer]->value);
-    h = config_.activation == Activation::kTanh ? tensor::Tanh(h)
-                                                : tensor::Relu(h);
-    layers.push_back(h);
-  }
-  switch (config_.aggregation) {
-    case LayerAggregation::kLast:
-      return layers.back();
-    case LayerAggregation::kAverage: {
-      Matrix acc = layers[0];
-      for (size_t l = 1; l < layers.size(); ++l) {
-        tensor::Axpy(1.0f, layers[l], &acc);
-      }
-      return tensor::Scale(acc, 1.0f / static_cast<float>(layers.size()));
-    }
-    case LayerAggregation::kAttention: {
-      if (layers.size() == 1) return layers[0];
-      const Matrix projected =
-          tensor::MatMul(node_emb_->value, attention_.proj_user->value);
-      Matrix scores(node_emb_->value.rows(), layers.size());
-      for (size_t l = 0; l < layers.size(); ++l) {
-        Matrix hidden =
-            tensor::MatMul(layers[l], attention_.proj_output->value);
-        tensor::Axpy(1.0f, projected, &hidden);
-        hidden = tensor::Relu(hidden);
-        const Matrix a_l = tensor::MatMul(hidden, attention_.vector->value);
-        for (size_t r = 0; r < scores.rows(); ++r) scores(r, l) = a_l(r, 0);
-      }
-      const Matrix weights = tensor::RowSoftmax(scores);
-      Matrix acc(node_emb_->value.rows(), config_.embedding_dim);
-      for (size_t l = 0; l < layers.size(); ++l) {
-        for (size_t r = 0; r < acc.rows(); ++r) {
-          const float w = weights(r, l);
-          float* ar = acc.row(r);
-          const float* lr = layers[l].row(r);
-          for (size_t c = 0; c < acc.cols(); ++c) ar[c] += w * lr[c];
-        }
-      }
-      return acc;
-    }
-  }
-  HOSR_CHECK(false) << "unreachable aggregation";
-  return layers.back();
+Matrix HosrJoint::FinalNodeEmbeddings() {
+  autograd::Tape tape;
+  return PropagateAndAggregate(&tape, AllRows(num_users_ + num_items_),
+                               /*training=*/false)
+      .value();
 }
 
 Matrix HosrJoint::ScoreAllItems(const std::vector<uint32_t>& users) {
-  const Matrix nodes = FinalNodeEmbeddings();
-  const Matrix u = tensor::GatherRows(nodes, users);
-  // Item rows occupy [num_users_, num_users_ + num_items_).
-  Matrix items(num_items_, config_.embedding_dim);
-  for (uint32_t j = 0; j < num_items_; ++j) {
-    const float* src = nodes.row(num_users_ + j);
-    std::copy(src, src + config_.embedding_dim, items.row(j));
-  }
-  Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u, false, items, true, 1.0f, 0.0f, &scores);
-  return scores;
+  autograd::Tape tape;
+  const auto [u, v] =
+      UserAndItemRows(&tape, users, AllRows(num_items_), /*training=*/false);
+  return tensor::MatMulNT(u.value(), v.value());
 }
 
 }  // namespace hosr::core

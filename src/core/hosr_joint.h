@@ -2,6 +2,7 @@
 #define HOSR_CORE_HOSR_JOINT_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hosr.h"
@@ -63,7 +64,7 @@ class HosrJoint : public models::RankingModel {
   autograd::ParamStore* params() override { return &params_; }
 
   // Final (aggregated) embeddings of all n + m nodes, inference mode.
-  tensor::Matrix FinalNodeEmbeddings() const;
+  tensor::Matrix FinalNodeEmbeddings();
 
  private:
   // Builds the normalized unified operator from (possibly thinned) social
@@ -77,6 +78,11 @@ class HosrJoint : public models::RankingModel {
   autograd::Value PropagateAndAggregate(autograd::Tape* tape,
                                         const std::vector<uint32_t>& rows,
                                         bool training);
+  // Final embeddings of `users` and of `items` (both checked; either may
+  // repeat), row for row; the aggregation runs once per unique node.
+  std::pair<autograd::Value, autograd::Value> UserAndItemRows(
+      autograd::Tape* tape, const std::vector<uint32_t>& users,
+      const std::vector<uint32_t>& items, bool training);
   // Node ids of `items` (checked): items follow the users.
   std::vector<uint32_t> ItemNodes(const std::vector<uint32_t>& items) const;
 

@@ -26,13 +26,11 @@ autograd::Value BprMf::ScorePairs(autograd::Tape* tape,
 }
 
 tensor::Matrix BprMf::ScoreAllItems(const std::vector<uint32_t>& users) {
-  const tensor::Matrix u = tensor::GatherRows(user_emb_->value, users);
-  tensor::Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u, false, item_emb_->value, true, 1.0f, 0.0f, &scores);
-  return scores;
+  return tensor::MatMulNT(tensor::GatherRows(user_emb_->value, users),
+                          item_emb_->value);
 }
 
-util::StatusOr<FrozenFactors> BprMf::ExportFactors() const {
+util::StatusOr<FrozenFactors> BprMf::ExportFactors() {
   FrozenFactors factors;
   factors.user_factors = user_emb_->value;
   factors.item_factors = item_emb_->value;

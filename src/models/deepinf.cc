@@ -1,7 +1,6 @@
 #include "models/deepinf.h"
 
 #include "graph/sampling.h"
-#include "graph/spmm.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
 
@@ -65,16 +64,6 @@ autograd::Value DeepInf::PropagateUsers(autograd::Tape* tape, bool training) {
   return h;
 }
 
-tensor::Matrix DeepInf::PropagateUsersInference() const {
-  tensor::Matrix h = user_emb_->value;
-  for (const autograd::Param* w : layer_weights_) {
-    h = graph::Spmm(sampled_adjacency_, h);
-    h = tensor::MatMul(h, w->value);
-    h = tensor::Relu(h);
-  }
-  return h;
-}
-
 autograd::Value DeepInf::ScorePairs(autograd::Tape* tape,
                                     const std::vector<uint32_t>& users,
                                     const std::vector<uint32_t>& items,
@@ -101,16 +90,16 @@ autograd::Value DeepInf::BuildLoss(autograd::Tape* tape,
 }
 
 tensor::Matrix DeepInf::ScoreAllItems(const std::vector<uint32_t>& users) {
-  const tensor::Matrix h = PropagateUsersInference();
-  const tensor::Matrix u = tensor::GatherRows(h, users);
-  tensor::Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u, false, item_emb_->value, true, 1.0f, 0.0f, &scores);
-  return scores;
+  autograd::Tape tape;
+  const autograd::Value u =
+      tape.GatherRows(PropagateUsers(&tape, /*training=*/false), users);
+  return tensor::MatMulNT(u.value(), item_emb_->value);
 }
 
-util::StatusOr<FrozenFactors> DeepInf::ExportFactors() const {
+util::StatusOr<FrozenFactors> DeepInf::ExportFactors() {
+  autograd::Tape tape;
   FrozenFactors factors;
-  factors.user_factors = PropagateUsersInference();
+  factors.user_factors = PropagateUsers(&tape, /*training=*/false).value();
   factors.item_factors = item_emb_->value;
   return factors;
 }

@@ -45,7 +45,7 @@ class DeepInf : public RankingModel {
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
-  util::StatusOr<FrozenFactors> ExportFactors() const override;
+  util::StatusOr<FrozenFactors> ExportFactors() override;
 
   autograd::ParamStore* params() override { return &params_; }
 
@@ -56,7 +56,6 @@ class DeepInf : public RankingModel {
 
  private:
   autograd::Value PropagateUsers(autograd::Tape* tape, bool training);
-  tensor::Matrix PropagateUsersInference() const;
 
   uint32_t num_users_;
   uint32_t num_items_;

@@ -49,7 +49,7 @@ class IfBpr : public RankingModel {
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
-  util::StatusOr<FrozenFactors> ExportFactors() const override;
+  util::StatusOr<FrozenFactors> ExportFactors() override;
 
   autograd::ParamStore* params() override { return &params_; }
 

@@ -30,8 +30,8 @@ struct FrozenFactors {
 };
 
 // Interface shared by HOSR and every baseline: a model that ranks items for
-// users, trains on BPR triples via the autograd tape, and supports fast
-// (non-differentiable) full scoring for evaluation.
+// users, trains on BPR triples via the autograd tape, and scores every item
+// for evaluation (graph models through their training forward on a tape).
 class RankingModel {
  public:
   virtual ~RankingModel() = default;
@@ -58,13 +58,14 @@ class RankingModel {
                                      bool training) = 0;
 
   // Inference-mode scores of every item for each user: (|users| x m).
+  // Row b's bits depend on users[b] only; users may repeat, in any order.
   virtual tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) = 0;
 
   // Exports the current parameters as frozen bilinear factors for snapshot
-  // serving (serve::BuildSnapshot). Dot-product models override this;
-  // models whose scorer is not bilinear (NCF, NSCR) keep the default
-  // Unimplemented and cannot be served from a snapshot.
-  virtual util::StatusOr<FrozenFactors> ExportFactors() const {
+  // serving (serve::BuildSnapshot), from ScoreAllItems' forward. Dot-product
+  // models override this; models whose scorer is not bilinear (NCF, NSCR)
+  // keep the default Unimplemented and cannot be served from a snapshot.
+  virtual util::StatusOr<FrozenFactors> ExportFactors() {
     return util::Status::Unimplemented(name() +
                                        " cannot export bilinear factors");
   }

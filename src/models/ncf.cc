@@ -62,7 +62,6 @@ autograd::Value Ncf::ScorePairs(autograd::Tape* tape,
 tensor::Matrix Ncf::ScoreAllItems(const std::vector<uint32_t>& users) {
   using tensor::Matrix;
   const uint32_t d = config_.embedding_dim;
-  Matrix scores(users.size(), num_items_);
 
   // GMF contribution: (U_g h) per user against all items reduces to a
   // weighted inner product; compute as (U_g diag(h)) V_g^T.
@@ -71,7 +70,7 @@ tensor::Matrix Ncf::ScoreAllItems(const std::vector<uint32_t>& users) {
     float* row = gmf_u.row(r);
     for (uint32_t c = 0; c < d; ++c) row[c] *= gmf_out_->value(c, 0);
   }
-  tensor::Gemm(gmf_u, false, gmf_item_->value, true, 1.0f, 0.0f, &scores);
+  Matrix scores = tensor::MatMulNT(gmf_u, gmf_item_->value);
 
   // MLP contribution: per user, run all items through the MLP.
   util::ParallelFor(

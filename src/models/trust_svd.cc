@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "graph/spmm.h"
 #include "tensor/ops.h"
 
 namespace hosr::models {
@@ -75,15 +74,6 @@ autograd::Value TrustSvd::EffectiveUserEmbedding(autograd::Tape* tape) {
   return tape->Add(tape->Add(u, q_term), w_term);
 }
 
-tensor::Matrix TrustSvd::EffectiveUserEmbeddingInference() const {
-  tensor::Matrix eff = user_emb_->value;
-  tensor::Matrix q_term = graph::Spmm(item_feedback_, implicit_item_->value);
-  tensor::Matrix w_term = graph::Spmm(social_, trusted_user_->value);
-  tensor::Axpy(1.0f, q_term, &eff);
-  tensor::Axpy(1.0f, w_term, &eff);
-  return eff;
-}
-
 autograd::Value TrustSvd::ScorePairs(autograd::Tape* tape,
                                      const std::vector<uint32_t>& users,
                                      const std::vector<uint32_t>& items,
@@ -111,16 +101,16 @@ autograd::Value TrustSvd::BuildLoss(autograd::Tape* tape,
 }
 
 tensor::Matrix TrustSvd::ScoreAllItems(const std::vector<uint32_t>& users) {
-  const tensor::Matrix eff = EffectiveUserEmbeddingInference();
-  const tensor::Matrix u = tensor::GatherRows(eff, users);
-  tensor::Matrix scores(users.size(), num_items_);
-  tensor::Gemm(u, false, item_emb_->value, true, 1.0f, 0.0f, &scores);
-  return scores;
+  autograd::Tape tape;
+  const autograd::Value u =
+      tape.GatherRows(EffectiveUserEmbedding(&tape), users);
+  return tensor::MatMulNT(u.value(), item_emb_->value);
 }
 
-util::StatusOr<FrozenFactors> TrustSvd::ExportFactors() const {
+util::StatusOr<FrozenFactors> TrustSvd::ExportFactors() {
+  autograd::Tape tape;
   FrozenFactors factors;
-  factors.user_factors = EffectiveUserEmbeddingInference();
+  factors.user_factors = EffectiveUserEmbedding(&tape).value();
   factors.item_factors = item_emb_->value;
   return factors;
 }

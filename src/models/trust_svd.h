@@ -44,15 +44,14 @@ class TrustSvd : public RankingModel {
 
   tensor::Matrix ScoreAllItems(const std::vector<uint32_t>& users) override;
 
-  util::StatusOr<FrozenFactors> ExportFactors() const override;
+  util::StatusOr<FrozenFactors> ExportFactors() override;
 
   autograd::ParamStore* params() override { return &params_; }
 
  private:
-  // Effective user embedding on the tape (shared by both Score paths).
+  // Effective user embedding of every user on the tape: the one forward
+  // behind training, scoring and export.
   autograd::Value EffectiveUserEmbedding(autograd::Tape* tape);
-  // Inference-mode effective user embedding.
-  tensor::Matrix EffectiveUserEmbeddingInference() const;
 
   uint32_t num_users_;
   uint32_t num_items_;

@@ -194,8 +194,7 @@ util::StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
   return ReadSnapshot(&in);
 }
 
-util::StatusOr<ModelSnapshot> BuildSnapshot(
-    const models::RankingModel& model) {
+util::StatusOr<ModelSnapshot> BuildSnapshot(models::RankingModel& model) {
   ModelSnapshot snapshot;
   snapshot.model_name = model.name();
   HOSR_ASSIGN_OR_RETURN(snapshot.factors, model.ExportFactors());

@@ -60,7 +60,7 @@ util::StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path);
 
 // Freezes a trained model via RankingModel::ExportFactors. Returns
 // Unimplemented for models without a bilinear scorer (NCF, NSCR).
-util::StatusOr<ModelSnapshot> BuildSnapshot(const models::RankingModel& model);
+util::StatusOr<ModelSnapshot> BuildSnapshot(models::RankingModel& model);
 
 }  // namespace hosr::serve
 

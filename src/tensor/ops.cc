@@ -117,6 +117,12 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+Matrix MatMulNT(const Matrix& a, const Matrix& b) {
+  Matrix out = Matrix::Uninitialized(a.rows(), b.rows());
+  Gemm(a, false, b, true, 1.0f, 0.0f, &out);
+  return out;
+}
+
 Matrix Add(const Matrix& a, const Matrix& b) {
   CheckSameShape(a, b);
   Matrix out = a;

@@ -25,6 +25,10 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
 // Convenience: returns a * b.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
+// Convenience: returns a * b^T through Gemm's NT path, as every
+// dot-product model scores user rows against its item table.
+Matrix MatMulNT(const Matrix& a, const Matrix& b);
+
 // Element-wise operations; result shapes match inputs.
 Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);

@@ -75,9 +75,9 @@ void ExpectGradients(Model* model, double tol = 8e-2) {
 // BuildLoss runs the aggregation and Eq. 11 on the batch's unique rows
 // only. Without dropout its value must equal -mean log sigmoid(s+ - s-)
 // computed from ScoreAllItems, so a row set that loses or mislabels a row
-// the loss reads fails here. Each user is scored in its own call: HOSR and
-// HOSR-Joint score on every row anyway, and HOSR-GAT, whose ScoreAllItems
-// runs the same tape tail, then has a one-row set that needs no remap.
+// the loss reads fails here. Each user is scored in its own call, so
+// ScoreAllItems, which runs the same tape tail, has a one-user row set that
+// needs no remap.
 template <typename Model>
 void ExpectLossMatchesScoreAllItems(Model* model) {
   data::BprSampler sampler(&MediumDataset().interactions, 3);
@@ -228,6 +228,31 @@ TEST(HosrJointTest, TrainingReducesLoss) {
   config.seed = 12;
   HosrJoint model(d, config);
   EXPECT_LT(TrainBriefly(&model, d, 10), 0.95);
+}
+
+TEST(HosrJointCheckDeathTest, RejectsItemNodesAsUsers) {
+  // Node ids n..n+m-1 are items: a user id there must abort, not score an
+  // item node as if it were a user.
+  const data::Dataset d = TinyDataset();
+  HosrJoint::Config config;
+  config.embedding_dim = 3;
+  config.num_layers = 1;
+  HosrJoint model(d, config);
+  const uint32_t item_node = d.num_users();
+  EXPECT_DEATH(model.ScoreAllItems({item_node}), "Check failed");
+  EXPECT_DEATH(
+      {
+        autograd::Tape tape;
+        model.ScorePairs(&tape, {item_node}, {0}, /*training=*/false);
+      },
+      "Check failed");
+  EXPECT_DEATH(
+      {
+        autograd::Tape tape;
+        util::Rng rng(1);
+        model.BuildLoss(&tape, {{item_node}, {0}, {1}}, &rng);
+      },
+      "Check failed");
 }
 
 TEST(HosrJointTest, GraphDropoutResamples) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "autograd/gradcheck.h"
 #include "core/hosr.h"
@@ -10,6 +12,7 @@
 #include "graph/spmm.h"
 #include "models/trainer.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "tensor/ops.h"
 
 namespace hosr::core {
@@ -216,6 +219,45 @@ TEST(HosrAttentionTest, AggregationIsConvexCombinationPlusWeights) {
   }
 }
 
+TEST(HosrAttentionTest, OneLayerWeightsAreExactlyOne) {
+  // One layer runs no softmax, yet Fig. 7's data keeps its (n x 1) shape.
+  const data::Dataset& d = MediumDataset();
+  Hosr::Config config;
+  config.embedding_dim = 6;
+  config.num_layers = 1;
+  config.aggregation = LayerAggregation::kAttention;
+  config.seed = 8;
+  Hosr model(d, config);
+  const tensor::Matrix weights = model.AttentionWeights();
+  ASSERT_EQ(weights.rows(), d.num_users());
+  ASSERT_EQ(weights.cols(), 1u);
+  for (size_t r = 0; r < weights.rows(); ++r) EXPECT_EQ(weights(r, 0), 1.0f);
+}
+
+TEST(HosrAttentionTest, HistogramObservesInferenceRowsOnly) {
+  // hosr/attn_softmax_weight takes k weights per unique user an inference
+  // forward scores, and none from a training batch.
+  const data::Dataset& d = MediumDataset();
+  Hosr::Config config;
+  config.embedding_dim = 6;
+  config.num_layers = 3;
+  config.aggregation = LayerAggregation::kAttention;
+  config.seed = 8;
+  Hosr model(d, config);
+  obs::SetEnabled(true);
+  const obs::Histogram& histogram = HOSR_HISTOGRAM("hosr/attn_softmax_weight");
+  const uint64_t before = histogram.Count();
+  autograd::Tape tape;
+  util::Rng rng(1);
+  model.BuildLoss(&tape, {{4, 0, 4}, {1, 2, 3}, {5, 6, 7}}, &rng);
+  EXPECT_EQ(histogram.Count(), before);
+  model.ScoreAllItems({4, 0, 4});
+  EXPECT_EQ(histogram.Count(), before + 2 * 3);
+  model.AttentionWeights();
+  EXPECT_EQ(histogram.Count(), before + (2 + d.num_users()) * 3);
+  obs::SetEnabled(false);
+}
+
 // --- Aggregation variants -------------------------------------------------------
 
 TEST(HosrAggregationTest, AverageIsLayerMean) {
@@ -326,15 +368,23 @@ TEST(HosrDropoutTest, EmbeddingDropoutOnlyInTraining) {
 
 // --- Gradients ----------------------------------------------------------------
 
-class HosrGradientTest
-    : public ::testing::TestWithParam<LayerAggregation> {};
+// Every aggregation, with the Eq. 11 item term on and off.
+class HosrVariantTest : public ::testing::TestWithParam<
+                            std::tuple<LayerAggregation, bool>> {
+ protected:
+  Hosr::Config VariantConfig() const {
+    Hosr::Config config;
+    config.aggregation = std::get<0>(GetParam());
+    config.item_implicit_term = std::get<1>(GetParam());
+    return config;
+  }
+};
 
-TEST_P(HosrGradientTest, FullModelGradientsCheck) {
+TEST_P(HosrVariantTest, FullModelGradientsCheck) {
   const data::Dataset d = TinyDataset();
-  Hosr::Config config;
+  Hosr::Config config = VariantConfig();
   config.embedding_dim = 3;
   config.num_layers = 2;
-  config.aggregation = GetParam();
   config.graph_dropout = 0.0f;
   config.embedding_dropout = 0.0f;
   config.seed = 15;
@@ -364,10 +414,39 @@ TEST_P(HosrGradientTest, FullModelGradientsCheck) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAggregations, HosrGradientTest,
-                         ::testing::Values(LayerAggregation::kLast,
-                                           LayerAggregation::kAverage,
-                                           LayerAggregation::kAttention));
+TEST_P(HosrVariantTest, ScoreAllItemsRowsMatchAllUsersAndExport) {
+  // Scoring, export and the tail's row set share one forward: a user's
+  // scores are the same bits in an unsorted batch with a repeated user, in
+  // the all-user call, and from the exported factors.
+  const data::Dataset& d = MediumDataset();
+  Hosr::Config config = VariantConfig();
+  config.embedding_dim = 8;
+  config.seed = 19;
+  Hosr model(d, config);
+  const std::vector<uint32_t> batch = {17, 3, 149, 3, 0, 88};
+  const tensor::Matrix scores = model.ScoreAllItems(batch);
+  const tensor::Matrix all = model.ScoreAllItems(AllRows(d.num_users()));
+  const auto factors = model.ExportFactors();
+  ASSERT_TRUE(factors.ok()) << factors.status();
+  const tensor::Matrix exported =
+      tensor::MatMulNT(factors->user_factors, factors->item_factors);
+  ASSERT_EQ(scores.cols(), d.num_items());
+  const size_t row_bytes = d.num_items() * sizeof(float);
+  for (size_t b = 0; b < batch.size(); ++b) {
+    EXPECT_EQ(std::memcmp(scores.row(b), all.row(batch[b]), row_bytes), 0)
+        << "batch row " << b;
+    EXPECT_EQ(std::memcmp(scores.row(b), exported.row(batch[b]), row_bytes),
+              0)
+        << "batch row " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAggregations, HosrVariantTest,
+    ::testing::Combine(::testing::Values(LayerAggregation::kLast,
+                                         LayerAggregation::kAverage,
+                                         LayerAggregation::kAttention),
+                       ::testing::Bool()));
 
 // --- Training end-to-end ----------------------------------------------------------
 

@@ -126,13 +126,18 @@ TEST_P(SnapshotRoundTripTest, BitIdenticalScoresAndTopK) {
   std::vector<uint32_t> all_users(model->num_users());
   std::iota(all_users.begin(), all_users.end(), 0);
   const tensor::Matrix reference = model->ScoreAllItems(all_users);
+  const std::vector<uint32_t> some_users = {0, 7, 33, 89};
+  // Scoring only these users runs the model's tail on their rows alone.
+  const tensor::Matrix some = model->ScoreAllItems(some_users);
 
-  for (const uint32_t u : {0u, 7u, 33u, 89u}) {
+  for (size_t b = 0; b < some_users.size(); ++b) {
+    const uint32_t u = some_users[b];
     // Bit-identical scores: same accumulation order as tensor::Gemm.
     const auto served = engine.ScoreAll(u);
     for (uint32_t j = 0; j < model->num_items(); ++j) {
       ASSERT_EQ(served[j], reference.at(u, j)) << "user " << u << " item "
                                                << j;
+      ASSERT_EQ(served[j], some.at(b, j)) << "user " << u << " item " << j;
     }
     // And therefore identical top-K lists to the offline evaluator path.
     const auto expected = eval::TopK(reference.row(u), model->num_items(), 10,
