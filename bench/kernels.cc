@@ -1,12 +1,14 @@
 // Microbenchmarks for the hosr::kernels dispatch layer (docs/PERFORMANCE.md):
-// scalar vs best-available table for axpy, axpy2, dot, and the fused
-// score-GEMV, at the dims the models actually use. Besides the google
-// benchmark report, the headline scalar-vs-SIMD speedups at d=64 are
-// published as gauges so `run_benches.sh` captures them in
+// scalar vs best-available table for axpy, axpy2, dot, the fused
+// score-GEMV and the SpMM row gather, at the dims the models actually use.
+// Besides the google benchmark report, the headline scalar-vs-SIMD speedups
+// at d=64 are published as gauges so `run_benches.sh` captures them in
 // bench_metrics/kernels.json — the perf-trajectory artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -101,6 +103,46 @@ void BM_ScoreGemv(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreGemv)->ArgsProduct({{0, 1}, {8, 64, 256}});
 
+// One SpMM output row: 32 neighbours of a 1024-row dense table, the
+// register-resident gather under graph::Spmm.
+constexpr size_t kSpmmNeighbours = 32;
+constexpr size_t kSpmmDenseRows = 1024;
+
+struct SpmmRowInput {
+  std::vector<float> values;
+  std::vector<uint32_t> cols;
+  std::vector<float> dense;
+};
+
+SpmmRowInput MakeSpmmRowInput(size_t d) {
+  SpmmRowInput input;
+  input.values.assign(kSpmmNeighbours, kTinyA);
+  util::Rng rng(14);
+  for (size_t e = 0; e < kSpmmNeighbours; ++e) {
+    input.cols.push_back(static_cast<uint32_t>(rng.UniformInt(kSpmmDenseRows)));
+  }
+  input.dense = RandomVec(kSpmmDenseRows * d, 15);
+  return input;
+}
+
+void BM_SpmmRow(benchmark::State& state) {
+  const auto& kern = Table(state.range(0));
+  const size_t d = static_cast<size_t>(state.range(1));
+  const SpmmRowInput input = MakeSpmmRowInput(d);
+  std::vector<float> out(d);
+  for (auto _ : state) {
+    kern.spmm_row(kSpmmNeighbours, input.values.data(), input.cols.data(),
+                  nullptr, input.dense.data(), d, /*accumulate=*/false,
+                  out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kSpmmNeighbours * d));
+  state.SetLabel(kern.name);
+}
+BENCHMARK(BM_SpmmRow)->ArgsProduct({{0, 1}, {8, 64, 256}});
+
 // --- headline speedup gauges --------------------------------------------------
 
 // Ops/second for `body` (which performs `ops_per_call` scalar ops), measured
@@ -146,6 +188,27 @@ void PublishSpeedupGauges() {
     sink += best.score_block(kItems, d, x.data(), rows.data(), nullptr,
                              out.data());
   });
+  // spmm_row against the axpy2 pair chain whose bits it keeps, which loads
+  // and stores the output row once per pair of neighbours.
+  const SpmmRowInput spmm = MakeSpmmRowInput(d);
+  const auto spmm_row = [&](const kernels::KernelTable& kern) {
+    return MeasureOpsPerSec(kSpmmNeighbours * d, [&] {
+      kern.spmm_row(kSpmmNeighbours, spmm.values.data(), spmm.cols.data(),
+                    nullptr, spmm.dense.data(), d, /*accumulate=*/false,
+                    out.data());
+    });
+  };
+  const double spmm_row_scalar = spmm_row(scalar);
+  const double spmm_row_best = spmm_row(best);
+  const double pair_chain_best = MeasureOpsPerSec(kSpmmNeighbours * d, [&] {
+    std::fill(out.begin(), out.begin() + d, 0.0f);
+    for (size_t e = 0; e < kSpmmNeighbours; e += 2) {
+      best.axpy2(d, spmm.values[e], spmm.dense.data() + spmm.cols[e] * d,
+                 spmm.values[e + 1], spmm.dense.data() + spmm.cols[e + 1] * d,
+                 out.data());
+    }
+  });
+  sink += out[0];
   benchmark::DoNotOptimize(sink);
 
   HOSR_GAUGE("kernels/bench/axpy_d64_scalar_gops").Set(axpy_scalar / 1e9);
@@ -157,6 +220,13 @@ void PublishSpeedupGauges() {
   HOSR_GAUGE("kernels/bench/gemv_d64_scalar_gops").Set(gemv_scalar / 1e9);
   HOSR_GAUGE("kernels/bench/gemv_d64_best_gops").Set(gemv_best / 1e9);
   HOSR_GAUGE("kernels/bench/gemv_d64_speedup").Set(gemv_best / gemv_scalar);
+  HOSR_GAUGE("kernels/bench/spmm_row_d64_scalar_gops")
+      .Set(spmm_row_scalar / 1e9);
+  HOSR_GAUGE("kernels/bench/spmm_row_d64_best_gops").Set(spmm_row_best / 1e9);
+  HOSR_GAUGE("kernels/bench/spmm_row_d64_speedup")
+      .Set(spmm_row_best / spmm_row_scalar);
+  HOSR_GAUGE("kernels/bench/spmm_row_d64_pair_chain_best_gops")
+      .Set(pair_chain_best / 1e9);
 }
 
 }  // namespace

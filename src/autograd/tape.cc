@@ -130,21 +130,43 @@ Value Tape::MatMul(Value a, Value b) {
 
 Value Tape::SpMM(const graph::CsrMatrix* matrix,
                  const graph::CsrMatrix* transpose, Value dense) {
+  return SpMMRows(matrix, transpose, std::nullopt, dense);
+}
+
+Value Tape::SpMMRows(const graph::CsrMatrix* matrix,
+                     const graph::CsrMatrix* transpose,
+                     std::optional<std::vector<uint32_t>> rows, Value dense) {
   HOSR_CHECK(matrix != nullptr && transpose != nullptr);
   HOSR_CHECK(transpose->num_rows() == matrix->num_cols() &&
              transpose->num_cols() == matrix->num_rows())
       << "transpose shape mismatch";
+  if (rows.has_value()) {
+    for (size_t i = 1; i < rows->size(); ++i) {
+      HOSR_CHECK((*rows)[i - 1] < (*rows)[i])
+          << "rows must be strictly ascending at " << i;
+    }
+  }
   internal::Node* dn = dense.node_;
-  internal::Node* out =
-      NewNode(graph::Spmm(*matrix, dn->value()), dn->requires_grad);
+  Matrix value = Matrix::Uninitialized(
+      rows.has_value() ? rows->size() : matrix->num_rows(),
+      dn->value().cols());
+  graph::SpmmInto(*matrix, dn->value(), &value, /*accumulate=*/false,
+                  rows.has_value() ? &*rows : nullptr);
+  internal::Node* out = NewNode(std::move(value), dn->requires_grad);
   if (out->requires_grad) {
-    out->backward = [out, dn, transpose] {
-      const GradSlot gd = GradFor(dn);
-      if (gd.assign) {
-        graph::Spmm(*transpose, out->grad, gd.grad);
-      } else {
-        graph::SpmmAccumulate(*transpose, out->grad, gd.grad);
+    out->backward = [out, dn, transpose, rows = std::move(rows)] {
+      // d(dense) = matrix[rows, :]^T * d(out): the transpose's rows, each
+      // column r read from out's gradient row remap[r] or dropped.
+      std::vector<int32_t> remap;
+      if (rows.has_value()) {
+        remap.assign(transpose->num_cols(), -1);
+        for (size_t i = 0; i < rows->size(); ++i) {
+          remap[(*rows)[i]] = static_cast<int32_t>(i);
+        }
       }
+      const GradSlot gd = GradFor(dn);
+      graph::SpmmInto(*transpose, out->grad, gd.grad, !gd.assign,
+                      /*rows=*/nullptr, rows.has_value() ? &remap : nullptr);
     };
   }
   return Value(out);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "autograd/param.h"
@@ -96,16 +97,24 @@ class Tape {
   // (n x k) * (k x m) -> (n x m).
   Value MatMul(Value a, Value b);
 
-  // sparse (r x c) times dense (c x d) -> (r x d). `transpose` must be the
-  // CSR transpose of `matrix` (pass the same pointer when symmetric); it is
-  // used for the backward pass. Both must outlive the tape. The tape only
-  // borrows these pointers: build the transpose ONCE per graph (models
-  // cache it as a member next to the forward operator) and share it across
-  // every epoch, layer, and backward call — never rebuild it per step. The
-  // spmm/transpose_builds counter audits this: it must stay flat during
-  // training (tests/hosr_test.cc TransposeBuiltOncePerGraph).
+  // sparse (r x c) times dense (c x d) -> (r x d): SpMMRows over all rows.
   Value SpMM(const graph::CsrMatrix* matrix, const graph::CsrMatrix* transpose,
              Value dense);
+
+  // Rows `rows` of matrix * dense -> (rows.size() x d), or all r rows when
+  // `rows` is std::nullopt. `rows` must be strictly ascending (checked).
+  // `transpose` must be the CSR transpose of `matrix` (pass the same
+  // pointer when symmetric); the backward pass reads its rows in place,
+  // dropping the columns outside `rows` through a remap, so nothing is
+  // built per call. Both must outlive the tape. The tape only borrows these
+  // pointers: build the transpose ONCE per graph (models cache it as a
+  // member next to the forward operator) and share it across every epoch,
+  // layer, and backward call — never rebuild it per step. The
+  // spmm/transpose_builds counter audits this: it must stay flat during
+  // training (tests/hosr_test.cc TransposeBuiltOncePerGraph).
+  Value SpMMRows(const graph::CsrMatrix* matrix,
+                 const graph::CsrMatrix* transpose,
+                 std::optional<std::vector<uint32_t>> rows, Value dense);
 
   // out(i, :) = a(indices[i], :). Backward scatter-adds; over a Param
   // leaf it adds straight into Param::grad and records the rows.

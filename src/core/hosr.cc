@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "graph/laplacian.h"
 #include "graph/sampling.h"
@@ -93,31 +94,33 @@ Value AggregateLayerRows(autograd::Tape* tape, LayerAggregation aggregation,
                          const LayerAttention& attention, Value u0,
                          const std::vector<Value>& layers,
                          const std::vector<uint32_t>& rows, Value* weights) {
-  const auto rows_of = [&](Value full) {
-    return tape->GatherRows(full, rows);
+  // Layer l's rows: gathered from a full table, except the last layer's.
+  const auto layer_rows_of = [&](size_t l) {
+    return l + 1 == layers.size() ? layers[l]
+                                  : tape->GatherRows(layers[l], rows);
   };
   switch (aggregation) {
     case LayerAggregation::kLast:
-      return rows_of(layers.back());
+      return layers.back();
     case LayerAggregation::kAverage: {
-      Value acc = rows_of(layers[0]);
+      Value acc = layer_rows_of(0);
       for (size_t l = 1; l < layers.size(); ++l) {
-        acc = tape->Add(acc, rows_of(layers[l]));
+        acc = tape->Add(acc, layer_rows_of(l));
       }
       return tape->Scale(acc, 1.0f / static_cast<float>(layers.size()));
     }
     case LayerAggregation::kAttention: {
-      if (layers.size() == 1) return rows_of(layers[0]);
+      if (layers.size() == 1) return layers.back();
       HOSR_TRACE_SPAN("hosr/attention_aggregate");
       // Eq. 8: a_il = ReLU(u_i P_u + u_i^(l) P_o) h^T.
-      Value projected_u0 =
-          tape->MatMul(rows_of(u0), tape->Param(attention.proj_user));
+      Value projected_u0 = tape->MatMul(tape->GatherRows(u0, rows),
+                                        tape->Param(attention.proj_user));
       Value p_o = tape->Param(attention.proj_output);
       Value h_vec = tape->Param(attention.vector);
       std::vector<Value> layer_rows;
       Value scores;  // (rows x k), built by concatenation
       for (size_t l = 0; l < layers.size(); ++l) {
-        layer_rows.push_back(rows_of(layers[l]));
+        layer_rows.push_back(layer_rows_of(l));
         Value hidden = tape->Relu(
             tape->Add(projected_u0, tape->MatMul(layer_rows[l], p_o)));
         Value a_l = tape->MatMul(hidden, h_vec);  // (rows x 1)
@@ -199,6 +202,7 @@ void Hosr::OnEpochBegin(uint32_t epoch, util::Rng* rng) {
 }
 
 std::vector<Value> Hosr::PropagateLayers(autograd::Tape* tape,
+                                         const std::vector<uint32_t>& rows,
                                          bool training) {
   const graph::CsrMatrix* laplacian =
       training ? &active_laplacian_ : &base_laplacian_;
@@ -207,8 +211,11 @@ std::vector<Value> Hosr::PropagateLayers(autograd::Tape* tape,
   Value h = tape->Param(user_emb_);
   for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
     obs::ScopedSpan span(obs::IndexedSpanName("hosr/layer_", layer + 1));
-    // Eq. 5: U^(k) = act(L U^(k-1) W^(k)); L is symmetric.
-    h = tape->SpMM(laplacian, laplacian, h);
+    // Eq. 5: U^(k) = act(L U^(k-1) W^(k)); L is symmetric. Only the rows
+    // of the last layer are read, so only they are computed.
+    std::optional<std::vector<uint32_t>> layer_rows;
+    if (layer + 1 == config_.num_layers) layer_rows = rows;
+    h = tape->SpMMRows(laplacian, laplacian, std::move(layer_rows), h);
     if (config_.use_layer_weights) {
       h = tape->MatMul(h, tape->Param(layer_weights_[layer]));
     }
@@ -226,7 +233,7 @@ std::vector<Value> Hosr::PropagateLayers(autograd::Tape* tape,
 Value Hosr::AggregateUsers(autograd::Tape* tape,
                            const std::vector<uint32_t>& rows, bool training,
                            Value* weights) {
-  const std::vector<Value> layers = PropagateLayers(tape, training);
+  const std::vector<Value> layers = PropagateLayers(tape, rows, training);
   Value softmax;
   Value aggregated = AggregateLayerRows(tape, config_.aggregation, attention_,
                                         tape->Param(user_emb_), layers, rows,
@@ -249,9 +256,8 @@ Value Hosr::UserRepresentation(autograd::Tape* tape,
   Value rep = AggregateUsers(tape, rows, training);
   if (config_.item_implicit_term) {
     // Eq. 11: add 1/sqrt(|I_i|) * sum of interacted item embeddings.
-    Value implicit =
-        tape->SpMM(&item_term_, &item_term_t_, tape->Param(item_emb_));
-    rep = tape->Add(rep, tape->GatherRows(implicit, rows));
+    rep = tape->Add(rep, tape->SpMMRows(&item_term_, &item_term_t_, rows,
+                                        tape->Param(item_emb_)));
   }
   return tape->GatherRows(rep, LocalRows(rows, users));
 }

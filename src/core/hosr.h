@@ -64,12 +64,14 @@ std::vector<uint32_t> AllRows(uint32_t n);
 std::vector<uint32_t> LocalRows(const std::vector<uint32_t>& rows,
                                 const std::vector<uint32_t>& ids);
 
-// Aggregates the full-graph layer outputs `layers` (k tables of n x d) on
-// `rows` only (sorted, unique): gathers those rows of each layer, and of
-// the layer-0 table `u0` for attention, then runs the row-wise tail
-// (last / average / Eqs. 8-10). Row i of the result belongs to rows[i].
-// If the tail runs the Eq. 9 softmax (kAttention over more than one layer)
-// and `weights` is not null, *weights is set to its (rows x k) output.
+// Aggregates the k layer outputs `layers` on `rows` only (sorted, unique).
+// layers.back() is already on `rows` (rows x d): models run the last layer
+// on the rows alone. The earlier layers are full-graph tables (n x d);
+// this gathers their rows, and those of the layer-0 table `u0` for
+// attention, then runs the row-wise tail (last / average / Eqs. 8-10).
+// Row i of the result belongs to rows[i]. If the tail runs the Eq. 9
+// softmax (kAttention over more than one layer) and `weights` is not null,
+// *weights is set to its (rows x k) output.
 autograd::Value AggregateLayerRows(autograd::Tape* tape,
                                    LayerAggregation aggregation,
                                    const LayerAttention& attention,
@@ -152,11 +154,12 @@ class Hosr : public models::RankingModel {
   tensor::Matrix FinalUserEmbeddings();
 
  private:
-  // Builds all k layer outputs on the tape; returns them in order 1..k.
-  std::vector<autograd::Value> PropagateLayers(autograd::Tape* tape,
-                                               bool training);
-  // Eqs. 3-10: full-graph propagation, aggregated on `rows` as in
-  // AggregateLayerRows; inference calls observe hosr/attn_softmax_weight.
+  // Builds the k layer outputs on the tape, in order 1..k: layers 1..k-1
+  // on every user, layer k on `rows` (sorted, unique) only.
+  std::vector<autograd::Value> PropagateLayers(
+      autograd::Tape* tape, const std::vector<uint32_t>& rows, bool training);
+  // Eqs. 3-10: propagation, aggregated on `rows` as in AggregateLayerRows;
+  // inference calls observe hosr/attn_softmax_weight.
   autograd::Value AggregateUsers(autograd::Tape* tape,
                                  const std::vector<uint32_t>& rows,
                                  bool training,

@@ -51,6 +51,25 @@ HosrGat::EdgeArrays HosrGat::BuildEdges(const graph::SocialGraph& graph) {
   return edges;
 }
 
+HosrGat::EdgeArrays HosrGat::RowEdges(const EdgeArrays& edges,
+                                      const std::vector<uint32_t>& rows) {
+  EdgeArrays row_edges;
+  row_edges.offsets.reserve(rows.size() + 1);
+  row_edges.offsets.push_back(0);
+  for (const uint32_t row : rows) {
+    const size_t begin = edges.offsets[row];
+    const size_t end = edges.offsets[row + 1];
+    row_edges.sources.insert(row_edges.sources.end(),
+                             edges.sources.begin() + begin,
+                             edges.sources.begin() + end);
+    row_edges.targets.insert(row_edges.targets.end(),
+                             edges.targets.begin() + begin,
+                             edges.targets.begin() + end);
+    row_edges.offsets.push_back(row_edges.targets.size());
+  }
+  return row_edges;
+}
+
 HosrGat::HosrGat(const data::Dataset& train, const Config& config)
     : num_users_(train.num_users()),
       num_items_(train.num_items()),
@@ -119,23 +138,27 @@ Value HosrGat::UserRepresentation(autograd::Tape* tape,
   // Full-graph edges at inference; epoch-thinned edges while training.
   const EdgeArrays& edges = training ? active_edges_ : edges_;
 
+  const std::vector<uint32_t> rows = UniqueRows({users});
+
   Value u0 = tape->Param(user_emb_);
   std::vector<Value> layers;
   layers.reserve(config_.num_layers);
   Value h = u0;
   for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
     obs::ScopedSpan span(obs::IndexedSpanName("hosr_gat/layer_", layer + 1));
-    h = GatLayer(tape, h, layer, edges, training);
+    // Only the rows of the last layer are read: it attends over their
+    // edge segments alone.
+    h = layer + 1 == config_.num_layers
+            ? GatLayer(tape, h, layer, RowEdges(edges, rows), training)
+            : GatLayer(tape, h, layer, edges, training);
     layers.push_back(h);
   }
 
-  const std::vector<uint32_t> rows = UniqueRows({users});
   Value rep = AggregateLayerRows(tape, config_.aggregation, attention_, u0,
                                  layers, rows);
   if (config_.item_implicit_term) {
-    Value implicit =
-        tape->SpMM(&item_term_, &item_term_t_, tape->Param(item_emb_));
-    rep = tape->Add(rep, tape->GatherRows(implicit, rows));
+    rep = tape->Add(rep, tape->SpMMRows(&item_term_, &item_term_t_, rows,
+                                        tape->Param(item_emb_)));
   }
   return tape->GatherRows(rep, LocalRows(rows, users));
 }

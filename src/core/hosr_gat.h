@@ -75,6 +75,10 @@ class HosrGat : public models::RankingModel {
     std::vector<uint32_t> targets;  // E
   };
   static EdgeArrays BuildEdges(const graph::SocialGraph& graph);
+  // The segments of `rows` (sorted, unique) of `edges`, in order: segment
+  // i belongs to rows[i].
+  static EdgeArrays RowEdges(const EdgeArrays& edges,
+                             const std::vector<uint32_t>& rows);
 
   // The edge-score half of a GAT layer: alpha (E x 1), the softmax of each
   // source's edge scores, and the rows of h W at the edges' targets.

@@ -1,6 +1,7 @@
 #include "core/hosr_joint.h"
 
 #include <cmath>
+#include <optional>
 
 #include "graph/laplacian.h"
 #include "tensor/ops.h"
@@ -96,7 +97,10 @@ Value HosrJoint::PropagateAndAggregate(autograd::Tape* tape,
   layers.reserve(config_.num_layers);
   Value h = e0;
   for (uint32_t layer = 0; layer < config_.num_layers; ++layer) {
-    h = tape->SpMM(laplacian, laplacian, h);
+    // Only the rows of the last layer are read.
+    std::optional<std::vector<uint32_t>> layer_rows;
+    if (layer + 1 == config_.num_layers) layer_rows = rows;
+    h = tape->SpMMRows(laplacian, laplacian, std::move(layer_rows), h);
     h = tape->MatMul(h, tape->Param(layer_weights_[layer]));
     h = config_.activation == Activation::kTanh ? tape->Tanh(h)
                                                 : tape->Relu(h);

@@ -73,8 +73,8 @@ class HosrJoint : public models::RankingModel {
       const std::vector<std::pair<uint32_t, uint32_t>>& social_edges,
       const std::vector<data::Interaction>& interactions) const;
 
-  // Full-graph propagation, then the aggregation on `rows` only (sorted
-  // unique node ids): (rows.size() x d).
+  // Propagation (the last layer on `rows` only), then the aggregation on
+  // `rows` (sorted unique node ids): (rows.size() x d).
   autograd::Value PropagateAndAggregate(autograd::Tape* tape,
                                         const std::vector<uint32_t>& rows,
                                         bool training);

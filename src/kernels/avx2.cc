@@ -77,6 +77,129 @@ void Axpy2Avx2(size_t n, float a0, const float* x0, float a1, const float* x1,
   for (; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
 }
 
+// Row `cols[e]` of dense, or row remap[cols[e]]; null for a skipped entry.
+inline const float* SpmmEntryRow(size_t e, const uint32_t* cols,
+                                 const int32_t* remap, const float* dense,
+                                 size_t d) {
+  const int64_t row =
+      remap == nullptr ? static_cast<int64_t>(cols[e]) : remap[cols[e]];
+  return row < 0 ? nullptr : dense + static_cast<size_t>(row) * d;
+}
+
+// acc[v] += a * x[8v .. 8v+7] for each of the kVecs vectors: one FMA per
+// term, as in axpy2's and axpy's vector body.
+template <size_t kVecs>
+inline void FmaRow(__m256 (&acc)[kVecs], const float* a, const float* x) {
+  const __m256 va = _mm256_broadcast_ss(a);
+#pragma GCC unroll 8
+  for (size_t v = 0; v < kVecs; ++v) {
+    acc[v] = _mm256_fmadd_ps(va, _mm256_loadu_ps(x + 8 * v), acc[v]);
+  }
+}
+
+// kVecs * 8 columns of one spmm_row, held in kVecs ymm accumulators across
+// all entries. `dense` and `out` point at the block's first column. With a
+// remap, each run of up to kRun entries is first compacted to its kept
+// ones without a branch, so a skipped entry costs no misprediction.
+template <size_t kVecs>
+void SpmmRowBlockAvx2(size_t nnz, const float* values, const uint32_t* cols,
+                      const int32_t* remap, const float* dense, size_t d,
+                      bool accumulate, float* out) {
+  __m256 acc[kVecs];
+#pragma GCC unroll 8
+  for (size_t v = 0; v < kVecs; ++v) {
+    acc[v] = accumulate ? _mm256_loadu_ps(out + 8 * v) : _mm256_setzero_ps();
+  }
+  if (remap == nullptr) {
+    for (size_t e = 0; e < nnz; ++e) {
+      FmaRow(acc, values + e, dense + static_cast<size_t>(cols[e]) * d);
+    }
+  } else {
+    constexpr size_t kRun = 32;
+    const float* kept_rows[kRun];
+    float kept_values[kRun];
+    for (size_t run = 0; run < nnz; run += kRun) {
+      const size_t run_end = nnz - run < kRun ? nnz : run + kRun;
+      size_t kept = 0;
+      for (size_t e = run; e < run_end; ++e) {
+        const int32_t row = remap[cols[e]];
+        kept_rows[kept] = dense + static_cast<size_t>(row < 0 ? 0 : row) * d;
+        kept_values[kept] = values[e];
+        kept += row < 0 ? 0 : 1;
+      }
+      for (size_t k = 0; k < kept; ++k) {
+        FmaRow(acc, kept_values + k, kept_rows[k]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t v = 0; v < kVecs; ++v) _mm256_storeu_ps(out + 8 * v, acc[v]);
+}
+
+using SpmmRowBlockFn = void (*)(size_t, const float*, const uint32_t*,
+                                const int32_t*, const float*, size_t, bool,
+                                float*);
+
+// The block after the last whole 64 columns: 1 to 7 vectors.
+constexpr SpmmRowBlockFn kSpmmRowBlockByVecs[7] = {
+    SpmmRowBlockAvx2<1>, SpmmRowBlockAvx2<2>, SpmmRowBlockAvx2<3>,
+    SpmmRowBlockAvx2<4>, SpmmRowBlockAvx2<5>, SpmmRowBlockAvx2<6>,
+    SpmmRowBlockAvx2<7>,
+};
+
+// The last `n` < 8 columns, folded as axpy2's and axpy's scalar tails fold
+// them (the same expressions, so GCC contracts them the same way), with a
+// skipped entry of a pair reading 0.
+void SpmmRowTailAvx2(size_t nnz, const float* values, const uint32_t* cols,
+                     const int32_t* remap, const float* dense, size_t d,
+                     size_t n, bool accumulate, float* out) {
+  float acc[8];
+  for (size_t i = 0; i < n; ++i) acc[i] = accumulate ? out[i] : 0.0f;
+  size_t e = 0;
+  for (; e + 2 <= nnz; e += 2) {
+    const float* x0 = SpmmEntryRow(e, cols, remap, dense, d);
+    const float* x1 = SpmmEntryRow(e + 1, cols, remap, dense, d);
+    if (x0 == nullptr && x1 == nullptr) continue;
+    const float a0 = values[e];
+    const float a1 = values[e + 1];
+    for (size_t i = 0; i < n; ++i) {
+      const float v0 = x0 != nullptr ? x0[i] : 0.0f;
+      const float v1 = x1 != nullptr ? x1[i] : 0.0f;
+      acc[i] += a0 * v0 + a1 * v1;
+    }
+  }
+  if (e < nnz) {
+    if (const float* x = SpmmEntryRow(e, cols, remap, dense, d)) {
+      const float a = values[e];
+      for (size_t i = 0; i < n; ++i) acc[i] += a * x[i];
+    }
+  }
+  for (size_t i = 0; i < n; ++i) out[i] = acc[i];
+}
+
+// The output row stays in registers while every entry streams past: blocks
+// of 64 columns (8 accumulators), then one block of the remaining whole
+// vectors, then the scalar tail.
+void SpmmRowAvx2(size_t nnz, const float* values, const uint32_t* cols,
+                 const int32_t* remap, const float* dense, size_t d,
+                 bool accumulate, float* out) {
+  size_t c = 0;
+  for (; c + 64 <= d; c += 64) {
+    SpmmRowBlockAvx2<8>(nnz, values, cols, remap, dense + c, d, accumulate,
+                        out + c);
+  }
+  const size_t vecs = (d - c) / 8;
+  if (vecs > 0) {
+    kSpmmRowBlockByVecs[vecs - 1](nnz, values, cols, remap, dense + c, d,
+                                  accumulate, out + c);
+    c += 8 * vecs;
+  }
+  if (c < d) {
+    SpmmRowTailAvx2(nnz, values, cols, remap, dense + c, d, d - c, accumulate,
+                    out + c);
+  }
+}
+
 float DotAvx2(size_t n, const float* a, const float* b) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
@@ -319,9 +442,10 @@ void TanhAvx2(size_t n, const float* x, float* y) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    "avx2",        kLevelAvx2, AxpyAvx2,      Axpy2Avx2,
-    DotAvx2,       ScaleAvx2,  ReduceMaxAvx2, ScoreBlockAvx2,
-    GemmTileAvx2,  TanhAvx2,   RmsPropAvx2,
+    "avx2",        kLevelAvx2,    AxpyAvx2,
+    Axpy2Avx2,     SpmmRowAvx2,   DotAvx2,
+    ScaleAvx2,     ReduceMaxAvx2, ScoreBlockAvx2,
+    GemmTileAvx2,  TanhAvx2,      RmsPropAvx2,
 };
 
 }  // namespace

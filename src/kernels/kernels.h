@@ -2,6 +2,7 @@
 #define HOSR_KERNELS_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace hosr::kernels {
 
@@ -39,10 +40,28 @@ struct KernelTable {
   // y[i] += alpha * x[i] for i in [0, n).
   void (*axpy)(size_t n, float alpha, const float* x, float* y);
 
-  // y[i] += a0 * x0[i] + a1 * x1[i] — one pass over y; the 2-way unrolled
-  // rank-1 update the SpMM gather uses to halve the y load/store traffic.
+  // y[i] += a0 * x0[i] + a1 * x1[i] — one pass over y. Its pair order is
+  // the one spmm_row keeps.
   void (*axpy2)(size_t n, float a0, const float* x0, float a1,
                 const float* x1, float* y);
+
+  // One CSR row times a dense matrix, the gather under graph::Spmm. For
+  // c in [0, d):
+  //   out[c] (+)= sum over e = 0, 1, ..., nnz-1 of values[e] * x_e[c]
+  // where x_e is row cols[e] of `dense` (row-major, stride d), or row
+  // remap[cols[e]] when `remap` is not null; an entry whose remap value is
+  // negative is skipped. Without `accumulate`, out is written without
+  // being read. Each element folds its terms as axpy2 over consecutive
+  // pairs of entries and axpy over an odd last one would, so the result is
+  // bit-equal to that chain with every skipped entry reading a zero row:
+  // the SIMD table's body is one FMA per term and drops a skipped term; the
+  // scalar table and the SIMD column tail (d mod 8) keep the pairs, fold
+  // a pair with one skipped entry as a * x + b * 0, and drop a pair with
+  // both skipped. Dropping a term differs from folding its zero only in
+  // the sign of an output that starts, with `accumulate`, at -0.
+  void (*spmm_row)(size_t nnz, const float* values, const uint32_t* cols,
+                   const int32_t* remap, const float* dense, size_t d,
+                   bool accumulate, float* out);
 
   // Returns sum_i a[i] * b[i].
   float (*dot)(size_t n, const float* a, const float* b);

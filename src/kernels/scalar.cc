@@ -3,8 +3,10 @@
 // any platform and any compiler that honors IEEE float semantics — this is
 // the table HOSR_FORCE_SCALAR pins and the baseline the SIMD tables are
 // tested against.
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 
 #include "kernels/kernels.h"
 
@@ -18,6 +20,37 @@ void AxpyScalar(size_t n, float alpha, const float* x, float* y) {
 void Axpy2Scalar(size_t n, float a0, const float* x0, float a1,
                  const float* x1, float* y) {
   for (size_t i = 0; i < n; ++i) y[i] += a0 * x0[i] + a1 * x1[i];
+}
+
+// The pair chain of axpy2/axpy with each skipped entry (null row) reading
+// zeros: a pair with one skipped entry folds a * x + b * 0, and a pair with
+// both skipped, or a skipped odd last entry, is dropped.
+void SpmmRowScalar(size_t nnz, const float* values, const uint32_t* cols,
+                   const int32_t* remap, const float* dense, size_t d,
+                   bool accumulate, float* out) {
+  const auto row_of = [&](size_t e) -> const float* {
+    const int64_t row =
+        remap == nullptr ? static_cast<int64_t>(cols[e]) : remap[cols[e]];
+    return row < 0 ? nullptr : dense + static_cast<size_t>(row) * d;
+  };
+  if (!accumulate) std::fill(out, out + d, 0.0f);
+  size_t e = 0;
+  for (; e + 2 <= nnz; e += 2) {
+    const float* x0 = row_of(e);
+    const float* x1 = row_of(e + 1);
+    const float a0 = values[e];
+    const float a1 = values[e + 1];
+    if (x0 != nullptr && x1 != nullptr) {
+      Axpy2Scalar(d, a0, x0, a1, x1, out);
+    } else if (x0 != nullptr) {
+      for (size_t i = 0; i < d; ++i) out[i] += a0 * x0[i] + a1 * 0.0f;
+    } else if (x1 != nullptr) {
+      for (size_t i = 0; i < d; ++i) out[i] += a0 * 0.0f + a1 * x1[i];
+    }
+  }
+  if (e < nnz) {
+    if (const float* x = row_of(e)) AxpyScalar(d, values[e], x, out);
+  }
 }
 
 float DotScalar(size_t n, const float* a, const float* b) {
@@ -86,9 +119,10 @@ void RmsPropScalar(size_t n, float lr, float weight_decay, float decay,
 }
 
 constexpr KernelTable kScalarTable = {
-    "scalar",        kLevelScalar, AxpyScalar,      Axpy2Scalar,
-    DotScalar,       ScaleScalar,  ReduceMaxScalar, ScoreBlockScalar,
-    GemmTileScalar,  TanhScalar,   RmsPropScalar,
+    "scalar",        kLevelScalar,    AxpyScalar,
+    Axpy2Scalar,     SpmmRowScalar,   DotScalar,
+    ScaleScalar,     ReduceMaxScalar, ScoreBlockScalar,
+    GemmTileScalar,  TanhScalar,      RmsPropScalar,
 };
 
 }  // namespace

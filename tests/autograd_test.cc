@@ -202,6 +202,58 @@ TEST_F(AutogradTest, GradSpMM) {
       {x});
 }
 
+TEST_F(AutogradTest, GradSpMMRows) {
+  // The backward reads the transpose's rows in place and drops the columns
+  // outside `rows`. Its input is a Param leaf or an interior node, and its
+  // contribution to that input's gradient the first or a later one (the
+  // Hadamard, created after it, runs its backward first).
+  Param* x = MakeParam("x", 4, 3, 0.5f);
+  const graph::CsrMatrix sparse = graph::CsrMatrix::FromTriplets(
+      6, 4,
+      {{0, 0, 0.5f}, {0, 3, -1.0f}, {1, 1, 0.7f}, {2, 1, 2.0f},
+       {2, 2, -0.3f}, {3, 0, 1.1f}, {3, 3, 0.4f}, {5, 2, 1.5f}});
+  const graph::CsrMatrix sparse_t = sparse.Transpose();
+  for (const std::vector<uint32_t>& rows :
+       {std::vector<uint32_t>{0, 2, 5}, std::vector<uint32_t>{3},
+        std::vector<uint32_t>{0, 1, 2, 3, 4, 5}}) {
+    for (const bool interior : {false, true}) {
+      const auto input = [&](Tape* t) {
+        return interior ? t->Tanh(t->Param(x)) : t->Param(x);
+      };
+      ExpectGradsOk(
+          [&](Tape* t) {
+            return t->Sum(
+                t->Tanh(t->SpMMRows(&sparse, &sparse_t, rows, input(t))));
+          },
+          {x});
+      ExpectGradsOk(
+          [&](Tape* t) {
+            Value in = input(t);
+            Value y = t->SpMMRows(&sparse, &sparse_t, rows, in);
+            return t->Add(t->Sum(t->Tanh(y)), t->Sum(t->Hadamard(in, in)));
+          },
+          {x});
+    }
+  }
+}
+
+TEST(SpMMRowsDeathTest, RejectsUnsortedAndRepeatedRows) {
+  const graph::CsrMatrix sparse = graph::CsrMatrix::FromTriplets(
+      3, 2, {{0, 0, 1.0f}, {1, 1, 1.0f}, {2, 0, 1.0f}});
+  const graph::CsrMatrix sparse_t = sparse.Transpose();
+  ParamStore store;
+  Param* x = store.Create("x", 2, 2);
+  for (const std::vector<uint32_t>& rows :
+       {std::vector<uint32_t>{2, 1}, std::vector<uint32_t>{0, 1, 1}}) {
+    EXPECT_DEATH(
+        {
+          Tape tape;
+          tape.SpMMRows(&sparse, &sparse_t, rows, tape.Param(x));
+        },
+        "strictly ascending");
+  }
+}
+
 TEST_F(AutogradTest, GradGatherRows) {
   Param* x = MakeParam("x", 5, 3);
   const std::vector<uint32_t> idx{4, 0, 4, 2};  // repeats exercise scatter-add

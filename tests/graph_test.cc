@@ -182,44 +182,6 @@ TEST(SpmmTest, MatchesDenseMultiply) {
   EXPECT_TRUE(tensor::AllClose(fast, tensor::MatMul(sparse_dense, dense), 1e-5));
 }
 
-TEST(SpmmTest, TransposeMatchesExplicitTranspose) {
-  util::Rng rng(3);
-  std::vector<Triplet> triplets;
-  for (int i = 0; i < 40; ++i) {
-    triplets.push_back({static_cast<uint32_t>(rng.UniformInt(6)),
-                        static_cast<uint32_t>(rng.UniformInt(8)),
-                        rng.Gaussian()});
-  }
-  const CsrMatrix sparse = CsrMatrix::FromTriplets(6, 8, triplets);
-  Matrix dense(6, 4);
-  tensor::GaussianInit(&dense, 1.0f, &rng);
-
-  Matrix via_scatter(8, 4);
-  SpmmTranspose(sparse, dense, &via_scatter);
-  const Matrix via_explicit = Spmm(sparse.Transpose(), dense);
-  EXPECT_TRUE(tensor::AllClose(via_scatter, via_explicit, 1e-5));
-}
-
-TEST(SpmmTest, TransposeMatchesExplicitTransposeLarge) {
-  // Large enough to cross the row-parallel grain and the axpy2-paired nnz
-  // loop with an odd remainder; covers the parallelized SpmmTranspose path.
-  util::Rng rng(11);
-  std::vector<Triplet> triplets;
-  for (int i = 0; i < 3000; ++i) {
-    triplets.push_back({static_cast<uint32_t>(rng.UniformInt(120)),
-                        static_cast<uint32_t>(rng.UniformInt(90)),
-                        rng.Gaussian()});
-  }
-  const CsrMatrix sparse = CsrMatrix::FromTriplets(120, 90, triplets);
-  Matrix dense(120, 17);
-  tensor::GaussianInit(&dense, 1.0f, &rng);
-
-  Matrix fast(90, 17);
-  SpmmTranspose(sparse, dense, &fast);
-  const Matrix reference = Spmm(sparse.Transpose(), dense);
-  EXPECT_TRUE(tensor::AllClose(fast, reference, 1e-5));
-}
-
 TEST(SpmmTest, TransposeBuildCounterIncrements) {
   auto& builds = HOSR_COUNTER("spmm/transpose_builds");
   const uint64_t before = builds.Get();
@@ -227,15 +189,50 @@ TEST(SpmmTest, TransposeBuildCounterIncrements) {
       CsrMatrix::FromTriplets(3, 4, {{0, 1, 1.0f}, {2, 3, 2.0f}});
   const CsrMatrix transposed = sparse.Transpose();
   EXPECT_EQ(builds.Get(), before + 1);
-  // SpmmTranspose materializes a transpose per call — exactly one build.
-  Matrix dense(3, 2, 1.0f);
-  Matrix out(4, 2);
-  SpmmTranspose(sparse, dense, &out);
-  EXPECT_EQ(builds.Get(), before + 2);
   // The forward Spmm never builds a transpose.
+  Matrix dense(3, 2, 1.0f);
   const Matrix fwd = Spmm(transposed, dense);
   EXPECT_EQ(fwd.rows(), 4u);
-  EXPECT_EQ(builds.Get(), before + 2);
+  EXPECT_EQ(builds.Get(), before + 1);
+}
+
+TEST(SpmmTest, CountersCountRowsAndEntriesMultiplied) {
+  // Row nnz: 2, 0, 3, 1 over 5 columns.
+  const CsrMatrix sparse = CsrMatrix::FromTriplets(
+      4, 5,
+      {{0, 0, 1.0f}, {0, 3, 2.0f}, {2, 1, 1.0f}, {2, 2, -1.0f},
+       {2, 4, 0.5f}, {3, 3, 3.0f}});
+  auto& rows_processed = HOSR_COUNTER("spmm/rows_processed");
+  auto& flops = HOSR_COUNTER("spmm/flops");
+  constexpr size_t d = 3;
+  const Matrix dense(5, d, 1.0f);
+
+  // The forward over rows {0, 3}: two rows, 2 + 1 entries.
+  const std::vector<uint32_t> rows = {0, 3};
+  Matrix out(2, d);
+  uint64_t rows_before = rows_processed.Get();
+  uint64_t flops_before = flops.Get();
+  SpmmInto(sparse, dense, &out, /*accumulate=*/false, &rows);
+  EXPECT_EQ(rows_processed.Get() - rows_before, 2u);
+  EXPECT_EQ(flops.Get() - flops_before, 2u * 3 * d);
+
+  // Its backward over the transpose (5 rows) keeps only the entries in
+  // the transpose's columns 0 and 3: 2 + 1 of its 6.
+  const CsrMatrix transposed = sparse.Transpose();
+  const std::vector<int32_t> remap = {0, -1, -1, 1};
+  Matrix grad(5, d);
+  rows_before = rows_processed.Get();
+  flops_before = flops.Get();
+  SpmmInto(transposed, out, &grad, /*accumulate=*/false, nullptr, &remap);
+  EXPECT_EQ(rows_processed.Get() - rows_before, 5u);
+  EXPECT_EQ(flops.Get() - flops_before, 2u * 3 * d);
+
+  // The full product counts every row and entry.
+  rows_before = rows_processed.Get();
+  flops_before = flops.Get();
+  const Matrix full = Spmm(sparse, dense);
+  EXPECT_EQ(rows_processed.Get() - rows_before, 4u);
+  EXPECT_EQ(flops.Get() - flops_before, 2u * 6 * d);
 }
 
 TEST(SpmmTest, EmptyRowsYieldZero) {

@@ -382,35 +382,41 @@ class HosrVariantTest : public ::testing::TestWithParam<
 
 TEST_P(HosrVariantTest, FullModelGradientsCheck) {
   const data::Dataset d = TinyDataset();
-  Hosr::Config config = VariantConfig();
-  config.embedding_dim = 3;
-  config.num_layers = 2;
-  config.graph_dropout = 0.0f;
-  config.embedding_dropout = 0.0f;
-  config.seed = 15;
-  Hosr model(d, config);
+  // At one layer the row-restricted last layer reads the user_emb leaf
+  // directly; at two it reads a full-graph layer.
+  for (const uint32_t num_layers : {1u, 2u}) {
+    Hosr::Config config = VariantConfig();
+    config.embedding_dim = 3;
+    config.num_layers = num_layers;
+    config.graph_dropout = 0.0f;
+    config.embedding_dropout = 0.0f;
+    config.seed = 15;
+    Hosr model(d, config);
 
-  // Distinct sorted users, then unsorted repeated users: the loss tail runs
-  // on the unique users and remaps the batch onto them.
-  const std::vector<data::BprBatch> batches = {
-      {{0, 2, 4}, {0, 3, 5}, {2, 1, 4}},
-      {{4, 0, 4, 2}, {5, 0, 0, 3}, {1, 2, 5, 4}},
-  };
+    // Distinct sorted users, then unsorted repeated users: the last layer
+    // and the loss tail run on the unique users and remap the batch onto
+    // them.
+    const std::vector<data::BprBatch> batches = {
+        {{0, 2, 4}, {0, 3, 5}, {2, 1, 4}},
+        {{4, 0, 4, 2}, {5, 0, 0, 3}, {1, 2, 5, 4}},
+    };
 
-  std::vector<autograd::Param*> params;
-  for (size_t i = 0; i < model.params()->size(); ++i) {
-    params.push_back(model.params()->at(i));
-  }
-  for (const data::BprBatch& batch : batches) {
-    const auto result = autograd::CheckGradients(
-        [&](autograd::Tape* tape) {
-          util::Rng rng(1);
-          return model.BuildLoss(tape, batch, &rng);
-        },
-        params, /*eps=*/2e-3, /*tolerance=*/0.1, /*zero_tol=*/1e-3);
-    EXPECT_TRUE(result.passed)
-        << "users " << batch.users.size() << ", worst: "
-        << result.worst_entry << " rel err: " << result.max_relative_error;
+    std::vector<autograd::Param*> params;
+    for (size_t i = 0; i < model.params()->size(); ++i) {
+      params.push_back(model.params()->at(i));
+    }
+    for (const data::BprBatch& batch : batches) {
+      const auto result = autograd::CheckGradients(
+          [&](autograd::Tape* tape) {
+            util::Rng rng(1);
+            return model.BuildLoss(tape, batch, &rng);
+          },
+          params, /*eps=*/2e-3, /*tolerance=*/0.1, /*zero_tol=*/1e-3);
+      EXPECT_TRUE(result.passed)
+          << num_layers << " layers, users " << batch.users.size()
+          << ", worst: " << result.worst_entry
+          << " rel err: " << result.max_relative_error;
+    }
   }
 }
 

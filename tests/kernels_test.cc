@@ -52,6 +52,7 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->name, nullptr);
     EXPECT_NE(t->axpy, nullptr);
     EXPECT_NE(t->axpy2, nullptr);
+    EXPECT_NE(t->spmm_row, nullptr);
     EXPECT_NE(t->dot, nullptr);
     EXPECT_NE(t->scale, nullptr);
     EXPECT_NE(t->reduce_max, nullptr);
@@ -354,6 +355,78 @@ TEST(KernelTanhTest, InPlaceAndTailMatchVectorBody) {
       for (size_t i = 0; i < part.size(); ++i) {
         EXPECT_EQ(part[i], whole[offset + i])
             << t->name << " offset " << offset << " i " << i;
+      }
+    }
+  }
+}
+
+// --- spmm_row: bit-equal to its own table's axpy2/axpy pair chain -----------
+
+// How an spmm_row case remaps its entries' dense rows.
+enum class RemapMode { kNone, kAllKept, kOddSkipped, kEvenSkipped, kAllSkipped };
+
+// A changed pair order, or a tail that the compiler contracts differently
+// from axpy2's, fails this. Entries use distinct columns, so each entry's
+// remap value decides whether it is skipped; a skipped entry reads a zero
+// row in the reference chain.
+TEST(KernelSpmmRowTest, BitEqualToPairChainOfSameTable) {
+  constexpr size_t kDenseRows = 16;
+  util::Rng rng(151);
+  for (const KernelTable* table : {&Scalar(), &Best()}) {
+    for (size_t d = 1; d <= 70; ++d) {
+      const auto dense = RandomVec(kDenseRows * d, &rng);
+      const std::vector<float> zeros(d, 0.0f);
+      for (size_t nnz = 0; nnz <= 9; ++nnz) {
+        std::vector<uint32_t> cols(nnz);
+        for (size_t e = 0; e < nnz; ++e) cols[e] = (e * 7 + 3) % kDenseRows;
+        const auto values = RandomVec(nnz, &rng);
+        for (const RemapMode mode :
+             {RemapMode::kNone, RemapMode::kAllKept, RemapMode::kOddSkipped,
+              RemapMode::kEvenSkipped, RemapMode::kAllSkipped}) {
+          std::vector<int32_t> remap(kDenseRows);
+          for (size_t c = 0; c < kDenseRows; ++c) {
+            remap[c] = static_cast<int32_t>((c * 5 + 1) % kDenseRows);
+          }
+          for (size_t e = 0; e < nnz; ++e) {
+            const bool skip = mode == RemapMode::kAllSkipped ||
+                              (mode == RemapMode::kOddSkipped && e % 2 == 1) ||
+                              (mode == RemapMode::kEvenSkipped && e % 2 == 0);
+            if (skip) remap[cols[e]] = -1;
+          }
+          const int32_t* remap_ptr =
+              mode == RemapMode::kNone ? nullptr : remap.data();
+          const auto row_of = [&](size_t e) {
+            const int64_t row = remap_ptr == nullptr
+                                    ? static_cast<int64_t>(cols[e])
+                                    : remap[cols[e]];
+            return row < 0 ? zeros.data()
+                           : dense.data() + static_cast<size_t>(row) * d;
+          };
+          for (const bool accumulate : {false, true}) {
+            const auto start = RandomVec(d, &rng);
+            std::vector<float> expected =
+                accumulate ? start : std::vector<float>(d, 0.0f);
+            size_t e = 0;
+            for (; e + 2 <= nnz; e += 2) {
+              table->axpy2(d, values[e], row_of(e), values[e + 1],
+                           row_of(e + 1), expected.data());
+            }
+            if (e < nnz) table->axpy(d, values[e], row_of(e), expected.data());
+            std::vector<float> actual =
+                accumulate ? start
+                           : std::vector<float>(
+                                 d, std::numeric_limits<float>::quiet_NaN());
+            table->spmm_row(nnz, values.data(), cols.data(), remap_ptr,
+                            dense.data(), d, accumulate, actual.data());
+            for (size_t i = 0; i < d; ++i) {
+              ASSERT_EQ(std::bit_cast<uint32_t>(expected[i]),
+                        std::bit_cast<uint32_t>(actual[i]))
+                  << table->name << " d=" << d << " nnz=" << nnz << " mode "
+                  << static_cast<int>(mode) << " accumulate=" << accumulate
+                  << " column " << i;
+            }
+          }
+        }
       }
     }
   }

@@ -158,15 +158,74 @@ TEST_P(SpmmPropertyTest, MatchesDensifiedMultiply) {
   }
   const Matrix expected = tensor::MatMul(densified, dense);
   EXPECT_TRUE(tensor::AllClose(graph::Spmm(sparse, dense), expected, 1e-3));
+}
 
-  // Transpose path agrees with the explicit transpose.
-  Matrix dense2(rows, d);
-  tensor::GaussianInit(&dense2, 1.0f, &rng);
-  Matrix scatter(cols, d);
-  graph::SpmmTranspose(sparse, dense2, &scatter);
-  EXPECT_TRUE(tensor::AllClose(scatter,
-                               graph::Spmm(sparse.Transpose(), dense2),
-                               1e-3));
+// The row-restricted product and the remapped product over the transpose
+// (the two halves of Tape::SpMMRows) against the full product, bit for bit,
+// from zero and accumulating. The forced-scalar rerun covers the scalar
+// table.
+TEST_P(SpmmPropertyTest, RowsAndRemapMatchFullProductBitForBit) {
+  util::Rng rng(GetParam() + 100);
+  const uint32_t rows = 5 + static_cast<uint32_t>(rng.UniformInt(60));
+  const uint32_t cols = 5 + static_cast<uint32_t>(rng.UniformInt(60));
+  const size_t nnz = rng.UniformInt(rows * cols / 2 + 1);
+  std::vector<graph::Triplet> triplets;
+  for (size_t i = 0; i < nnz; ++i) {
+    triplets.push_back({static_cast<uint32_t>(rng.UniformInt(rows)),
+                        static_cast<uint32_t>(rng.UniformInt(cols)),
+                        rng.Gaussian()});
+  }
+  const graph::CsrMatrix sparse =
+      graph::CsrMatrix::FromTriplets(rows, cols, triplets);
+  const graph::CsrMatrix transposed = sparse.Transpose();
+  const size_t d = 1 + rng.UniformInt(80);
+  Matrix dense(cols, d);
+  tensor::GaussianInit(&dense, 1.0f, &rng);
+  std::vector<uint32_t> chosen;
+  for (uint32_t r = 0; r < rows; ++r) {
+    if (rng.Bernoulli(0.3)) chosen.push_back(r);
+  }
+  const size_t row_bytes = d * sizeof(float);
+
+  for (const bool accumulate : {false, true}) {
+    // Forward: rows `chosen` of sparse * dense.
+    Matrix start(chosen.size(), d);
+    tensor::GaussianInit(&start, 1.0f, &rng);
+    Matrix full_start(rows, d);
+    for (size_t i = 0; i < chosen.size(); ++i) {
+      std::memcpy(full_start.row(chosen[i]), start.row(i), row_bytes);
+    }
+    Matrix restricted = start;
+    graph::SpmmInto(sparse, dense, &restricted, accumulate, &chosen);
+    Matrix full = full_start;
+    graph::SpmmInto(sparse, dense, &full, accumulate);
+    for (size_t i = 0; i < chosen.size(); ++i) {
+      EXPECT_EQ(std::memcmp(restricted.row(i), full.row(chosen[i]), row_bytes),
+                0)
+          << "row " << chosen[i] << " d=" << d << " accumulate=" << accumulate;
+    }
+
+    // Backward: sparse[chosen, :]^T * dy through the remap, against the
+    // transpose times dy scattered into zeroed rows.
+    Matrix dy(chosen.size(), d);
+    tensor::GaussianInit(&dy, 1.0f, &rng);
+    std::vector<int32_t> remap(rows, -1);
+    Matrix scattered(rows, d);
+    for (size_t i = 0; i < chosen.size(); ++i) {
+      remap[chosen[i]] = static_cast<int32_t>(i);
+      std::memcpy(scattered.row(chosen[i]), dy.row(i), row_bytes);
+    }
+    Matrix grad_start(cols, d);
+    tensor::GaussianInit(&grad_start, 1.0f, &rng);
+    Matrix remapped = grad_start;
+    graph::SpmmInto(transposed, dy, &remapped, accumulate, nullptr, &remap);
+    Matrix reference = grad_start;
+    graph::SpmmInto(transposed, scattered, &reference, accumulate);
+    EXPECT_EQ(std::memcmp(remapped.data(), reference.data(),
+                          remapped.size() * sizeof(float)),
+              0)
+        << "d=" << d << " accumulate=" << accumulate;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpmmPropertyTest, ::testing::Range(1, 11));
