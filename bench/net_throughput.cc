@@ -1,9 +1,10 @@
 // Loopback throughput of the hosr::net serving front end
-// (docs/SERVING.md "Network serving"): a NetServer over a tiny frozen
-// BprMf snapshot, hammered by persistent-connection clients replaying the
-// standard zipf-skewed top-10 stream, against the same stream driven
-// straight through the HardenedExecutor in process. Publishes wire QPS,
-// exact latency percentiles, and the wire-overhead ratio as gauges:
+// (docs/SERVING.md "Network serving"): a NetServer serving a tiny frozen
+// BprMf snapshot through a SnapshotManager (no result cache), hammered by
+// persistent-connection clients replaying the standard zipf-skewed top-10
+// stream, against the same stream driven straight through the manager's
+// Serve() in process. Publishes wire QPS, exact latency percentiles, and
+// the wire-overhead ratio as gauges:
 //
 //   bench/net_throughput/loopback_qps     queries/s over real TCP sockets
 //   bench/net_throughput/p50_us           wire round-trip percentiles
@@ -17,6 +18,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,8 +30,7 @@
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
-#include "serve/engine.h"
-#include "serve/hardened.h"
+#include "serve/reload.h"
 #include "serve/snapshot.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -89,9 +91,9 @@ double LoopbackQps(int port, const std::vector<net::StreamRequest>& requests,
   return static_cast<double>(completed.load()) / elapsed_s;
 }
 
-// The same stream through the executor with no sockets — the numerator of
-// the overhead ratio.
-double InProcessQps(const serve::HardenedExecutor& executor,
+// The same stream through the server's pipeline with no sockets — the
+// numerator of the overhead ratio.
+double InProcessQps(const serve::SnapshotManager& manager,
                     const std::vector<net::StreamRequest>& requests) {
   const size_t clients = NumClients();
   std::vector<std::thread> threads;
@@ -105,9 +107,9 @@ double InProcessQps(const serve::HardenedExecutor& executor,
       uint64_t done = 0;
       while (obs::NowNanos() - begin_ns < kMinPhaseNanos) {
         for (size_t i = begin; i < end; ++i) {
-          auto response =
-              executor.Execute(requests[i].user, requests[i].k, /*token=*/i);
-          HOSR_CHECK(response.ok());
+          const serve::SnapshotManager::Served served =
+              manager.Serve(requests[i].user, requests[i].k, /*token=*/i);
+          HOSR_CHECK(served.response.ok());
           ++done;
         }
       }
@@ -130,16 +132,24 @@ int main(int argc, char** argv) {
   models::BprMf model(kNumUsers, kNumItems, config);
   auto built = serve::BuildSnapshot(model);
   HOSR_CHECK(built.ok());
-  const serve::InferenceEngine engine(std::move(built).value());
-  const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
+  // SnapshotManager serves from a file, so the model goes through a temp
+  // artifact first.
+  const std::string artifact =
+      (std::filesystem::temp_directory_path() / "hosr_net_throughput_bench")
+          .string();
+  HOSR_CHECK(serve::SaveSnapshot(*built, artifact).ok());
+  serve::SnapshotManager::Options manager_options;
+  manager_options.path = artifact;
+  auto manager = serve::SnapshotManager::Create(std::move(manager_options),
+                                                std::move(built).value());
+  HOSR_CHECK(manager.ok()) << manager.status();
 
   const auto requests =
       net::SyntheticStream(kNumUsers, kNumRequests, kTopK, /*zipf=*/0.9,
                            /*seed=*/17);
 
   net::NetServer::Options options;
-  options.engine = &engine;
-  options.executor = &executor;
+  options.manager = manager->get();
   options.worker_threads = static_cast<int>(NumClients());
   net::NetServer server(options);
   HOSR_CHECK(server.Start().ok());
@@ -155,14 +165,16 @@ int main(int argc, char** argv) {
   const net::LatencySummary latency =
       net::SummarizeLatencies(&latencies_ns);
 
-  (void)InProcessQps(executor, requests);  // warmup
-  const double inproc_qps = InProcessQps(executor, requests);
+  (void)InProcessQps(**manager, requests);  // warmup
+  const double inproc_qps = InProcessQps(**manager, requests);
   const double ratio = loopback_qps > 0.0 ? inproc_qps / loopback_qps : 0.0;
 
   server.Stop();
   const net::NetServer::Stats stats = server.GetStats();
   HOSR_CHECK(stats.requests == stats.responses)
       << "drain dropped in-flight requests";
+  std::error_code ec;
+  std::filesystem::remove(artifact, ec);
 
   HOSR_GAUGE("bench/net_throughput/loopback_qps").Set(loopback_qps);
   HOSR_GAUGE("bench/net_throughput/p50_us").Set(latency.p50_us);

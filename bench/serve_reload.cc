@@ -1,12 +1,13 @@
 // Measures the serving-path cost of hot-reload readiness
 // (docs/ROBUSTNESS.md "Hot reload & overload control"): replays a
 // zipf-skewed single-user top-10 stream in interleaved off/on pairs —
-// a pinned engine + executor vs a SnapshotManager with its mtime watcher
+// an engine + executor called directly, without Acquire(), vs the
+// SnapshotManager::Serve() request path with the manager's mtime watcher
 // polling, where every request pays the RCU Acquire() (one atomic
 // shared_ptr load) before executing — and publishes the median QPS of each
 // side plus their ratio as gauges. The acceptance bar is parity: the
-// manager-armed replay must stay within a few percent of static serving
-// (the ISSUE gate is <5% QPS overhead).
+// manager-armed replay must stay within a few percent of the direct
+// executor (<5% QPS overhead).
 //
 // Run via run_benches.sh (picked up like every bench) or directly:
 //   ./build/bench/serve_reload --metrics_out=bench_metrics/serve_reload.json
@@ -56,8 +57,9 @@ uint32_t SampleUser(util::Rng* rng, uint32_t num_users, double s) {
 
 // Replays the 4k stream across NumClients() threads, looping until the
 // phase has run for at least kMinPhaseNanos. `acquire` is the per-request
-// entry point under test: the static side returns a pinned executor, the
-// reload side does manager->Acquire() exactly as net::NetServer does.
+// entry point under test: the static side calls the executor directly, the
+// reload side calls SnapshotManager::Serve() exactly as net::NetServer
+// does.
 constexpr int64_t kMinPhaseNanos = 500'000'000;
 
 template <typename AcquireFn>
@@ -108,8 +110,8 @@ int main(int argc, char** argv) {
   HOSR_CHECK(built.ok());
   const serve::ModelSnapshot snapshot = std::move(built).value();
 
-  // Static side: the pre-reload serving stack, pinned for the process
-  // lifetime, exactly what hosr_serve builds with --reload=0.
+  // Static side: an engine + executor pinned for the process lifetime and
+  // called without Acquire() — the serving cost with hot swap taken out.
   const serve::InferenceEngine engine(snapshot, &dataset.interactions);
   const serve::HardenedExecutor executor(&engine, serve::HardenedOptions{});
 
@@ -142,9 +144,7 @@ int main(int argc, char** argv) {
   };
   const auto reload_replay = [&] {
     return ReplayQps(requests, [&](uint32_t user, size_t i) {
-      const std::shared_ptr<const serve::ServingState> state =
-          (*manager)->Acquire();
-      return state->executor().Execute(user, 10, /*token=*/i);
+      return (*manager)->Serve(user, 10, /*token=*/i).response;
     });
   };
 

@@ -38,15 +38,8 @@ std::string ErrorResponseFrame(const util::Status& status) {
 }  // namespace
 
 NetServer::NetServer(Options options) : options_(options) {
-  HOSR_CHECK(options_.engine != nullptr || options_.manager != nullptr)
-      << "NetServer needs an engine or a snapshot manager";
-  HOSR_CHECK(options_.executor != nullptr || options_.batcher != nullptr ||
-             options_.manager != nullptr)
-      << "NetServer needs an executor, a batcher, or a snapshot manager";
-  // The batcher holds one fixed engine for its lifetime; it cannot follow
-  // a hot swap.
-  HOSR_CHECK(options_.batcher == nullptr || options_.manager == nullptr)
-      << "NetServer cannot combine a batcher with a snapshot manager";
+  HOSR_CHECK(options_.manager != nullptr)
+      << "NetServer needs a snapshot manager";
   HOSR_CHECK(options_.worker_threads > 0);
 }
 
@@ -300,28 +293,16 @@ bool NetServer::ServeOneFrame(int fd) {
   HOSR_COUNTER("net/bytes_read")
       .Increment(kFrameHeaderSize + frame->payload.size());
 
-  // One atomic load pins this frame's serving generation: everything below
-  // — ranking, fallback, scores, cache key — comes from this state even if
-  // a hot swap lands mid-request. The shared_ptr keeps the old engine
-  // alive until the response is on the wire.
-  std::shared_ptr<const serve::ServingState> state;
-  const serve::InferenceEngine* engine = options_.engine;
-  const serve::HardenedExecutor* executor = options_.executor;
-  uint64_t generation = 0;
-  if (options_.manager != nullptr) {
-    state = options_.manager->Acquire();
-    engine = &state->engine();
-    executor = &state->executor();
-    generation = state->version();
-  }
-
   switch (static_cast<FrameType>(frame->type)) {
     case FrameType::kInfo: {
+      const std::shared_ptr<const serve::ServingState> state =
+          options_.manager->Acquire();
+      const serve::InferenceEngine& engine = state->engine();
       ServerInfo info;
-      info.num_users = engine->num_users();
-      info.num_items = engine->num_items();
-      info.dim = engine->dim();
-      info.model_name = engine->snapshot().model_name;
+      info.num_users = engine.num_users();
+      info.num_items = engine.num_items();
+      info.dim = engine.dim();
+      info.model_name = engine.snapshot().model_name;
       return WriteResponseFrame(
           fd, EncodeFrame(FrameType::kInfoReply,
                                 EncodeServerInfo(info)));
@@ -345,7 +326,9 @@ bool NetServer::ServeOneFrame(int fd) {
     return false;
   }
 
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  // This request's 1-based position in the server's request stream.
+  const uint64_t request_number =
+      requests_.fetch_add(1, std::memory_order_relaxed) + 1;
   HOSR_COUNTER("net/requests").Increment();
   const int64_t begin_ns = obs::NowNanos();
 
@@ -367,61 +350,41 @@ bool NetServer::ServeOneFrame(int fd) {
   // The wire trace id scopes every span/exemplar this request produces —
   // and doubles as the fault token, so injected engine outcomes are a pure
   // function of the request stream, independent of which worker runs it.
+  // Untraced requests draw their token from their own request number.
   const obs::ScopedRequestContext request_scope(
       obs::RequestContext{request->trace_id, request->user, request->k});
-  const uint64_t token = request->trace_id != 0
-                             ? request->trace_id
-                             : requests_.load(std::memory_order_relaxed);
+  const uint64_t token =
+      request->trace_id != 0 ? request->trace_id : request_number;
   const serve::Deadline deadline =
       request->deadline_ms > 0
           ? std::chrono::steady_clock::now() +
                 std::chrono::milliseconds(request->deadline_ms)
           : serve::kNoDeadline;
 
-  util::StatusOr<serve::ServeResponse> served =
-      util::Status::Internal("unreached");
-  bool from_cache = false;
-  {
+  serve::SnapshotManager::Served served = [&] {
     HOSR_TRACE_SPAN("net/request");
-    if (options_.batcher != nullptr) {
-      served = options_.batcher->Submit(request->user, request->k, deadline)
-                   .get();
-    } else {
-      if (options_.cache != nullptr) {
-        if (auto hit =
-                options_.cache->Get(request->user, request->k, generation)) {
-          served = serve::ServeResponse{std::move(*hit), /*degraded=*/false};
-          from_cache = true;
-        }
-      }
-      if (!from_cache) {
-        served = executor->Execute(request->user, request->k, token,
+    return options_.manager->Serve(request->user, request->k, token,
                                    deadline);
-        if (served.ok() && !served->degraded && options_.cache != nullptr) {
-          options_.cache->Put(request->user, request->k, served->items,
-                              generation);
-        }
-      }
-    }
-  }
+  }();
   if (options_.breaker != nullptr) {
-    options_.breaker->ReportOutcome(/*failed=*/!served.ok());
+    options_.breaker->ReportOutcome(/*failed=*/!served.response.ok());
   }
 
   QueryResponse response;
-  if (served.ok()) {
+  if (served.response.ok()) {
     response.status_code = static_cast<uint32_t>(util::StatusCode::kOk);
-    if (from_cache) response.flags |= kResponseFromCache;
-    if (served->degraded) response.flags |= kResponseDegraded;
-    response.items = std::move(served->items);
+    if (served.from_cache) response.flags |= kResponseFromCache;
+    if (served.response->degraded) response.flags |= kResponseDegraded;
+    response.items = std::move(served.response->items);
+    const serve::ModelSnapshot& snapshot = served.state->engine().snapshot();
     response.scores.reserve(response.items.size());
     for (const uint32_t item : response.items) {
-      response.scores.push_back(
-          engine->snapshot().Score(request->user, item));
+      response.scores.push_back(snapshot.Score(request->user, item));
     }
   } else {
-    response.status_code = static_cast<uint32_t>(served.status().code());
-    response.message = served.status().message();
+    response.status_code =
+        static_cast<uint32_t>(served.response.status().code());
+    response.message = served.response.status().message();
   }
   HOSR_HISTOGRAM("net/request_latency_ms")
       .Observe(static_cast<double>(obs::NowNanos() - begin_ns) / 1e6);

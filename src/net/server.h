@@ -10,10 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "serve/batcher.h"
-#include "serve/cache.h"
-#include "serve/engine.h"
-#include "serve/hardened.h"
 #include "serve/overload.h"
 #include "serve/reload.h"
 #include "util/status.h"
@@ -30,18 +26,18 @@ namespace hosr::net {
 //
 // Request path: a kQuery frame's deadline_ms becomes an absolute deadline
 // at decode time and the request runs under obs::ScopedRequestContext
-// (trace_id from the wire) through either the RequestBatcher (when
-// configured) or the ResultCache + HardenedExecutor — the same pipeline
-// the in-process replay drives, so network answers are bit-identical to
-// InferenceEngine::TopKForUser. Response scores come from
-// ModelSnapshot::Score over the returned ids.
+// (trace_id from the wire) through SnapshotManager::Serve — result cache,
+// then the active state's HardenedExecutor — the same pipeline the
+// in-process replay drives, so network answers are bit-identical to
+// InferenceEngine::TopKForUser. Response scores come from the serving
+// state's ModelSnapshot::Score over the returned ids.
 //
 // Overload: when the pending queue is at max_pending_conns (or the
 // net.accept fault point fires) the acceptor sheds the connection on the
 // wire — one ResourceExhausted response frame, then close — so remote
-// clients see admission control as a clean status, exactly like the
-// batcher's queue shedding. Two adaptive layers stack on top of that
-// fixed bound (docs/ROBUSTNESS.md "Hot reload & overload control"):
+// clients see admission control as a clean status. Two adaptive layers
+// stack on top of that fixed bound (docs/ROBUSTNESS.md "Hot reload &
+// overload control"):
 //   - queue-delay admission: the acceptor tracks a QueueDelayEwma of how
 //     long claimed connections actually waited for a worker; when the
 //     smoothed wait exceeds max_queue_delay_ms, new connections shed at
@@ -55,11 +51,11 @@ namespace hosr::net {
 //     a sustained failure storm trips it into fast-fail until half-open
 //     probes prove the backend recovered.
 //
-// Hot swap: with Options::manager set, every frame acquires the current
-// ServingState (one atomic shared_ptr load) and serves entirely from that
-// state's engine + executor; the cache is keyed by the state's snapshot
-// version. A snapshot swap between two frames of one connection is
-// seamless — the in-flight frame finishes on the state it acquired.
+// Hot swap: every frame acquires the manager's current ServingState (one
+// atomic shared_ptr load) and serves entirely from that state's engine +
+// executor; the manager's cache is keyed by the state's snapshot version.
+// A snapshot swap between two frames of one connection is seamless — the
+// in-flight frame finishes on the state it acquired.
 //
 // Graceful drain: Stop() refuses new accepts, completes (and answers)
 // every request already read off a socket, lets each worker finish the
@@ -87,18 +83,8 @@ class NetServer {
     int read_timeout_ms = 30000;
     int write_timeout_ms = 10000;
 
-    // Serving pipeline (all borrowed, must outlive the server). Exactly
-    // one of batcher/executor is used per request: batcher when non-null,
-    // else cache (optional) + executor.
-    const serve::InferenceEngine* engine = nullptr;   // required unless manager
-    const serve::HardenedExecutor* executor = nullptr;  // required unless batcher/manager
-    serve::RequestBatcher* batcher = nullptr;
-    serve::ResultCache* cache = nullptr;
-
-    // Hot-swap source: when set, every frame serves from
-    // manager->Acquire() instead of the fixed engine/executor (which may
-    // then be null). Incompatible with batcher, which holds a fixed
-    // engine for its lifetime.
+    // The serving pipeline every frame runs through; required, borrowed,
+    // must outlive the server.
     const serve::SnapshotManager* manager = nullptr;
 
     // Per-request circuit breaker; null disables. Borrowed.

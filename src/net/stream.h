@@ -51,8 +51,8 @@ struct LatencySummary {
 LatencySummary SummarizeLatencies(std::vector<int64_t>* ns);
 
 // Per-thread outcome tally, summed after the replay joins. Both drivers
-// count with it, so "shed" means ResourceExhausted whether it came from the
-// batcher queue or the network accept queue.
+// count with it; "shed" means ResourceExhausted (the network accept queue,
+// queue-delay admission or the circuit breaker).
 struct Outcomes {
   uint64_t ok = 0;
   uint64_t degraded = 0;

@@ -6,7 +6,7 @@
 namespace hosr::obs {
 
 // Request-scoped identity, threaded from the serving front end through
-// every stage that works on the request's behalf (batcher queue, engine
+// every stage that works on the request's behalf (result cache, engine
 // scoring, hardened retry pipeline). A nonzero `trace_id` stamps every
 // span recorded while the context is installed and fills histogram
 // exemplar slots, so a p99 outlier in `serve/request_latency_ms` can be

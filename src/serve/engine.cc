@@ -133,10 +133,6 @@ std::vector<std::vector<uint32_t>> InferenceEngine::TopKBatch(
     const std::vector<uint32_t>& users, uint32_t k) const {
   HOSR_TRACE_SPAN("serve/topk_batch");
   std::vector<std::vector<uint32_t>> results(users.size());
-  const size_t users_per_chunk =
-      options_.min_users_per_chunk > 0
-          ? options_.min_users_per_chunk
-          : util::GrainFor(static_cast<size_t>(num_items()) * dim());
   util::ParallelFor(
       0, users.size(),
       [&](size_t begin, size_t end) {
@@ -144,7 +140,7 @@ std::vector<std::vector<uint32_t>> InferenceEngine::TopKBatch(
           results[i] = TopKForUser(users[i], k);
         }
       },
-      users_per_chunk);
+      util::GrainFor(static_cast<size_t>(num_items()) * dim()));
   HOSR_HISTOGRAM("serve/batch_size").Observe(static_cast<double>(users.size()));
   return results;
 }

@@ -24,10 +24,6 @@ struct EngineOptions {
   // Items are scored in blocks of this many rows so the per-query score
   // scratch stays cache-resident even for catalogs in the millions.
   uint32_t item_block = 2048;
-  // Minimum users per thread-pool chunk in TopKBatch. 0 (the default)
-  // sizes the chunk with util::GrainFor from the per-user scoring work
-  // (num_items * dim); set explicitly to override the heuristic.
-  size_t min_users_per_chunk = 0;
 };
 
 // Answers top-K queries over a frozen ModelSnapshot: a blocked GEMV over
@@ -35,7 +31,8 @@ struct EngineOptions {
 // selection, so offline and served rankings agree exactly), with the
 // user's already-consumed training items filtered out. Stateless per query
 // and safe to call from any number of threads concurrently; TopKBatch
-// additionally shards a batch across util::ThreadPool::Global().
+// additionally shards a batch across util::ThreadPool::Global(), in chunks
+// that util::GrainFor sizes from the per-user work (num_items * dim).
 class InferenceEngine {
  public:
   // `seen` (optional) supplies per-user items to exclude from results —

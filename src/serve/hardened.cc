@@ -62,29 +62,18 @@ util::StatusOr<ServeResponse> HardenedExecutor::Execute(
 }
 
 util::StatusOr<ServeResponse> HardenedExecutor::ExecuteInternal(
-    uint32_t user, uint32_t k, uint64_t token,
-    Deadline request_deadline) const {
-  Deadline wall_deadline =
-      options_.use_wall_clock && options_.deadline_ms > 0.0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<Deadline::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        options_.deadline_ms))
-          : kNoDeadline;
-
+    uint32_t user, uint32_t k, uint64_t token, Deadline deadline) const {
   RetryPolicy::Options retry_options = options_.retry;
   if (options_.deadline_ms > 0.0) {
     retry_options.budget_ms = options_.deadline_ms;
   }
-  if (request_deadline != kNoDeadline) {
-    // Per-request deadline (the network path): enforce against the wall
-    // clock regardless of the options-level mode, and charge the retry
-    // budget against the time actually remaining, never more than the
-    // configured budget.
-    wall_deadline = std::min(wall_deadline, request_deadline);
+  if (deadline != kNoDeadline) {
+    // Per-request deadline (the network path): enforce it against the
+    // wall clock in the engine, and charge the retry budget against the
+    // time actually remaining, never more than the configured budget.
     const double remaining_ms =
-        std::chrono::duration<double, std::milli>(request_deadline -
-                                                  std::chrono::steady_clock::now())
+        std::chrono::duration<double, std::milli>(
+            deadline - std::chrono::steady_clock::now())
             .count();
     if (remaining_ms <= 0.0) {
       HOSR_COUNTER("serve/deadline_exceeded").Increment();
@@ -101,7 +90,7 @@ util::StatusOr<ServeResponse> HardenedExecutor::ExecuteInternal(
   bool engine_deadline_spent = false;
   for (int attempt = 0;; ++attempt) {
     auto result = engine_->TryTopKForUser(
-        user, k, wall_deadline,
+        user, k, deadline,
         token * kMaxAttemptsPerRequest + static_cast<uint64_t>(attempt));
     if (result.ok()) {
       return ServeResponse{std::move(result).value(), /*degraded=*/false};

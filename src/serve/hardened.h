@@ -25,16 +25,11 @@ struct HardenedOptions {
   const DegradedRanker* degraded = nullptr;
   // Seeds the per-request retry jitter streams.
   uint64_t seed = 1;
-  // When true the deadline is also enforced against the wall clock (the
-  // engine sees an absolute deadline and queue-expired requests fail
-  // fast). When false only the deterministic budget accounting below
-  // applies — the mode fault-injection tests run in, so outcome counts are
-  // bit-reproducible across runs (docs/ROBUSTNESS.md).
-  bool use_wall_clock = false;
 };
 
-// Per-request hardening pipeline shared by the RequestBatcher and the
-// hosr_serve replay driver. One Execute() call is one request:
+// Per-request hardening pipeline; each ServingState owns one, and
+// SnapshotManager::Serve runs it on every cache miss. One Execute() call is
+// one request:
 //
 //   1. deadline gate — an already-expired request fails fast with
 //      DeadlineExceeded (never reaches the engine);
@@ -57,8 +52,10 @@ struct HardenedOptions {
 // the flight recorder on deadline-exceeded so bursts trigger a dump.
 //
 // Determinism: the retry schedule is seeded by (seed, token) and fault
-// decisions by (fault seed, token, attempt), so with use_wall_clock off a
-// request's outcome is a pure function of its token.
+// decisions by (fault seed, token, attempt). An options-level deadline_ms
+// is charged against the retry budget only, never read off the wall clock,
+// so a request without a per-request deadline has an outcome that is a
+// pure function of its token (docs/ROBUSTNESS.md).
 class HardenedExecutor {
  public:
   // `engine` (and `options.degraded`, when set) must outlive the executor.

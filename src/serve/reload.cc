@@ -84,6 +84,29 @@ std::shared_ptr<const ServingState> SnapshotManager::Acquire() const {
   return active_.load(std::memory_order_acquire);
 }
 
+SnapshotManager::Served SnapshotManager::Serve(uint32_t user, uint32_t k,
+                                               uint64_t token,
+                                               Deadline deadline) const {
+  // One atomic load pins the request's generation: ranking, fallback,
+  // cache key and (in the caller) scores all come from this state even if
+  // a swap lands mid-request.
+  std::shared_ptr<const ServingState> state = Acquire();
+  ResultCache* const cache = options_.cache;
+  if (cache != nullptr) {
+    if (auto hit = cache->Get(user, k, state->version())) {
+      return Served{std::move(state),
+                    ServeResponse{std::move(*hit), /*degraded=*/false},
+                    /*from_cache=*/true};
+    }
+  }
+  util::StatusOr<ServeResponse> response =
+      state->executor().Execute(user, k, token, deadline);
+  if (cache != nullptr && response.ok() && !response->degraded) {
+    cache->Put(user, k, response->items, state->version());
+  }
+  return Served{std::move(state), std::move(response), /*from_cache=*/false};
+}
+
 util::Status SnapshotManager::ReloadNow(const std::string& path) {
   std::lock_guard<std::mutex> lock(reload_mutex_);
   return ReloadLocked(path.empty() ? options_.path : path, std::nullopt);
@@ -261,6 +284,17 @@ void SnapshotManager::WatchLoop(std::string baseline) {
 
 SnapshotManager::Stats SnapshotManager::GetStats() const {
   std::lock_guard<std::mutex> lock(reload_mutex_);
+  return StatsLocked();
+}
+
+void SnapshotManager::SetReloadListener(
+    std::function<void(const Stats&)> listener) {
+  std::lock_guard<std::mutex> lock(reload_mutex_);
+  listener_ = std::move(listener);
+  NotifyListenerLocked();
+}
+
+SnapshotManager::Stats SnapshotManager::StatsLocked() const {
   Stats stats;
   const std::shared_ptr<const ServingState> state =
       active_.load(std::memory_order_acquire);
@@ -275,27 +309,8 @@ SnapshotManager::Stats SnapshotManager::GetStats() const {
   return stats;
 }
 
-void SnapshotManager::SetReloadListener(
-    std::function<void(const Stats&)> listener) {
-  std::lock_guard<std::mutex> lock(reload_mutex_);
-  listener_ = std::move(listener);
-  NotifyListenerLocked();
-}
-
 void SnapshotManager::NotifyListenerLocked() {
-  if (!listener_) return;
-  Stats stats;
-  const std::shared_ptr<const ServingState> state =
-      active_.load(std::memory_order_acquire);
-  if (state != nullptr) {
-    stats.active_version = state->version();
-    stats.active_path = state->path();
-    stats.active_load_unix_s = state->load_unix_s();
-  }
-  stats.reloads_ok = reloads_ok_;
-  stats.reloads_rejected = reloads_rejected_;
-  stats.reject_streak = reject_streak_;
-  listener_(stats);
+  if (listener_) listener_(StatsLocked());
 }
 
 }  // namespace hosr::serve

@@ -54,11 +54,13 @@ class ServingState {
 
 // Zero-downtime snapshot hot-swap (docs/ROBUSTNESS.md "Hot reload &
 // overload control"): owns an RCU-style atomic shared_ptr to the active
-// ServingState. Request threads Acquire() the current state — one atomic
-// shared_ptr load — and serve entirely from it; ReloadNow() (admin
-// POST /reloadz) or the mtime watcher loads and validates a candidate OFF
-// the serving threads, then swaps the pointer. In-flight requests finish on
-// the state they acquired; every later Acquire() sees the new one.
+// ServingState and is the one serving pipeline. Each request runs through
+// Serve(), which acquires the current state — one atomic shared_ptr load —
+// and answers entirely from it; ReloadNow() (admin POST /reloadz) or the
+// mtime watcher loads and validates a candidate OFF the serving threads,
+// then swaps the pointer. In-flight requests finish on the state they
+// acquired; every later request sees the new one. A pinned snapshot is a
+// manager whose watcher is never started.
 //
 // Validation gate, in order, all failures rolling back to the active state:
 //   1. snapshot.load fault point (chaos hook for the soak harness);
@@ -97,7 +99,8 @@ class SnapshotManager {
     // Watcher poll cadence; <= 0 leaves the watcher off even if
     // StartWatcher() is called.
     double poll_interval_s = 0.5;
-    // Generation-advanced on every swap, borrowed; may be null.
+    // Result cache that Serve() reads and fills, generation-advanced on
+    // every swap; borrowed, may be null (no caching).
     ResultCache* cache = nullptr;
   };
 
@@ -122,8 +125,26 @@ class SnapshotManager {
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
   // The RCU read side: the current state, kept alive at least as long as
-  // the returned pointer. One atomic shared_ptr load; call per request.
+  // the returned pointer. One atomic shared_ptr load.
   std::shared_ptr<const ServingState> Acquire() const;
+
+  // One request's answer and the generation that produced it.
+  struct Served {
+    // The state the request ran on; the response's scores come from its
+    // snapshot, which stays alive as long as this pointer.
+    std::shared_ptr<const ServingState> state;
+    util::StatusOr<ServeResponse> response;
+    bool from_cache = false;
+  };
+
+  // The request path of every front end (net::NetServer, hosr_serve's
+  // replay): acquires the active state, answers (user, k) from
+  // options.cache under that state's version, and on a miss runs the
+  // state's HardenedExecutor with `token` (the request's fault and retry
+  // identity) and `deadline`, caching the answer unless it is degraded.
+  // Thread-safe.
+  Served Serve(uint32_t user, uint32_t k, uint64_t token,
+               Deadline deadline = kNoDeadline) const;
 
   // Loads + validates + swaps synchronously (empty `path` reloads
   // options.path). Serialized against other reloads and the watcher; on
@@ -161,6 +182,8 @@ class SnapshotManager {
   // StartWatcher(), so a replace that lands before the thread first runs
   // still registers as a change.
   void WatchLoop(std::string baseline);
+  // Caller holds reload_mutex_.
+  Stats StatsLocked() const;
   void NotifyListenerLocked();
 
   Options options_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,13 +16,15 @@
 #include "net/socket.h"
 #include "net/stream.h"
 #include "net/wire.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
+#include "serve/reload.h"
 #include "serve/snapshot.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace hosr::net {
 namespace {
@@ -249,7 +253,10 @@ TEST(StreamTest, LatencySummaryPercentilesAreExact) {
 // --- live server -------------------------------------------------------------
 
 // One tiny frozen model shared by every server test: deterministic factors
-// (BprMf's init is seeded), no seen-item filtering, dim 6.
+// (BprMf's init is seeded), no seen-item filtering, dim 6. The server
+// serves it through a SnapshotManager over a saved copy (default
+// HardenedOptions, no degraded fallback); `engine_` is the in-memory
+// reference its answers are compared with.
 class NetServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -259,24 +266,47 @@ class NetServerTest : public ::testing::Test {
     models::BprMf model(/*num_users=*/40, /*num_items=*/60, config);
     auto snapshot = serve::BuildSnapshot(model);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    // The pid keeps this suite and its forced-scalar rerun, which ctest
+    // may run at the same time, off each other's files.
+    path_ = (std::filesystem::temp_directory_path() /
+             util::StrFormat("hosr_net_%d_%s", static_cast<int>(::getpid()),
+                             ::testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name()))
+                .string();
+    ASSERT_TRUE(serve::SaveSnapshot(*snapshot, path_).ok());
     engine_ = std::make_unique<serve::InferenceEngine>(
         std::move(snapshot).value());
-    executor_ = std::make_unique<serve::HardenedExecutor>(
-        engine_.get(), serve::HardenedOptions{});
+    manager_ = MakeManager(/*cache=*/nullptr);
   }
 
-  void TearDown() override { fault::FaultRegistry::Global().Disarm(); }
+  void TearDown() override {
+    fault::FaultRegistry::Global().Disarm();
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);
+  }
+
+  std::unique_ptr<serve::SnapshotManager> MakeManager(
+      serve::ResultCache* cache) {
+    serve::SnapshotManager::Options options;
+    options.path = path_;
+    options.degraded_fallback = false;
+    options.cache = cache;
+    auto manager = serve::SnapshotManager::Create(std::move(options));
+    HOSR_CHECK(manager.ok()) << manager.status();
+    return std::move(manager).value();
+  }
 
   NetServer::Options BaseOptions() {
     NetServer::Options options;
-    options.engine = engine_.get();
-    options.executor = executor_.get();
+    options.manager = manager_.get();
     options.worker_threads = 2;
     return options;
   }
 
+  std::string path_;
   std::unique_ptr<serve::InferenceEngine> engine_;
-  std::unique_ptr<serve::HardenedExecutor> executor_;
+  std::unique_ptr<serve::SnapshotManager> manager_;
 };
 
 TEST_F(NetServerTest, QueryIsBitIdenticalToEngine) {
@@ -319,8 +349,9 @@ TEST_F(NetServerTest, InfoReportsModelMetadata) {
 
 TEST_F(NetServerTest, SecondIdenticalQueryIsServedFromCache) {
   serve::ResultCache cache;
+  const std::unique_ptr<serve::SnapshotManager> cached = MakeManager(&cache);
   NetServer::Options options = BaseOptions();
-  options.cache = &cache;
+  options.manager = cached.get();
   NetServer server(options);
   ASSERT_TRUE(server.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", server.port());
@@ -343,6 +374,9 @@ TEST_F(NetServerTest, ApplicationErrorKeepsConnectionOpen) {
   auto bad = client->Query(/*user=*/9999, 10);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kOutOfRange);
+  auto bad_k = client->Query(/*user=*/1, /*k=*/0);
+  ASSERT_FALSE(bad_k.ok());
+  EXPECT_EQ(bad_k.status().code(), util::StatusCode::kInvalidArgument);
   // Same connection still serves: a bad request is the client's problem,
   // not a protocol desync.
   auto good = client->Query(1, 5);
@@ -457,10 +491,12 @@ TEST_F(NetServerTest, ExpiredDeadlineFailsFastInExecutor) {
   // already-expired deadline must fail fast without touching the engine.
   const auto expired =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
-  auto response = executor_->Execute(1, 10, /*token=*/1, expired);
+  const auto state = manager_->Acquire();
+  const serve::HardenedExecutor& executor = state->executor();
+  auto response = executor.Execute(1, 10, /*token=*/1, expired);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kDeadlineExceeded);
-  auto unbounded = executor_->Execute(1, 10, /*token=*/2, serve::kNoDeadline);
+  auto unbounded = executor.Execute(1, 10, /*token=*/2, serve::kNoDeadline);
   ASSERT_TRUE(unbounded.ok()) << unbounded.status();
 }
 
@@ -555,23 +591,6 @@ TEST_F(NetServerTest, InjectedWriteFaultDropsConnection) {
   EXPECT_EQ(dropped.status().code(), util::StatusCode::kUnavailable);
   ASSERT_TRUE(client->Reconnect().ok());
   EXPECT_TRUE(client->Query(0, 5).ok());
-}
-
-TEST_F(NetServerTest, BatchedPipelineServesIdenticalAnswers) {
-  serve::RequestBatcher batcher(engine_.get());
-  NetServer::Options options = BaseOptions();
-  options.batcher = &batcher;
-  NetServer server(options);
-  ASSERT_TRUE(server.Start().ok());
-  auto client = NetClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  for (uint32_t user = 0; user < 10; ++user) {
-    auto result = client->Query(user, 10);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->items, engine_->TopKForUser(user, 10));
-  }
-  server.Stop();
-  batcher.Stop();
 }
 
 TEST_F(NetServerTest, ConcurrentClientsAllGetCorrectAnswers) {

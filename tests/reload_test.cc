@@ -394,6 +394,83 @@ TEST_F(SnapshotManagerTest, SwapAdvancesCacheGeneration) {
   EXPECT_FALSE(cache.Get(2, 10, cache.generation()).has_value());
 }
 
+// --- SnapshotManager::Serve, the one request path ---------------------------
+
+TEST_F(SnapshotManagerTest, ServeAnswersSecondIdenticalRequestFromCache) {
+  ResultCache cache;
+  SnapshotManager::Options options = BaseOptions();
+  options.cache = &cache;
+  auto manager = SnapshotManager::Create(std::move(options));
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  const InferenceEngine oracle(MakeSnapshot(11));
+
+  const SnapshotManager::Served first = (*manager)->Serve(4, 10, /*token=*/1);
+  ASSERT_TRUE(first.response.ok()) << first.response.status();
+  EXPECT_FALSE(first.from_cache);
+  EXPECT_FALSE(first.response->degraded);
+  EXPECT_EQ(first.response->items, oracle.TopKForUser(4, 10));
+  EXPECT_EQ(first.state->version(), 1u);
+
+  const SnapshotManager::Served second = (*manager)->Serve(4, 10, /*token=*/2);
+  ASSERT_TRUE(second.response.ok()) << second.response.status();
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(second.state, first.state);
+  EXPECT_EQ(second.response->items, first.response->items);
+  EXPECT_EQ(cache.GetStats().hits, 1u);
+  EXPECT_EQ(cache.GetStats().misses, 1u);
+  // The entry was written under the serving state's version.
+  EXPECT_TRUE(cache.Get(4, 10, first.state->version()).has_value());
+}
+
+TEST_F(SnapshotManagerTest, ServeAfterReloadMissesAndAnswersFromNewSnapshot) {
+  ResultCache cache;
+  SnapshotManager::Options options = BaseOptions();
+  options.cache = &cache;
+  auto manager = SnapshotManager::Create(std::move(options));
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  const InferenceEngine oracle_b(MakeSnapshot(22));
+  ASSERT_TRUE((*manager)->Serve(4, 10, /*token=*/1).response.ok());
+
+  SaveTo(path_, /*seed=*/22);
+  ASSERT_TRUE((*manager)->ReloadNow().ok());
+  const SnapshotManager::Served after = (*manager)->Serve(4, 10, /*token=*/2);
+  ASSERT_TRUE(after.response.ok()) << after.response.status();
+  EXPECT_FALSE(after.from_cache);
+  EXPECT_EQ(after.state->version(), 2u);
+  EXPECT_EQ(after.response->items, oracle_b.TopKForUser(4, 10));
+
+  const SnapshotManager::Served again = (*manager)->Serve(4, 10, /*token=*/3);
+  ASSERT_TRUE(again.response.ok()) << again.response.status();
+  EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.response->items, oracle_b.TopKForUser(4, 10));
+}
+
+TEST_F(SnapshotManagerTest, ServeNeverCachesADegradedAnswer) {
+  ResultCache cache;
+  SnapshotManager::Options options = BaseOptions();
+  options.cache = &cache;
+  options.hardened.retry.max_attempts = 1;  // the fault degrades at once
+  auto manager = SnapshotManager::Create(std::move(options));
+  ASSERT_TRUE(manager.ok()) << manager.status();
+  const InferenceEngine oracle(MakeSnapshot(11));
+
+  ASSERT_TRUE(fault::FaultRegistry::Global()
+                  .Configure("engine.score:p=1", /*seed=*/1)
+                  .ok());
+  const SnapshotManager::Served faulted = (*manager)->Serve(4, 10, 1);
+  ASSERT_TRUE(faulted.response.ok()) << faulted.response.status();
+  EXPECT_TRUE(faulted.response->degraded);
+  EXPECT_FALSE(faulted.from_cache);
+  EXPECT_EQ(cache.GetStats().entries, 0u);
+
+  fault::FaultRegistry::Global().Disarm();
+  const SnapshotManager::Served healthy = (*manager)->Serve(4, 10, 2);
+  ASSERT_TRUE(healthy.response.ok()) << healthy.response.status();
+  EXPECT_FALSE(healthy.from_cache);
+  EXPECT_FALSE(healthy.response->degraded);
+  EXPECT_EQ(healthy.response->items, oracle.TopKForUser(4, 10));
+}
+
 TEST_F(SnapshotManagerTest, ListenerSeesEverySwapAndReject) {
   auto manager = SnapshotManager::Create(BaseOptions());
   ASSERT_TRUE(manager.ok()) << manager.status();
@@ -538,7 +615,6 @@ TEST_F(ReloadServerTest, HotSwapUnderLiveTrafficDropsNothing) {
 
   net::NetServer::Options options;
   options.manager = manager->get();
-  options.cache = &cache;
   options.worker_threads = 2;
   net::NetServer server(options);
   ASSERT_TRUE(server.Start().ok());
@@ -576,11 +652,14 @@ TEST_F(ReloadServerTest, HotSwapUnderLiveTrafficDropsNothing) {
 }
 
 TEST_F(ReloadServerTest, BreakerShedsAtTheWireAndRecovers) {
-  ModelSnapshot snapshot = MakeSnapshot(11);
-  InferenceEngine engine(std::move(snapshot));
-  HardenedOptions hardened;
-  hardened.retry.max_attempts = 1;  // every failure surfaces immediately
-  HardenedExecutor executor(&engine, hardened);
+  SnapshotManager::Options manager_options;
+  manager_options.path = path_;
+  manager_options.poll_interval_s = 0.0;
+  // Every failure surfaces immediately: one attempt, no fallback.
+  manager_options.hardened.retry.max_attempts = 1;
+  manager_options.degraded_fallback = false;
+  auto manager = SnapshotManager::Create(std::move(manager_options));
+  ASSERT_TRUE(manager.ok()) << manager.status();
 
   CircuitBreaker::Options breaker_options;
   breaker_options.window = 8;
@@ -590,8 +669,7 @@ TEST_F(ReloadServerTest, BreakerShedsAtTheWireAndRecovers) {
   CircuitBreaker breaker(breaker_options);
 
   net::NetServer::Options options;
-  options.engine = &engine;
-  options.executor = &executor;
+  options.manager = manager->get();
   options.breaker = &breaker;
   options.worker_threads = 1;
   net::NetServer server(options);

@@ -6,16 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "autograd/checkpoint.h"
@@ -24,7 +21,6 @@
 #include "fault/fault.h"
 #include "models/trainer.h"
 #include "optim/optimizer.h"
-#include "serve/batcher.h"
 #include "serve/degraded.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
@@ -354,74 +350,6 @@ TEST_F(RobustnessTest, OutcomesAreBitReproducibleAcrossRuns) {
   // The mix is non-trivial: some full-fidelity, some degraded.
   EXPECT_GT(std::count(first.begin(), first.end(), 0), 0);
   EXPECT_GT(std::count(first.begin(), first.end(), 1), 0);
-}
-
-// --- batcher hardening -------------------------------------------------------
-
-TEST(BatcherRobustnessTest, FullQueueShedsImmediately) {
-  const serve::InferenceEngine engine = MakeTestEngine();
-  serve::RequestBatcher::Options options;
-  options.max_batch_size = 64;       // dispatcher lingers for a full batch
-  options.queue_capacity = 2;
-  options.max_linger_us = 200000;    // 200ms: submits below land mid-linger
-  serve::RequestBatcher batcher(&engine, options);
-
-  std::vector<std::future<util::StatusOr<serve::ServeResponse>>> futures;
-  for (uint32_t i = 0; i < 6; ++i) futures.push_back(batcher.Submit(i, 5));
-  size_t shed = 0;
-  for (auto& f : futures) {
-    const auto result = f.get();
-    if (!result.ok()) {
-      EXPECT_EQ(result.status().code(),
-                util::StatusCode::kResourceExhausted);
-      ++shed;
-    }
-  }
-  // Capacity 2 with a lingering dispatcher: at least 6 - 2 - 1 sheds (one
-  // request may have been popped into the forming batch).
-  EXPECT_GE(shed, 3u);
-}
-
-TEST(BatcherRobustnessTest, StopDrainsQueuedRequestsWithUnavailable) {
-  const serve::InferenceEngine engine = MakeTestEngine();
-  serve::RequestBatcher::Options options;
-  options.max_batch_size = 64;
-  options.max_linger_us = 10000000;  // 10s: nothing dispatches before Stop
-  serve::RequestBatcher batcher(&engine, options);
-  std::vector<std::future<util::StatusOr<serve::ServeResponse>>> futures;
-  for (uint32_t i = 0; i < 4; ++i) futures.push_back(batcher.Submit(i, 5));
-  batcher.Stop();
-  for (auto& f : futures) {
-    // The future MUST resolve (no hang); queued requests get Unavailable.
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)),
-              std::future_status::ready);
-    const auto result = f.get();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), util::StatusCode::kUnavailable);
-  }
-  // And post-Stop submissions fail fast with FailedPrecondition.
-  const auto late = batcher.Submit(0, 5).get();
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), util::StatusCode::kFailedPrecondition);
-}
-
-TEST_F(RobustnessTest, BatcherRoutesFaultsThroughDegradedFallback) {
-  ASSERT_TRUE(
-      fault::FaultRegistry::Global().Configure("engine.score:p=1", 1).ok());
-  const serve::InferenceEngine engine = MakeTestEngine();
-  const serve::DegradedRanker degraded(&engine);
-  serve::RequestBatcher::Options options;
-  options.hardened.degraded = &degraded;
-  options.hardened.retry.max_attempts = 2;
-  options.hardened.retry.initial_backoff_ms = 0.0;
-  options.hardened.retry.max_backoff_ms = 0.0;
-  serve::RequestBatcher batcher(&engine, options);
-  for (uint32_t u = 0; u < 8; ++u) {
-    const auto result = batcher.Submit(u, 10).get();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_TRUE(result->degraded);
-    EXPECT_EQ(result->items, degraded.TopK(u, 10));
-  }
 }
 
 // --- optimizer state round-trip ----------------------------------------------

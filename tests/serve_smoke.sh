@@ -3,7 +3,8 @@
 #   1. generate a tiny synthetic YelpLike dataset,
 #   2. train BPR for 2 epochs and export a serving snapshot,
 #   3. replay 1k skewed requests through hosr_serve,
-#   4. assert nonzero cache hits and valid JSON metrics + summary output.
+#   4. assert nonzero cache hits and valid JSON metrics + summary output,
+#   5. assert that each out-of-range flag exits 1 with an error naming it.
 #
 # Usage: serve_smoke.sh <hosr_cli binary> <hosr_serve binary>
 set -eu
@@ -46,3 +47,25 @@ assert metrics["metrics"]["serve/cache_hits"]["value"] > 0, metrics
 print("serve_smoke OK: qps=%.0f hit_rate=%.3f" %
       (summary["qps"], summary["cache"]["hit_rate"]))
 EOF
+
+# Out-of-range sizes and counts are refused up front (exit 1, an error that
+# names the flag), never a CHECK abort or a silently wrapped size_t.
+for bad in "--retries=20" "--retries=-3" "--cache_shards=0" \
+    "--port=0 --workers=0" "--breaker --breaker_window=0" \
+    "--cache_capacity=-1"; do
+  flag="${bad##* }"
+  flag="${flag%%=*}"
+  set +e
+  # shellcheck disable=SC2086  # $bad holds one or two flags
+  timeout 60 "$SERVE" --snapshot="$WORK/snap" --data="$WORK/data" \
+    --num_requests=100 --serve_duration_s=1 $bad \
+    > /dev/null 2> "$WORK/bad_flag.err"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 1 ] || ! grep -q "^error: .*$flag=" "$WORK/bad_flag.err"; then
+    echo "FAIL: hosr_serve $bad exited $rc, expected 1 naming $flag" >&2
+    cat "$WORK/bad_flag.err" >&2
+    exit 1
+  fi
+done
+echo "serve_smoke: out-of-range flags exit 1 with a named error"

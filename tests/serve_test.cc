@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -17,7 +16,6 @@
 #include "eval/topk.h"
 #include "models/bpr_mf.h"
 #include "models/ncf.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
@@ -399,70 +397,6 @@ TEST(CacheTest, ConcurrentMixedLoad) {
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses, 4u * 2000u);
   EXPECT_GT(stats.hits, 0u);
-}
-
-// --- batcher -----------------------------------------------------------------
-
-TEST(BatcherTest, ConcurrentSubmissionsMatchDirectQueries) {
-  auto model = MakeTestModel("BPR");
-  auto snapshot = BuildSnapshot(*model);
-  ASSERT_TRUE(snapshot.ok());
-  const InferenceEngine engine(std::move(snapshot).value(),
-                               &TestDataset().interactions);
-  ResultCache cache;
-  RequestBatcher::Options options;
-  options.max_batch_size = 8;
-  options.cache = &cache;
-  RequestBatcher batcher(&engine, options);
-
-  constexpr int kThreads = 4;
-  constexpr uint32_t kPerThread = 100;
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&, t] {
-      util::Rng rng(static_cast<uint64_t>(t) + 1);
-      for (uint32_t i = 0; i < kPerThread; ++i) {
-        const auto user =
-            static_cast<uint32_t>(rng.UniformInt(engine.num_users()));
-        auto result = batcher.Submit(user, 10).get();
-        ASSERT_TRUE(result.ok()) << result.status();
-        ASSERT_FALSE(result->degraded);
-        ASSERT_EQ(result->items, engine.TopKForUser(user, 10));
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  const auto stats = cache.GetStats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * kPerThread);
-}
-
-TEST(BatcherTest, InvalidRequestsFailFast) {
-  auto model = MakeTestModel("BPR");
-  auto snapshot = BuildSnapshot(*model);
-  ASSERT_TRUE(snapshot.ok());
-  const InferenceEngine engine(std::move(snapshot).value());
-  RequestBatcher batcher(&engine);
-
-  auto bad_user = batcher.Submit(engine.num_users() + 5, 10).get();
-  ASSERT_FALSE(bad_user.ok());
-  EXPECT_EQ(bad_user.status().code(), util::StatusCode::kOutOfRange);
-
-  auto bad_k = batcher.Submit(0, 0).get();
-  ASSERT_FALSE(bad_k.ok());
-  EXPECT_EQ(bad_k.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(BatcherTest, SubmitAfterStopFails) {
-  auto model = MakeTestModel("BPR");
-  auto snapshot = BuildSnapshot(*model);
-  ASSERT_TRUE(snapshot.ok());
-  const InferenceEngine engine(std::move(snapshot).value());
-  RequestBatcher batcher(&engine);
-  ASSERT_TRUE(batcher.Submit(0, 5).get().ok());
-  batcher.Stop();
-  const auto result = batcher.Submit(0, 5).get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // hosr_serve — serving-side load driver over a frozen ModelSnapshot.
 //
-// Loads a snapshot exported by `hosr_cli train --snapshot_out=FILE`, builds
-// an InferenceEngine (with seen-item filtering when --data is given), then
-// either replays a scripted or synthetic top-K request stream in process
-// (the default) or serves the hosr::net wire protocol over TCP (--port).
+// Loads a snapshot exported by `hosr_cli train --snapshot_out=FILE` into a
+// serve::SnapshotManager (with seen-item filtering when --data is given),
+// then either replays a scripted or synthetic top-K request stream in
+// process (the default) or serves the hosr::net wire protocol over TCP
+// (--port). Both modes send every request through the manager's one
+// pipeline (SnapshotManager::Serve: result cache, then the hardened
+// executor of the active snapshot), and both can hot-swap the snapshot.
 // Replay mode reports achieved QPS, exact p50/p95/p99 latency, and cache
 // hit rate — on stdout as JSON, to --summary_out, and through the
 // hosr::obs registry. Server mode runs until SIGTERM/SIGINT (or
@@ -18,9 +21,6 @@
 //              [--clients=0]               client threads (0 = hardware)
 //              [--cache_capacity=65536]    0 disables the result cache
 //              [--cache_shards=16]
-//              [--batch=0]                 >0 routes through RequestBatcher
-//              [--linger_us=100]           batcher coalescing window
-//              [--queue_capacity=4096]     batcher admission limit (shed above)
 //              [--seed=1] [--summary_out=FILE]
 // network serving (docs/SERVING.md):
 //              [--port=N]                  serve the wire protocol on
@@ -32,11 +32,8 @@
 //              [--max_pending_conns=64]    accept queue bound (shed above)
 //              [--net_read_timeout_ms=30000]  slow-loris cutoff
 //              [--serve_duration_s=0]      auto-stop after N seconds
-// hot reload & overload control (docs/ROBUSTNESS.md):
-//              [--reload=1]                server mode (no --batch): serve
-//                                          through a SnapshotManager so
-//                                          POST /reloadz hot-swaps the
-//                                          snapshot; 0 pins the startup one
+// hot reload & overload control (docs/ROBUSTNESS.md); without --reload_watch
+// or POST /reloadz on the admin port the startup snapshot serves the run:
 //              [--reload_watch]            poll --snapshot for mtime/size
 //                                          changes and reload automatically
 //              [--reload_poll_ms=500]      watcher poll cadence
@@ -51,6 +48,7 @@
 // hardening flags (docs/ROBUSTNESS.md):
 //              [--deadline_ms=0]           per-request budget; 0 disables
 //              [--retries=2]               retry attempts after the first
+//                                          (at most 14)
 //              [--retry_backoff_ms=2]      base backoff (decorrelated jitter)
 //              [--retry_backoff_max_ms=8]  backoff cap
 //              [--degraded=1]              popularity fallback on failure;
@@ -76,9 +74,10 @@
 //                                          long after the replay finishes
 // Every request resolves — never hangs — to one of five outcomes tallied in
 // the JSON report: ok, degraded (popularity fallback), deadline_exceeded,
-// shed (queue full), error. With --fault_spec the outcome of each request
-// is a pure function of its stream index, so two same-seed runs report
-// identical counts.
+// shed, error. With --fault_spec the outcome of each request is a pure
+// function of its stream index, so two same-seed runs report identical
+// counts. Out-of-range sizes and counts (a negative --cache_capacity,
+// --workers=0, ...) exit 1 with an error naming the flag.
 // plus the standard observability flags (--metrics_out, --trace_out,
 // --profile_out, --profile_hz, --timeseries_out, ... — see
 // obs/reporter.h).
@@ -87,6 +86,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,9 +104,7 @@
 #include "obs/reporter.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
-#include "serve/degraded.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
 #include "serve/overload.h"
@@ -128,6 +126,44 @@ int Fail(const util::Status& status) {
   return 1;
 }
 
+// Integer flags that size a CHECKed constructor argument or are cast to
+// size_t or int further down: out of range, they would abort the process or
+// wrap (a cache of 2^64 entries), so they are refused before anything is
+// built.
+util::Status CheckFlagRanges(const util::Flags& flags) {
+  constexpr int64_t kNoMax = std::numeric_limits<int64_t>::max();
+  struct Range {
+    const char* flag;
+    int64_t min;
+    int64_t max;
+  };
+  static constexpr Range kRanges[] = {
+      {"retries", 0, 14},  // HardenedExecutor takes 1 to 15 attempts
+      {"cache_capacity", 0, kNoMax},
+      {"cache_shards", 1, kNoMax},
+      {"num_requests", 0, kNoMax},
+      {"clients", 0, kNoMax},
+      {"workers", 1, std::numeric_limits<int>::max()},
+      {"max_pending_conns", 0, kNoMax},
+      {"breaker_window", 1, kNoMax},
+      {"breaker_min_samples", 1, kNoMax},
+      {"breaker_probes", 1, kNoMax},
+  };
+  for (const Range& range : kRanges) {
+    const int64_t value = flags.GetInt(range.flag, range.min);
+    if (value < range.min || value > range.max) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "--%s=%lld must be %s %lld", range.flag,
+          static_cast<long long>(value), value < range.min ? ">=" : "<=",
+          static_cast<long long>(value < range.min ? range.min : range.max)));
+    }
+  }
+  if (flags.GetDouble("breaker_trip_ratio", 0.5) <= 0.0) {
+    return util::Status::InvalidArgument("--breaker_trip_ratio must be > 0");
+  }
+  return util::Status::Ok();
+}
+
 // SIGTERM/SIGINT flip this; the server loop polls it and drains.
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 
@@ -143,6 +179,7 @@ int main(int argc, char** argv) {
   if (flags.GetBool("force_scalar", false)) setenv("HOSR_FORCE_SCALAR", "1", 1);
   HOSR_LOG(Info) << "kernels: dispatch level " << kernels::Active().name
                  << (kernels::ForcedScalar() ? " (forced scalar)" : "");
+  if (auto status = CheckFlagRanges(flags); !status.ok()) return Fail(status);
 
   const std::string fault_spec = flags.GetString("fault_spec", "");
   if (!fault_spec.empty()) {
@@ -236,8 +273,8 @@ int main(int argc, char** argv) {
         return Fail(status);
       }
     }
-    // The readiness probe runs below, once the engine (or the snapshot
-    // manager's initial state) exists.
+    // The readiness probe runs below, once the snapshot manager's initial
+    // state exists.
   }
 
   // With faults armed, a request's outcome is a pure function of its stream
@@ -267,7 +304,6 @@ int main(int argc, char** argv) {
   // Hardening: deadline budget, bounded retries with jittered backoff, and
   // (unless --degraded=0) a popularity fallback so engine faults degrade
   // instead of failing.
-  const bool degraded_enabled = flags.GetBool("degraded", true);
   serve::HardenedOptions hardened;
   hardened.deadline_ms = flags.GetDouble("deadline_ms", 0.0);
   hardened.retry.max_attempts = 1 + static_cast<int>(flags.GetInt("retries", 2));
@@ -276,71 +312,41 @@ int main(int argc, char** argv) {
       flags.GetDouble("retry_backoff_max_ms", 8.0);
   hardened.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 
-  // Serving stack: server mode without a batcher defaults to the
-  // SnapshotManager (hot reload armed); everything else pins the startup
-  // snapshot in a fixed engine. The batcher holds one engine for its
-  // lifetime, so --batch forces the fixed path.
-  const auto batch = static_cast<size_t>(flags.GetInt("batch", 0));
-  const bool server_mode = flags.Has("port");
-  const bool use_manager =
-      server_mode && batch == 0 && flags.GetBool("reload", true);
-  std::unique_ptr<serve::SnapshotManager> manager;
-  std::unique_ptr<serve::InferenceEngine> engine;
-  std::unique_ptr<serve::DegradedRanker> degraded;
-  std::unique_ptr<serve::HardenedExecutor> executor;
-  if (use_manager) {
-    serve::SnapshotManager::Options manager_options;
-    manager_options.path = snapshot_path;
-    manager_options.seen = seen;
-    manager_options.hardened = hardened;
-    manager_options.degraded_fallback = degraded_enabled;
-    manager_options.probe_users =
-        static_cast<uint32_t>(flags.GetInt("probe_users", 8));
-    manager_options.probe_k =
-        static_cast<uint32_t>(flags.GetInt("probe_k", 10));
-    manager_options.poll_interval_s =
-        flags.GetDouble("reload_poll_ms", 500.0) / 1000.0;
-    manager_options.cache = cache.get();
-    auto created = serve::SnapshotManager::Create(
-        std::move(manager_options), std::move(snapshot).value());
-    if (!created.ok()) return Fail(created.status());
-    manager = std::move(created).value();
-    if (flags.GetBool("reload_watch", false)) manager->StartWatcher();
-  } else {
-    engine = std::make_unique<serve::InferenceEngine>(
-        std::move(snapshot).value(), seen);
-    if (degraded_enabled) {
-      degraded = std::make_unique<serve::DegradedRanker>(engine.get());
-    }
-    hardened.degraded = degraded.get();
-    executor = std::make_unique<serve::HardenedExecutor>(engine.get(),
-                                                         hardened);
-  }
+  // The serving stack: every request, in either mode, runs through the
+  // manager. Without --reload_watch or POST /reloadz it serves the startup
+  // snapshot for the whole run.
+  serve::SnapshotManager::Options manager_options;
+  manager_options.path = snapshot_path;
+  manager_options.seen = seen;
+  manager_options.hardened = hardened;
+  manager_options.degraded_fallback = flags.GetBool("degraded", true);
+  manager_options.probe_users =
+      static_cast<uint32_t>(flags.GetInt("probe_users", 8));
+  manager_options.probe_k = static_cast<uint32_t>(flags.GetInt("probe_k", 10));
+  manager_options.poll_interval_s =
+      flags.GetDouble("reload_poll_ms", 500.0) / 1000.0;
+  manager_options.cache = cache.get();
+  auto created = serve::SnapshotManager::Create(std::move(manager_options),
+                                                std::move(snapshot).value());
+  if (!created.ok()) return Fail(created.status());
+  const std::unique_ptr<serve::SnapshotManager> manager =
+      std::move(created).value();
+  if (flags.GetBool("reload_watch", false)) manager->StartWatcher();
 
-  // Readiness flips true only after the active engine answers a real probe
-  // query, so /readyz == 200 means scoring actually works.
+  // Admin surfaces: readiness flips true only after the active engine
+  // answers a real probe query, so /readyz == 200 means scoring actually
+  // works; /varz mirrors the active snapshot version/path/load-time and
+  // reload totals (refreshed from the reload listener after every attempt);
+  // POST /reloadz triggers a synchronous validated swap.
   if (admin != nullptr) {
-    std::shared_ptr<const serve::ServingState> probe_state;
-    const serve::InferenceEngine* probe_engine = engine.get();
-    if (manager != nullptr) {
-      probe_state = manager->Acquire();
-      probe_engine = &probe_state->engine();
-    }
-    auto probe = probe_engine->TryTopKForUser(0, 1, serve::kNoDeadline,
-                                              serve::kNoFaultToken);
+    auto probe = manager->Acquire()->engine().TryTopKForUser(
+        0, 1, serve::kNoDeadline, serve::kNoFaultToken);
     if (probe.ok()) {
       obs::HealthTracker::Global().SetReady(true);
     } else {
       HOSR_LOG(Warning) << "readiness probe failed, /readyz stays 503: "
                         << probe.status();
     }
-  }
-
-  // Admin surfaces for the reload path: /varz mirrors the active snapshot
-  // version/path/load-time and reload totals (refreshed from the reload
-  // listener after every attempt), POST /reloadz triggers a synchronous
-  // validated swap.
-  if (admin != nullptr && manager != nullptr) {
     obs::AdminServer* admin_ptr = admin.get();
     manager->SetReloadListener(
         [admin_ptr](const serve::SnapshotManager::Stats& stats) {
@@ -382,20 +388,8 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::unique_ptr<serve::RequestBatcher> batcher;
-  if (batch > 0) {
-    batcher = std::make_unique<serve::RequestBatcher>(
-        engine.get(), serve::RequestBatcher::Options{
-                     .max_batch_size = batch,
-                     .queue_capacity = static_cast<size_t>(
-                         flags.GetInt("queue_capacity", 4096)),
-                     .max_linger_us = flags.GetInt("linger_us", 100),
-                     .cache = cache.get(),
-                     .hardened = hardened});
-  }
-
   // ---- Server mode: speak the wire protocol until told to stop. --------
-  if (server_mode) {
+  if (flags.Has("port")) {
     std::unique_ptr<serve::CircuitBreaker> breaker;
     if (flags.GetBool("breaker", false)) {
       serve::CircuitBreaker::Options breaker_options;
@@ -419,10 +413,6 @@ int main(int argc, char** argv) {
         static_cast<size_t>(flags.GetInt("max_pending_conns", 64));
     server_options.read_timeout_ms =
         static_cast<int>(flags.GetInt("net_read_timeout_ms", 30000));
-    server_options.engine = engine.get();
-    server_options.executor = executor.get();
-    server_options.batcher = batcher.get();
-    server_options.cache = cache.get();
     server_options.manager = manager.get();
     server_options.breaker = breaker.get();
     server_options.max_queue_delay_ms =
@@ -449,21 +439,18 @@ int main(int argc, char** argv) {
     }
     HOSR_LOG(Info) << "draining: completing in-flight requests";
     server.Stop();  // graceful: answers everything already read
-    if (batcher != nullptr) batcher->Stop();
-    if (manager != nullptr) manager->Stop();  // join the watcher
+    manager->Stop();  // join the watcher
     const double elapsed = serve_timer.ElapsedSeconds();
 
     const net::NetServer::Stats stats = server.GetStats();
     serve::ResultCache::Stats cache_stats;
     if (cache != nullptr) cache_stats = cache->GetStats();
-    serve::SnapshotManager::Stats reload_stats;
-    if (manager != nullptr) reload_stats = manager->GetStats();
+    const serve::SnapshotManager::Stats reload_stats = manager->GetStats();
     serve::CircuitBreaker::Stats breaker_stats;
     if (breaker != nullptr) breaker_stats = breaker->GetStats();
     const std::string summary = util::StrFormat(
         "{\"mode\": \"server\", \"snapshot\": \"%s\", \"model\": \"%s\", "
-        "\"port\": %d, \"workers\": %d, \"batched\": %s, "
-        "\"elapsed_seconds\": %.4f, "
+        "\"port\": %d, \"workers\": %d, \"elapsed_seconds\": %.4f, "
         "\"net\": {\"accepted\": %llu, \"shed\": %llu, "
         "\"delay_shed\": %llu, \"breaker_rejected\": %llu, "
         "\"requests\": %llu, "
@@ -472,14 +459,14 @@ int main(int argc, char** argv) {
         "\"bytes_written\": %llu}, "
         "\"cache\": {\"enabled\": %s, \"hits\": %llu, \"misses\": %llu, "
         "\"stale_hits\": %llu, \"stale_puts\": %llu}, "
-        "\"reload\": {\"enabled\": %s, \"active_version\": %llu, "
+        "\"reload\": {\"enabled\": true, \"active_version\": %llu, "
         "\"reloads_ok\": %llu, \"reloads_rejected\": %llu}, "
         "\"breaker\": {\"enabled\": %s, \"state\": %d, \"trips\": %llu, "
         "\"rejected\": %llu}, "
         "\"faults_injected\": %llu}",
         snapshot_path.c_str(), model_name.c_str(), server.port(),
-        server_options.worker_threads, batcher != nullptr ? "true" : "false",
-        elapsed, static_cast<unsigned long long>(stats.accepted),
+        server_options.worker_threads, elapsed,
+        static_cast<unsigned long long>(stats.accepted),
         static_cast<unsigned long long>(stats.shed),
         static_cast<unsigned long long>(stats.delay_shed),
         static_cast<unsigned long long>(stats.breaker_rejected),
@@ -494,7 +481,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(cache_stats.misses),
         static_cast<unsigned long long>(cache_stats.stale_hits),
         static_cast<unsigned long long>(cache_stats.stale_puts),
-        manager != nullptr ? "true" : "false",
         static_cast<unsigned long long>(reload_stats.active_version),
         static_cast<unsigned long long>(reload_stats.reloads_ok),
         static_cast<unsigned long long>(reload_stats.reloads_rejected),
@@ -570,33 +556,12 @@ int main(int argc, char** argv) {
           }
           const net::StreamRequest& r = requests[i];
           // One trace id per request (stream index + 1 so 0 stays "none"):
-          // every span below — and the batcher workers, via the context
-          // captured in Submit() — tags with it, and latency-histogram
-          // exemplars resolve back to it in /tracez.
+          // every span below tags with it, and latency-histogram exemplars
+          // resolve back to it in /tracez.
           const obs::ScopedRequestContext request_scope(
               obs::RequestContext{static_cast<uint64_t>(i) + 1, r.user, r.k});
           const auto start = std::chrono::steady_clock::now();
-          util::StatusOr<serve::ServeResponse> response =
-              util::Status::Internal("unreached");
-          if (batcher != nullptr) {
-            response = batcher->Submit(r.user, r.k).get();
-          } else {
-            bool served_from_cache = false;
-            if (cache != nullptr) {
-              if (auto hit = cache->Get(r.user, r.k)) {
-                response = serve::ServeResponse{std::move(*hit),
-                                                /*degraded=*/false};
-                served_from_cache = true;
-              }
-            }
-            if (!served_from_cache) {
-              response = executor->Execute(r.user, r.k, /*token=*/i);
-              if (response.ok() && !response->degraded && cache != nullptr) {
-                cache->Put(r.user, r.k, response->items);
-              }
-            }
-          }
-          tally.Count(response);
+          tally.Count(manager->Serve(r.user, r.k, /*token=*/i).response);
           recorded.push_back(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
                   std::chrono::steady_clock::now() - start)
@@ -635,7 +600,7 @@ int main(int argc, char** argv) {
   const std::string summary = util::StrFormat(
       "{\"snapshot\": \"%s\", \"model\": \"%s\", \"num_users\": %u, "
       "\"num_items\": %u, \"dim\": %u, \"requests\": %zu, \"clients\": %zu, "
-      "\"batched\": %s, \"deadline_ms\": %.3f, \"elapsed_seconds\": %.4f, "
+      "\"deadline_ms\": %.3f, \"elapsed_seconds\": %.4f, "
       "\"qps\": %.1f, "
       "\"latency_us\": {\"mean\": %.2f, \"p50\": %.2f, \"p95\": %.2f, "
       "\"p99\": %.2f}, \"cache\": {\"enabled\": %s, \"hits\": %llu, "
@@ -644,8 +609,7 @@ int main(int argc, char** argv) {
       "\"deadline_exceeded\": %llu, \"shed\": %llu, \"error\": %llu}, "
       "\"faults_injected\": %llu}",
       snapshot_path.c_str(), model_name.c_str(), num_users, num_items, dim,
-      all_ns.size(), clients, batcher != nullptr ? "true" : "false",
-      hardened.deadline_ms, elapsed,
+      all_ns.size(), clients, hardened.deadline_ms, elapsed,
       qps, latency.mean_us, latency.p50_us, latency.p95_us, latency.p99_us,
       cache != nullptr ? "true" : "false",
       static_cast<unsigned long long>(cache_stats.hits),
@@ -666,7 +630,6 @@ int main(int argc, char** argv) {
       return Fail(status);
     }
   }
-  if (batcher != nullptr) batcher->Stop();
   if (admin != nullptr) {
     // Optional grace period so scripts can probe the endpoints after the
     // replay finished (summary already printed above).
