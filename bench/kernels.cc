@@ -1,6 +1,7 @@
 // Microbenchmarks for the hosr::kernels dispatch layer (docs/PERFORMANCE.md):
-// scalar vs best-available table for axpy, axpy2, dot, the fused
-// score-GEMV and the SpMM row gather, at the dims the models actually use.
+// scalar vs best-available table for axpy, axpy2, dot, the serving
+// engine's half-precision GEMV and the SpMM row gather, at the dims the
+// models actually use.
 // Besides the google benchmark report, the headline scalar-vs-SIMD speedups
 // at d=64 are published as gauges so `run_benches.sh` captures them in
 // bench_metrics/kernels.json — the perf-trajectory artifact.
@@ -33,6 +34,28 @@ std::vector<float> RandomVec(size_t n, uint64_t seed) {
   for (auto& x : v) x = rng.Gaussian();
   return v;
 }
+
+// score_half's input: rows.size() / d rows (a multiple of its block) of
+// random values, and zero radii. The layout does not change the work.
+struct HalfTable {
+  std::vector<uint16_t> half;
+  std::vector<float> radius;
+  std::vector<float> lower;
+  std::vector<float> upper;
+
+  HalfTable(const std::vector<float>& rows, size_t items)
+      : half(rows.size()), radius(items), lower(items), upper(items) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      half[i] = kernels::FloatToHalf(rows[i]);
+    }
+  }
+
+  void Score(const kernels::KernelTable& kern, size_t d, const float* u) {
+    kern.score_half(radius.size() / kernels::kHalfBlockRows, d, u,
+                    half.data(), nullptr, radius.data(), 1.0f, 0.0f,
+                    lower.data(), upper.data());
+  }
+};
 
 // Accumulator coefficients are tiny so y never overflows across millions of
 // iterations; FMA throughput does not depend on the operand values.
@@ -82,26 +105,24 @@ void BM_Dot(benchmark::State& state) {
 }
 BENCHMARK(BM_Dot)->ArgsProduct({{0, 1}, {8, 64, 256}});
 
-// The serving GEMV: score one user against a block of items (the engine's
-// per-block fused scoring pass, items = EngineOptions::item_block shape).
-void BM_ScoreGemv(benchmark::State& state) {
+// The serving engine's first pass: score one user against a block of
+// half-precision item rows (the engine's per-block pass).
+void BM_ScoreHalf(benchmark::State& state) {
   const auto& kern = Table(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   constexpr size_t kItems = 512;
   const auto u = RandomVec(d, 8);
-  const auto rows = RandomVec(kItems * d, 9);
-  const auto bias = RandomVec(kItems, 10);
-  std::vector<float> out(kItems);
+  HalfTable table(RandomVec(kItems * d, 9), kItems);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kern.score_block(kItems, d, u.data(), rows.data(),
-                                              bias.data(), out.data()));
+    table.Score(kern, d, u.data());
+    benchmark::DoNotOptimize(table.upper.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kItems * d));
   state.SetLabel(kern.name);
 }
-BENCHMARK(BM_ScoreGemv)->ArgsProduct({{0, 1}, {8, 64, 256}});
+BENCHMARK(BM_ScoreHalf)->ArgsProduct({{0, 1}, {8, 64, 256}});
 
 // One SpMM output row: 32 neighbours of a 1024-row dense table, the
 // register-resident gather under graph::Spmm.
@@ -168,7 +189,7 @@ void PublishSpeedupGauges() {
   constexpr size_t kItems = 512;
   const auto x = RandomVec(d, 11);
   auto y = RandomVec(d, 12);
-  const auto rows = RandomVec(kItems * d, 13);
+  HalfTable half_table(RandomVec(kItems * d, 13), kItems);
   std::vector<float> out(kItems);
 
   const double axpy_scalar = MeasureOpsPerSec(
@@ -180,13 +201,13 @@ void PublishSpeedupGauges() {
       d, [&] { sink += scalar.dot(d, x.data(), y.data()); });
   const double dot_best =
       MeasureOpsPerSec(d, [&] { sink += best.dot(d, x.data(), y.data()); });
-  const double gemv_scalar = MeasureOpsPerSec(kItems * d, [&] {
-    sink += scalar.score_block(kItems, d, x.data(), rows.data(), nullptr,
-                               out.data());
+  const double half_gemv_scalar = MeasureOpsPerSec(kItems * d, [&] {
+    half_table.Score(scalar, d, x.data());
+    sink += half_table.upper[0];
   });
-  const double gemv_best = MeasureOpsPerSec(kItems * d, [&] {
-    sink += best.score_block(kItems, d, x.data(), rows.data(), nullptr,
-                             out.data());
+  const double half_gemv_best = MeasureOpsPerSec(kItems * d, [&] {
+    half_table.Score(best, d, x.data());
+    sink += half_table.upper[0];
   });
   // spmm_row against the axpy2 pair chain whose bits it keeps, which loads
   // and stores the output row once per pair of neighbours.
@@ -217,9 +238,12 @@ void PublishSpeedupGauges() {
   HOSR_GAUGE("kernels/bench/dot_d64_scalar_gops").Set(dot_scalar / 1e9);
   HOSR_GAUGE("kernels/bench/dot_d64_best_gops").Set(dot_best / 1e9);
   HOSR_GAUGE("kernels/bench/dot_d64_speedup").Set(dot_best / dot_scalar);
-  HOSR_GAUGE("kernels/bench/gemv_d64_scalar_gops").Set(gemv_scalar / 1e9);
-  HOSR_GAUGE("kernels/bench/gemv_d64_best_gops").Set(gemv_best / 1e9);
-  HOSR_GAUGE("kernels/bench/gemv_d64_speedup").Set(gemv_best / gemv_scalar);
+  HOSR_GAUGE("kernels/bench/half_gemv_d64_scalar_gops")
+      .Set(half_gemv_scalar / 1e9);
+  HOSR_GAUGE("kernels/bench/half_gemv_d64_best_gops")
+      .Set(half_gemv_best / 1e9);
+  HOSR_GAUGE("kernels/bench/half_gemv_d64_speedup")
+      .Set(half_gemv_best / half_gemv_scalar);
   HOSR_GAUGE("kernels/bench/spmm_row_d64_scalar_gops")
       .Set(spmm_row_scalar / 1e9);
   HOSR_GAUGE("kernels/bench/spmm_row_d64_best_gops").Set(spmm_row_best / 1e9);

@@ -1,7 +1,7 @@
-// AVX2+FMA microkernels. This translation unit is the only one compiled
-// with -mavx2 -mfma (see CMakeLists.txt) so the rest of the build stays
-// baseline-portable; nothing here is reachable unless dispatch.cc probed
-// CPUID and selected this table at process start.
+// AVX2+FMA+F16C microkernels. This translation unit is the only one
+// compiled with -mavx2 -mfma -mf16c (see CMakeLists.txt) so the rest of the
+// build stays baseline-portable; nothing here is reachable unless
+// dispatch.cc probed CPUID and selected this table at process start.
 //
 // Reduction orders are fixed per kernel (8-lane partial sums combined in a
 // fixed tree, scalar remainder folded in last), so results are
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <immintrin.h>
+#include <limits>
 
 #include "kernels/kernels.h"
 
@@ -245,60 +246,63 @@ float ReduceMaxAvx2(size_t n, const float* x) {
   return best;
 }
 
-float ScoreBlockAvx2(size_t items, size_t d, const float* u,
-                     const float* item_rows, const float* bias, float* out) {
-  float best = -FLT_MAX;
-  size_t j = 0;
-  // Two items per pass share each load of u, halving its bandwidth cost.
-  // Each item's reduction replays DotAvx2's order exactly (two 8-lane
-  // partials over 16-wide steps, 8-wide epilogue into the first partial,
-  // scalar tail folded in last), so a blocked serving scan is bit-identical
-  // to the Gemm/RowDot paths that score the same pair of vectors.
-  for (; j + 2 <= items; j += 2) {
-    const float* r0 = item_rows + j * d;
-    const float* r1 = r0 + d;
-    __m256 acc0a = _mm256_setzero_ps();
-    __m256 acc0b = _mm256_setzero_ps();
-    __m256 acc1a = _mm256_setzero_ps();
-    __m256 acc1b = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= d; i += 16) {
-      const __m256 vu0 = _mm256_loadu_ps(u + i);
-      const __m256 vu1 = _mm256_loadu_ps(u + i + 8);
-      acc0a = _mm256_fmadd_ps(vu0, _mm256_loadu_ps(r0 + i), acc0a);
-      acc0b = _mm256_fmadd_ps(vu1, _mm256_loadu_ps(r0 + i + 8), acc0b);
-      acc1a = _mm256_fmadd_ps(vu0, _mm256_loadu_ps(r1 + i), acc1a);
-      acc1b = _mm256_fmadd_ps(vu1, _mm256_loadu_ps(r1 + i + 8), acc1b);
-    }
-    if (i + 8 <= d) {
-      const __m256 vu = _mm256_loadu_ps(u + i);
-      acc0a = _mm256_fmadd_ps(vu, _mm256_loadu_ps(r0 + i), acc0a);
-      acc1a = _mm256_fmadd_ps(vu, _mm256_loadu_ps(r1 + i), acc1a);
-      i += 8;
-    }
-    float t0 = 0.0f, t1 = 0.0f;
-    for (; i < d; ++i) {
-      t0 += u[i] * r0[i];
-      t1 += u[i] * r1[i];
-    }
-    float s0 = HorizontalSum(_mm256_add_ps(acc0a, acc0b)) + t0;
-    float s1 = HorizontalSum(_mm256_add_ps(acc1a, acc1b)) + t1;
-    if (bias != nullptr) {
-      s0 += bias[j];
-      s1 += bias[j + 1];
-    }
-    out[j] = s0;
-    out[j + 1] = s1;
-    if (s0 > best) best = s0;
-    if (s1 > best) best = s1;
+// Eight halves widened to floats (F16C; exact).
+inline __m256 LoadHalf8(const uint16_t* p) {
+  return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+// One block of score_half's table, its eight rows in the lanes: four
+// accumulators take dimensions i mod 4 (the d mod 4 last ones go to the
+// first) and combine as (a0 + a1) + (a2 + a3).
+inline __m256 ScoreHalfBlockAvx2(size_t d, const float* u,
+                                 const uint16_t* block) {
+  constexpr size_t kRows = kHalfBlockRows;
+  __m256 a0 = _mm256_setzero_ps();
+  __m256 a1 = _mm256_setzero_ps();
+  __m256 a2 = _mm256_setzero_ps();
+  __m256 a3 = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 4 <= d; i += 4) {
+    const uint16_t* h = block + i * kRows;
+    a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(u + i), LoadHalf8(h), a0);
+    a1 = _mm256_fmadd_ps(_mm256_broadcast_ss(u + i + 1), LoadHalf8(h + kRows),
+                         a1);
+    a2 = _mm256_fmadd_ps(_mm256_broadcast_ss(u + i + 2),
+                         LoadHalf8(h + 2 * kRows), a2);
+    a3 = _mm256_fmadd_ps(_mm256_broadcast_ss(u + i + 3),
+                         LoadHalf8(h + 3 * kRows), a3);
   }
-  if (j < items) {
-    float score = DotAvx2(d, u, item_rows + j * d);
-    if (bias != nullptr) score += bias[j];
-    out[j] = score;
-    if (score > best) best = score;
+  for (; i < d; ++i) {
+    a0 = _mm256_fmadd_ps(_mm256_broadcast_ss(u + i),
+                         LoadHalf8(block + i * kRows), a0);
   }
-  return best;
+  return _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
+}
+
+void ScoreHalfAvx2(size_t blocks, size_t d, const float* u,
+                   const uint16_t* half_blocks, const float* bias,
+                   const float* radius, float scale, float bias_radius,
+                   float* lower, float* upper) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vbias_radius = _mm256_set1_ps(bias_radius);
+  const __m256 max = _mm256_set1_ps(FLT_MAX);
+  const __m256 neg_max = _mm256_set1_ps(-FLT_MAX);
+  const __m256 inf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const __m256 neg_inf = _mm256_sub_ps(_mm256_setzero_ps(), inf);
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t j = b * kHalfBlockRows;
+    __m256 s = ScoreHalfBlockAvx2(d, u, half_blocks + j * d);
+    if (bias != nullptr) s = _mm256_add_ps(s, _mm256_loadu_ps(bias + j));
+    const __m256 e =
+        _mm256_fmadd_ps(vscale, _mm256_loadu_ps(radius + j), vbias_radius);
+    const __m256 lo = _mm256_sub_ps(s, e);
+    const __m256 hi = _mm256_add_ps(s, e);
+    // Ordered compares: false for NaN, so a NaN bound counts as unbounded.
+    const __m256 bounded = _mm256_and_ps(_mm256_cmp_ps(lo, neg_max, _CMP_GE_OQ),
+                                         _mm256_cmp_ps(hi, max, _CMP_LE_OQ));
+    _mm256_storeu_ps(lower + j, _mm256_blendv_ps(neg_inf, lo, bounded));
+    _mm256_storeu_ps(upper + j, _mm256_blendv_ps(inf, hi, bounded));
+  }
 }
 
 // Lane mask selecting the first `lanes` (0..8) floats of a ymm register.
@@ -444,7 +448,7 @@ void TanhAvx2(size_t n, const float* x, float* y) {
 constexpr KernelTable kAvx2Table = {
     "avx2",        kLevelAvx2,    AxpyAvx2,
     Axpy2Avx2,     SpmmRowAvx2,   DotAvx2,
-    ScaleAvx2,     ReduceMaxAvx2, ScoreBlockAvx2,
+    ScaleAvx2,     ReduceMaxAvx2, ScoreHalfAvx2,
     GemmTileAvx2,  TanhAvx2,      RmsPropAvx2,
 };
 

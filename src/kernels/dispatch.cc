@@ -11,16 +11,17 @@
 namespace hosr::kernels {
 
 #ifdef HOSR_KERNELS_HAVE_AVX2
-// Defined in avx2.cc (the only TU built with -mavx2 -mfma). Safe to *call*
-// only after a CPUID check.
+// Defined in avx2.cc (the only TU built with -mavx2 -mfma -mf16c). Safe to
+// *call* only after a CPUID check.
 const KernelTable& Avx2Table();
 #endif
 
 namespace {
 
-bool CpuSupportsAvx2Fma() {
+bool CpuSupportsAvx2() {
 #ifdef HOSR_KERNELS_HAVE_AVX2
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("f16c");
 #else
   return false;
 #endif
@@ -38,7 +39,7 @@ void PublishLevel(const KernelTable& table) {
 
 const KernelTable& Best() {
 #ifdef HOSR_KERNELS_HAVE_AVX2
-  if (CpuSupportsAvx2Fma()) return Avx2Table();
+  if (CpuSupportsAvx2()) return Avx2Table();
 #endif
   return Scalar();
 }

@@ -1,6 +1,7 @@
 #ifndef HOSR_KERNELS_KERNELS_H_
 #define HOSR_KERNELS_KERNELS_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -8,12 +9,12 @@ namespace hosr::kernels {
 
 // Runtime-dispatched dense microkernels backing every dense hot path in the
 // library (tensor::Gemm/Axpy/RowDot/Tanh, graph::Spmm, the RMSprop step, the
-// serving GEMV, the evaluator's top-K scan). The instruction set is probed
-// once per process (CPUID) and every call site reads the same resolved
-// table, so a process never mixes ISA levels: each kernel has a fixed
-// reduction order within a level, which preserves the train-resume and
-// snapshot bit-identity contracts (docs/ROBUSTNESS.md) for any fixed
-// dispatch mode.
+// serving engine's half-precision pass, the evaluator's top-K scan). The
+// instruction set is probed once per process (CPUID) and every call site
+// reads the same resolved table, so a process never mixes ISA levels: each
+// kernel has a fixed reduction order within a level, which preserves the
+// train-resume and snapshot bit-identity contracts (docs/ROBUSTNESS.md) for
+// any fixed dispatch mode.
 //
 // Setting the environment variable HOSR_FORCE_SCALAR (to anything but "0")
 // before the first kernel call pins dispatch to the portable scalar table —
@@ -22,13 +23,17 @@ namespace hosr::kernels {
 
 // Dispatch levels, exported through the kernels/dispatch_level gauge.
 inline constexpr int kLevelScalar = 0;
-inline constexpr int kLevelAvx2 = 2;  // AVX2 + FMA
+inline constexpr int kLevelAvx2 = 2;  // AVX2 + FMA + F16C
 
 // Largest block of C one gemm_tile call computes: 6 rows x 16 columns, the
 // AVX2 register blocking (12 ymm accumulators, two B vectors and one
 // broadcast A value fill 15 of the 16 ymm registers).
 inline constexpr size_t kGemmTileRows = 6;
 inline constexpr size_t kGemmTileCols = 16;
+
+// Rows per block of score_half's half-precision table: one ymm register of
+// floats, so the SIMD table scores a block's rows in its lanes.
+inline constexpr size_t kHalfBlockRows = 8;
 
 // One ISA level's implementation of every microkernel. All pointers are
 // non-null in every table. Buffers may be unaligned; x/y/out must not alias
@@ -72,14 +77,26 @@ struct KernelTable {
   // Returns max_i x[i]; n must be >= 1. Feeds the top-K block fast-reject.
   float (*reduce_max)(size_t n, const float* x);
 
-  // Fused scoring GEMV over `items` consecutive d-dim rows starting at
-  // `item_rows` (row-major, stride d):
-  //   out[j] = dot(u, item_rows + j*d) + (bias != nullptr ? bias[j] : 0)
-  // Returns the maximum score of the block (-FLT_MAX when items == 0) so
-  // serving can reject a whole block against the current top-K threshold
-  // without a second pass.
-  float (*score_block)(size_t items, size_t d, const float* u,
-                       const float* item_rows, const float* bias, float* out);
+  // The serving engine's first pass (serve/engine.h): approximate scores
+  // from a half-precision item table, widened into bounds on the fp32
+  // scores. `half_blocks` holds `blocks` blocks of kHalfBlockRows rows of d
+  // IEEE binary16 bit patterns, dimension-major within a block: row
+  // j = kHalfBlockRows * b + r, dimension i is at
+  // half_blocks[(b * d + i) * kHalfBlockRows + r]. For each row j:
+  //   s        = sum over i of u[i] * HalfToFloat(row j, dimension i)
+  //              (+ bias[j] when bias is not null)
+  //   e        = scale * radius[j] + bias_radius
+  //   lower[j] = s - e,  upper[j] = s + e
+  // in float, or -inf and +inf when either is not finite. Halves widen to
+  // float exactly and no product passes through more than d roundings, so
+  // the sum is within gamma_d * |u| * |row j| of exact in every table,
+  // gamma_d = d*2^-24 / (1 - d*2^-24); the tables differ in reduction order
+  // and the SIMD one widens eight halves per F16C instruction. bias, radius,
+  // lower and upper hold kHalfBlockRows * blocks floats.
+  void (*score_half)(size_t blocks, size_t d, const float* u,
+                     const uint16_t* half_blocks, const float* bias,
+                     const float* radius, float scale, float bias_radius,
+                     float* lower, float* upper);
 
   // One register-blocked tile of C = alpha * A * B + beta * C, the
   // microkernel under tensor::Gemm. The tile has rows <= kGemmTileRows and
@@ -119,6 +136,51 @@ struct KernelTable {
   void (*rmsprop)(size_t n, float lr, float weight_decay, float decay,
                   float epsilon, float* value, float* grad, float* ms);
 };
+
+// IEEE binary32 -> binary16, portable, rounding to nearest even (overflow
+// to +-inf, NaN to a quiet NaN) through float arithmetic: a half subnormal
+// is the float sum with a magic constant whose ulp is the half subnormal
+// step, and a normal half drops 13 mantissa bits with a carry that may
+// overflow into the exponent (65520 and up become infinity).
+inline uint16_t FloatToHalf(float value) {
+  constexpr uint32_t kInfinity = 0x7f800000u;
+  constexpr uint32_t kHalfOverflow = (127u + 16u) << 23;  // 2^16
+  constexpr uint32_t kHalfNormalMin = 113u << 23;         // 2^-14
+  constexpr uint32_t kSubnormalMagic = (127u - 14u + 23u - 10u) << 23;  // 0.5
+  uint32_t bits = std::bit_cast<uint32_t>(value);
+  const auto sign = static_cast<uint16_t>((bits >> 16) & 0x8000u);
+  bits &= 0x7fffffffu;
+  uint16_t half;
+  if (bits >= kHalfOverflow) {
+    half = bits > kInfinity ? 0x7e00u : 0x7c00u;
+  } else if (bits < kHalfNormalMin) {
+    const float shifted = std::bit_cast<float>(bits) +
+                          std::bit_cast<float>(kSubnormalMagic);
+    half = static_cast<uint16_t>(std::bit_cast<uint32_t>(shifted) -
+                                 kSubnormalMagic);
+  } else {
+    const uint32_t odd = (bits >> 13) & 1u;
+    bits += (static_cast<uint32_t>(15 - 127) << 23) + 0xfffu + odd;
+    half = static_cast<uint16_t>(bits >> 13);
+  }
+  return static_cast<uint16_t>(half | sign);
+}
+
+// IEEE binary16 -> binary32, exact.
+inline float HalfToFloat(uint16_t half) {
+  const uint32_t sign = static_cast<uint32_t>(half & 0x8000u) << 16;
+  const uint32_t exponent = (half >> 10) & 0x1fu;
+  const uint32_t mantissa = half & 0x3ffu;
+  if (exponent == 0x1fu) {  // infinity or NaN
+    return std::bit_cast<float>(sign | 0x7f800000u | (mantissa << 13));
+  }
+  if (exponent == 0) {  // zero or subnormal: mantissa * 2^-24, exact
+    const float magnitude = static_cast<float>(mantissa) * 0x1p-24f;
+    return std::bit_cast<float>(sign | std::bit_cast<uint32_t>(magnitude));
+  }
+  return std::bit_cast<float>(sign | ((exponent + 112u) << 23) |
+                              (mantissa << 13));
+}
 
 // The table every hot path uses. Resolved exactly once per process from
 // CPUID + HOSR_FORCE_SCALAR; afterwards this is a single atomic load.

@@ -7,6 +7,8 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "kernels/kernels.h"
 
@@ -71,16 +73,41 @@ float ReduceMaxScalar(size_t n, const float* x) {
   return best;
 }
 
-float ScoreBlockScalar(size_t items, size_t d, const float* u,
-                       const float* item_rows, const float* bias, float* out) {
-  float best = -FLT_MAX;
-  for (size_t j = 0; j < items; ++j) {
-    float score = DotScalar(d, u, item_rows + j * d);
-    if (bias != nullptr) score += bias[j];
-    out[j] = score;
-    if (score > best) best = score;
+void ScoreHalfScalar(size_t blocks, size_t d, const float* u,
+                     const uint16_t* half_blocks, const float* bias,
+                     const float* radius, float scale, float bias_radius,
+                     float* lower, float* upper) {
+  constexpr size_t kRows = kHalfBlockRows;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // Every half's float value, built at first use (256 KiB): a lookup per
+  // element instead of a conversion.
+  static const std::vector<float> widen = [] {
+    std::vector<float> table(1u << 16);
+    for (uint32_t h = 0; h < table.size(); ++h) {
+      table[h] = HalfToFloat(static_cast<uint16_t>(h));
+    }
+    return table;
+  }();
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint16_t* block = half_blocks + b * d * kRows;
+    // Eight independent chains, each in ascending i like DotScalar.
+    float acc[kRows] = {};
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r] += u[i] * widen[block[i * kRows + r]];
+      }
+    }
+    for (size_t r = 0; r < kRows; ++r) {
+      const size_t j = b * kRows + r;
+      const float s = bias != nullptr ? acc[r] + bias[j] : acc[r];
+      const float e = scale * radius[j] + bias_radius;
+      const float lo = s - e;
+      const float hi = s + e;
+      const bool bounded = lo >= -FLT_MAX && hi <= FLT_MAX;
+      lower[j] = bounded ? lo : -kInf;
+      upper[j] = bounded ? hi : kInf;
+    }
   }
-  return best;
 }
 
 void GemmTileScalar(size_t rows, size_t cols, size_t k, float alpha,
@@ -121,7 +148,7 @@ void RmsPropScalar(size_t n, float lr, float weight_decay, float decay,
 constexpr KernelTable kScalarTable = {
     "scalar",        kLevelScalar,    AxpyScalar,
     Axpy2Scalar,     SpmmRowScalar,   DotScalar,
-    ScaleScalar,     ReduceMaxScalar, ScoreBlockScalar,
+    ScaleScalar,     ReduceMaxScalar, ScoreHalfScalar,
     GemmTileScalar,  TanhScalar,      RmsPropScalar,
 };
 

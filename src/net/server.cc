@@ -5,10 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "fault/fault.h"
 #include "net/socket.h"
@@ -23,9 +25,12 @@ namespace hosr::net {
 
 namespace {
 
-// Idle-wait slice between frames; bounds how long a worker takes to notice
-// a drain while parked on a quiet persistent connection.
+// Longest single blocking recv; bounds how long a worker takes to notice a
+// drain while parked on a quiet persistent connection.
 constexpr int kIdlePollMs = 100;
+// Initial per-connection receive buffer: room for many request frames, so
+// one recv takes whatever a pipelining client has sent.
+constexpr size_t kRecvChunk = 4096;
 
 std::string ErrorResponseFrame(const util::Status& status) {
   QueryResponse response;
@@ -234,21 +239,107 @@ void NetServer::WorkerLoop() {
 }
 
 void NetServer::ServeConnection(int fd) {
-  SetRecvTimeoutMs(fd, options_.read_timeout_ms);
+  // Each recv blocks for at most one slice, so an idle connection notices a
+  // drain within kIdlePollMs and a partial frame its read timeout.
+  const int slice_ms = options_.read_timeout_ms > 0
+                           ? std::min(kIdlePollMs, options_.read_timeout_ms)
+                           : kIdlePollMs;
+  SetRecvTimeoutMs(fd, slice_ms);
   SetSendTimeoutMs(fd, options_.write_timeout_ms);
+  // Received bytes not yet consumed are buffer[begin, end).
+  std::vector<char> buffer(kRecvChunk);
+  size_t begin = 0, end = 0;
+  bool read_fault_drawn = false;  // net.read ran for the frame at `begin`
+  int64_t last_recv_ns = 0;
+  int64_t partial_since_ns = 0;   // arrival of the partial frame's first byte
   for (;;) {
-    // Between frames, wait in short slices so a drain is noticed quickly.
-    // During a drain, already-arrived frames (0ms poll) are still served —
-    // that is the in-flight-requests-complete half of graceful drain — but
-    // the connection no longer waits for new ones.
-    const bool draining = stopping_.load(std::memory_order_relaxed);
-    auto readable = WaitReadable(fd, draining ? 0 : kIdlePollMs);
-    if (!readable.ok()) return;
-    if (!readable.value()) {
-      if (draining) return;
+    // Serve every complete frame already buffered, in order.
+    while (begin < end) {
+      // net.read faults fire once per frame, before it is consumed; the
+      // stream position is then unknowable, so the injected status is
+      // answered and the connection closed — the client sees a clean error,
+      // never a desync.
+      if (!read_fault_drawn) {
+        read_fault_drawn = true;
+        if (const util::Status injected = fault::Inject("net.read");
+            !injected.ok()) {
+          (void)WriteResponseFrame(fd, ErrorResponseFrame(injected));
+          return;
+        }
+      }
+      Frame frame;
+      const auto used = TryDecodeFrame(
+          std::string_view(buffer.data() + begin, end - begin), &frame);
+      if (!used.ok()) {
+        // Bad magic, version, size or CRC: the stream cannot resync.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        HOSR_COUNTER("net/protocol_errors").Increment();
+        (void)WriteResponseFrame(fd, ErrorResponseFrame(used.status()));
+        return;
+      }
+      if (used.value() == 0) break;  // the rest of the frame is in flight
+      begin += used.value();
+      read_fault_drawn = false;
+      partial_since_ns = 0;
+      if (!ServeFrame(fd, frame)) return;
+    }
+    if (begin == end) {
+      begin = end = 0;
+    } else if (partial_since_ns == 0) {
+      partial_since_ns = last_recv_ns;
+    }
+    if (end == buffer.size()) {
+      // Make room: drop consumed bytes, and grow for a frame larger than
+      // the buffer (TryDecodeFrame bounds its size by kMaxPayload).
+      std::memmove(buffer.data(), buffer.data() + begin, end - begin);
+      end -= begin;
+      begin = 0;
+      if (end == buffer.size()) buffer.resize(2 * buffer.size());
+    }
+
+    // During a drain a connection takes only bytes that already arrived,
+    // and finishes a frame it has started; an idle one closes.
+    const bool idle = begin == end;
+    const bool drain_now = idle && stopping_.load(std::memory_order_relaxed);
+    const ssize_t n = recv(fd, buffer.data() + end, buffer.size() - end,
+                           drain_now ? MSG_DONTWAIT : 0);
+    if (n > 0) {
+      end += static_cast<size_t>(n);
+      last_recv_ns = obs::NowNanos();
       continue;
     }
-    if (!ServeOneFrame(fd)) return;
+    util::Status failure;
+    if (n == 0) {
+      if (idle) return;  // normal end of a persistent connection
+      failure = util::Status::Unavailable(util::StrFormat(
+          "connection closed mid-frame (%zu bytes buffered)", end - begin));
+    } else if (errno == EINTR) {
+      continue;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (drain_now) return;
+      if (idle) continue;
+      if (options_.read_timeout_ms <= 0 ||
+          obs::NowNanos() - partial_since_ns <
+              int64_t{options_.read_timeout_ms} * 1000000) {
+        continue;
+      }
+      // Slow-loris: the peer started a frame but never finished it within
+      // read_timeout_ms; cut it off so the worker frees up.
+      read_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      HOSR_COUNTER("net/read_timeouts").Increment();
+      failure = util::Status::DeadlineExceeded(util::StrFormat(
+          "frame not completed within %dms (%zu bytes buffered)",
+          options_.read_timeout_ms, end - begin));
+    } else if (errno == ECONNRESET) {
+      failure = util::Status::Unavailable("connection reset by peer");
+    } else {
+      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      HOSR_COUNTER("net/protocol_errors").Increment();
+      failure = util::Status::IoError(
+          util::StrFormat("recv(): %s", std::strerror(errno)));
+    }
+    (void)WriteResponseFrame(fd, ErrorResponseFrame(failure));
+    return;
   }
 }
 
@@ -262,38 +353,13 @@ bool NetServer::WriteResponseFrame(int fd, const std::string& frame_bytes) {
   return true;
 }
 
-bool NetServer::ServeOneFrame(int fd) {
-  // net.read faults fire before the frame is consumed; the stream position
-  // is then unknowable, so the injected status is answered and the
-  // connection closed — the client sees a clean error, never a desync.
-  if (const util::Status injected = fault::Inject("net.read");
-      !injected.ok()) {
-    (void)WriteResponseFrame(fd, ErrorResponseFrame(injected));
-    return false;
-  }
-  bool clean_eof = false;
-  auto frame = ReadFrame(fd, &clean_eof);
-  if (!frame.ok()) {
-    if (clean_eof) return false;  // normal end of a persistent connection
-    const util::StatusCode code = frame.status().code();
-    if (code == util::StatusCode::kDeadlineExceeded) {
-      // Slow-loris: the peer started a frame but never finished it within
-      // read_timeout_ms; cut it off so the worker frees up.
-      read_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      HOSR_COUNTER("net/read_timeouts").Increment();
-    } else if (code != util::StatusCode::kUnavailable) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      HOSR_COUNTER("net/protocol_errors").Increment();
-    }
-    (void)WriteResponseFrame(fd, ErrorResponseFrame(frame.status()));
-    return false;
-  }
-  bytes_read_.fetch_add(kFrameHeaderSize + frame->payload.size(),
+bool NetServer::ServeFrame(int fd, const Frame& frame) {
+  bytes_read_.fetch_add(kFrameHeaderSize + frame.payload.size(),
                         std::memory_order_relaxed);
   HOSR_COUNTER("net/bytes_read")
-      .Increment(kFrameHeaderSize + frame->payload.size());
+      .Increment(kFrameHeaderSize + frame.payload.size());
 
-  switch (static_cast<FrameType>(frame->type)) {
+  switch (static_cast<FrameType>(frame.type)) {
     case FrameType::kInfo: {
       const std::shared_ptr<const serve::ServingState> state =
           options_.manager->Acquire();
@@ -314,11 +380,11 @@ bool NetServer::ServeOneFrame(int fd) {
       HOSR_COUNTER("net/protocol_errors").Increment();
       (void)WriteResponseFrame(
           fd, ErrorResponseFrame(util::Status::InvalidArgument(
-                  util::StrFormat("unknown frame type %u", frame->type))));
+                  util::StrFormat("unknown frame type %u", frame.type))));
       return false;
   }
 
-  auto request = DecodeQueryRequest(frame->payload);
+  auto request = DecodeQueryRequest(frame.payload);
   if (!request.ok()) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     HOSR_COUNTER("net/protocol_errors").Increment();
@@ -376,11 +442,7 @@ bool NetServer::ServeOneFrame(int fd) {
     if (served.from_cache) response.flags |= kResponseFromCache;
     if (served.response->degraded) response.flags |= kResponseDegraded;
     response.items = std::move(served.response->items);
-    const serve::ModelSnapshot& snapshot = served.state->engine().snapshot();
-    response.scores.reserve(response.items.size());
-    for (const uint32_t item : response.items) {
-      response.scores.push_back(snapshot.Score(request->user, item));
-    }
+    response.scores = std::move(served.response->scores);
   } else {
     response.status_code =
         static_cast<uint32_t>(served.response.status().code());

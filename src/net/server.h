@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/wire.h"
 #include "serve/overload.h"
 #include "serve/reload.h"
 #include "util/status.h"
@@ -130,11 +131,13 @@ class NetServer {
  private:
   void AcceptLoop();
   void WorkerLoop();
-  // Serves one persistent connection until close/error/drain.
+  // Serves one persistent connection until close/error/drain: one blocking
+  // recv per wakeup into a per-connection buffer, then every complete frame
+  // in the buffer, in order.
   void ServeConnection(int fd);
-  // Reads, executes, and answers a single frame. Returns false when the
-  // connection must close (peer gone, protocol error, injected fault).
-  bool ServeOneFrame(int fd);
+  // Executes and answers one decoded frame. Returns false when the
+  // connection must close (protocol error, failed write).
+  bool ServeFrame(int fd, const Frame& frame);
   bool WriteResponseFrame(int fd, const std::string& frame_bytes);
 
   Options options_;

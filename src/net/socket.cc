@@ -187,16 +187,4 @@ util::Status RecvExact(int fd, void* buffer, size_t size) {
   return util::Status::Ok();
 }
 
-util::StatusOr<bool> WaitReadable(int fd, int timeout_ms) {
-  struct pollfd pfd = {fd, POLLIN, 0};
-  for (;;) {
-    const int ready = poll(&pfd, 1, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Errno("poll()");
-    }
-    return ready > 0;
-  }
-}
-
 }  // namespace hosr::net

@@ -85,11 +85,6 @@ util::Status RecvExact(int fd, void* buffer, size_t size);
 // one or more bytes of `size` still fails with Unavailable.
 util::StatusOr<bool> RecvExactOrClosed(int fd, void* buffer, size_t size);
 
-// Waits up to `timeout_ms` for `fd` to become readable. Returns true when
-// readable (or the peer closed — the next read resolves which), false on
-// timeout; IoError for poll failures.
-util::StatusOr<bool> WaitReadable(int fd, int timeout_ms);
-
 }  // namespace hosr::net
 
 #endif  // HOSR_NET_SOCKET_H_

@@ -22,9 +22,9 @@ ResultCache::ResultCache(Options options) : capacity_(options.capacity) {
   shard_bits_ = static_cast<unsigned>(std::bit_width(shards) - 1);
 }
 
-std::optional<std::vector<uint32_t>> ResultCache::Get(uint32_t user,
-                                                      uint32_t k,
-                                                      uint64_t generation) {
+std::optional<std::vector<uint32_t>> ResultCache::Get(
+    uint32_t user, uint32_t k, uint64_t generation,
+    std::vector<float>* scores) {
   const uint64_t key = Key(user, k);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -47,11 +47,13 @@ std::optional<std::vector<uint32_t>> ResultCache::Get(uint32_t user,
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
   HOSR_COUNTER("serve/cache_hits").Increment();
-  return it->second->second.items;
+  const Entry& entry = it->second->second;
+  if (scores != nullptr) *scores = entry.scores;
+  return entry.items;
 }
 
 void ResultCache::Put(uint32_t user, uint32_t k, std::vector<uint32_t> items,
-                      uint64_t generation) {
+                      uint64_t generation, std::vector<float> scores) {
   if (generation != generation_.load(std::memory_order_acquire)) {
     // Computed under a snapshot the cache has moved past; storing it would
     // re-poison the cache with pre-swap scores.
@@ -66,11 +68,13 @@ void ResultCache::Put(uint32_t user, uint32_t k, std::vector<uint32_t> items,
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->second = Entry{generation, std::move(items)};
+    it->second->second =
+        Entry{generation, std::move(items), std::move(scores)};
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(key, Entry{generation, std::move(items)});
+  shard.lru.emplace_front(
+      key, Entry{generation, std::move(items), std::move(scores)});
   shard.index.emplace(key, shard.lru.begin());
   if (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().first);

@@ -12,7 +12,8 @@
 
 namespace hosr::serve {
 
-// Sharded LRU cache of ranked result lists keyed by (user, K). Each shard
+// Sharded LRU cache of ranked result lists keyed by (user, K), each stored
+// with the scores it was served with. Each shard
 // owns an independent mutex + intrusive LRU list, so concurrent request
 // threads rarely contend. Hit/miss/eviction totals feed both local Stats
 // and the serve/cache_* obs counters.
@@ -40,16 +41,20 @@ class ResultCache {
   // The cached list for (user, k), refreshing its recency; nullopt on miss.
   // `generation` is the snapshot generation the caller is serving from
   // (the acquired ServingState's version; 0 for ungenerationed use): an
-  // entry written under any other generation is evicted and misses.
+  // entry written under any other generation is evicted and misses. On a
+  // hit, `scores` (optional) receives the scores stored with the list.
   std::optional<std::vector<uint32_t>> Get(uint32_t user, uint32_t k,
-                                           uint64_t generation = 0);
+                                           uint64_t generation = 0,
+                                           std::vector<float>* scores =
+                                               nullptr);
 
-  // Inserts or refreshes (user, k), evicting the shard's least recently
-  // used entry when over budget. `generation` is the generation the result
-  // was *computed* under — if the cache has advanced past it since, the
-  // value is stale and silently dropped.
+  // Inserts or refreshes (user, k) with its scores (empty when the caller
+  // has none), evicting the shard's least recently used entry when over
+  // budget. `generation` is the generation the result was *computed* under
+  // — if the cache has advanced past it since, the value is stale and
+  // silently dropped.
   void Put(uint32_t user, uint32_t k, std::vector<uint32_t> items,
-           uint64_t generation = 0);
+           uint64_t generation = 0, std::vector<float> scores = {});
 
   // Declares `generation` current (snapshot swap). Older entries die
   // lazily on their next touch; older in-flight Puts are dropped.
@@ -81,6 +86,7 @@ class ResultCache {
   struct Entry {
     uint64_t generation = 0;
     std::vector<uint32_t> items;
+    std::vector<float> scores;
   };
   struct Shard {
     mutable std::mutex mutex;

@@ -21,18 +21,29 @@ inline constexpr Deadline kNoDeadline = Deadline::max();
 inline constexpr uint64_t kNoFaultToken = ~0ull - 1;
 
 struct EngineOptions {
-  // Items are scored in blocks of this many rows so the per-query score
-  // scratch stays cache-resident even for catalogs in the millions.
+  // The half-precision pass runs in blocks of this many rows, with one
+  // deadline check between blocks.
   uint32_t item_block = 2048;
 };
 
-// Answers top-K queries over a frozen ModelSnapshot: a blocked GEMV over
-// the item-factor matrix feeds an eval::TopKAccumulator (the evaluator's
-// selection, so offline and served rankings agree exactly), with the
-// user's already-consumed training items filtered out. Stateless per query
-// and safe to call from any number of threads concurrently; TopKBatch
-// additionally shards a batch across util::ThreadPool::Global(), in chunks
-// that util::GrainFor sizes from the per-user work (num_items * dim).
+// Answers top-K queries over a frozen ModelSnapshot: the user's exact
+// top-K by dot(u, v_j) + item_bias[j], seen items excluded, ranked by
+// eval::TopKAccumulator (the evaluator's selection, so offline and served
+// rankings agree exactly). Each query runs in three steps:
+//   1. one pass over a half-precision copy of the item table (built once,
+//      at construction) gives every item an approximate score and bounds
+//      that provably contain its fp32 score (engine.cc, BuildHalfTable);
+//   2. an item stays a candidate when its upper bound reaches the k-th
+//      largest lower bound among unseen items;
+//   3. the candidates, in ascending item order, are rescored with
+//      kernels::Active().dot plus item bias, the fp32 score the whole table
+//      would get, and fed to the accumulator.
+// The candidates always contain the exact top-K, so items, order, ties
+// (lower index wins) and scores are those of a full fp32 scan. Stateless per
+// query and safe to call from any number of threads concurrently;
+// TopKBatch additionally shards a batch across util::ThreadPool::Global(),
+// in chunks that util::GrainFor sizes from the per-user work
+// (num_items * dim).
 class InferenceEngine {
  public:
   // `seen` (optional) supplies per-user items to exclude from results —
@@ -72,24 +83,43 @@ class InferenceEngine {
   // seen-item filtering). Sorted ascending; used by DegradedRanker.
   const std::vector<uint32_t>& SeenItems(uint32_t user) const;
 
-  // Full unfiltered score vector for one user — the reference the blocked
-  // kernel is tested against, and a debugging aid.
+  // Full unfiltered ModelSnapshot::Score vector for one user — a test
+  // reference and a debugging aid.
   std::vector<float> ScoreAll(uint32_t user) const;
 
  private:
-  // The one scoring kernel, shared by TopKForUser and TryTopKForUser:
-  // blocked GEMV + TopKAccumulator, plus deadline checks, the engine.score
-  // fault point, and Status plumbing. With kNoDeadline/kNoFaultToken both
-  // hardening branches are single never-taken compares, so the legacy path
-  // pays only the StatusOr wrapper per query.
+  // The one top-K path, shared by TopKForUser and TryTopKForUser: the half
+  // pass, the filter and the exact rescoring, plus deadline checks, the
+  // engine.score fault point, and Status plumbing. With kNoDeadline /
+  // kNoFaultToken both hardening branches are never-taken compares.
   util::StatusOr<RankedItems> TopKImpl(uint32_t user, uint32_t k,
                                        Deadline deadline,
                                        uint64_t fault_token) const;
+
+  // Fills the members below from the snapshot.
+  void BuildHalfTable();
 
   ModelSnapshot snapshot_;
   EngineOptions options_;
   // Per-user sorted exclusion lists; empty when no `seen` was given.
   std::vector<std::vector<uint32_t>> seen_;
+  // The first pass's table: item rows' binary16 images in the blocked
+  // layout of kernels::KernelTable::score_half, zero rows padding the last
+  // block. radius_ and bias_ are padded the same way.
+  std::vector<uint16_t> half_items_;
+  // Per item, the factor of |u| in the bound on |fp32 score - approximate
+  // score|; infinite when the half image is not finite.
+  std::vector<float> radius_;
+  // The snapshot's item biases, padded; empty when it has none.
+  std::vector<float> bias_;
+  // The part of that bound that does not scale with |u| (bias rounding and
+  // underflow), the same for every item.
+  float bias_radius_ = 0.0f;
+  // A query whose |u| * overflow_norm_ + max |item bias| could reach float
+  // overflow treats every item as unbounded, so its answer is a full
+  // rescore: no bound holds once a sum can overflow.
+  double overflow_norm_ = 0.0;
+  double max_abs_bias_ = 0.0;
 };
 
 }  // namespace hosr::serve

@@ -19,6 +19,17 @@ namespace {
 // retry cap.
 constexpr uint64_t kMaxAttemptsPerRequest = 16;
 
+// An answer's wire scores, computed once for the items it ranked.
+ServeResponse Answer(const InferenceEngine& engine, uint32_t user,
+                     RankedItems items, bool degraded) {
+  std::vector<float> scores;
+  scores.reserve(items.size());
+  for (const uint32_t item : items) {
+    scores.push_back(engine.snapshot().Score(user, item));
+  }
+  return ServeResponse{std::move(items), degraded, std::move(scores)};
+}
+
 uint64_t MixSeed(uint64_t seed, uint64_t token) {
   uint64_t x = seed ^ (token * 0x9e3779b97f4a7c15ULL);
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -93,7 +104,8 @@ util::StatusOr<ServeResponse> HardenedExecutor::ExecuteInternal(
         user, k, deadline,
         token * kMaxAttemptsPerRequest + static_cast<uint64_t>(attempt));
     if (result.ok()) {
-      return ServeResponse{std::move(result).value(), /*degraded=*/false};
+      return Answer(*engine_, user, std::move(result).value(),
+                    /*degraded=*/false);
     }
     last_status = result.status();
     if (last_status.code() == util::StatusCode::kDeadlineExceeded) {
@@ -124,8 +136,8 @@ util::StatusOr<ServeResponse> HardenedExecutor::ExecuteInternal(
   }
   if (options_.degraded != nullptr) {
     HOSR_COUNTER("serve/degraded").Increment();
-    return ServeResponse{options_.degraded->TopK(user, k),
-                         /*degraded=*/true};
+    return Answer(*engine_, user, options_.degraded->TopK(user, k),
+                  /*degraded=*/true);
   }
   if (engine_deadline_spent) {
     HOSR_COUNTER("serve/deadline_exceeded").Increment();

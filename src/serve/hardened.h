@@ -2,6 +2,7 @@
 #define HOSR_SERVE_HARDENED_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "serve/degraded.h"
 #include "serve/engine.h"
@@ -12,9 +13,12 @@ namespace hosr::serve {
 
 // A served ranking plus how it was produced: `degraded` marks popularity
 // fallback results so clients can distinguish them from full-engine answers.
+// `scores[i]` is ModelSnapshot::Score(user, items[i]) under the snapshot
+// that ranked the answer, filled once when the answer is made.
 struct ServeResponse {
   RankedItems items;
   bool degraded = false;
+  std::vector<float> scores;
 };
 
 struct HardenedOptions {
@@ -33,7 +37,8 @@ struct HardenedOptions {
 //
 //   1. deadline gate — an already-expired request fails fast with
 //      DeadlineExceeded (never reaches the engine);
-//   2. engine attempt — TryTopKForUser with the request's fault token;
+//   2. engine attempt — TryTopKForUser with the request's fault token; an
+//      answer (this one or step 4's) carries its items' snapshot scores;
 //   3. retry — transient errors (Unavailable, ResourceExhausted) back off
 //      with decorrelated jitter and try again, capped by max_attempts and
 //      by the deadline budget: every planned backoff is charged against

@@ -88,21 +88,23 @@ SnapshotManager::Served SnapshotManager::Serve(uint32_t user, uint32_t k,
                                                uint64_t token,
                                                Deadline deadline) const {
   // One atomic load pins the request's generation: ranking, fallback,
-  // cache key and (in the caller) scores all come from this state even if
-  // a swap lands mid-request.
+  // scores and cache key all come from this state even if a swap lands
+  // mid-request.
   std::shared_ptr<const ServingState> state = Acquire();
   ResultCache* const cache = options_.cache;
   if (cache != nullptr) {
-    if (auto hit = cache->Get(user, k, state->version())) {
+    std::vector<float> scores;
+    if (auto hit = cache->Get(user, k, state->version(), &scores)) {
       return Served{std::move(state),
-                    ServeResponse{std::move(*hit), /*degraded=*/false},
+                    ServeResponse{std::move(*hit), /*degraded=*/false,
+                                  std::move(scores)},
                     /*from_cache=*/true};
     }
   }
   util::StatusOr<ServeResponse> response =
       state->executor().Execute(user, k, token, deadline);
   if (cache != nullptr && response.ok() && !response->degraded) {
-    cache->Put(user, k, response->items, state->version());
+    cache->Put(user, k, response->items, state->version(), response->scores);
   }
   return Served{std::move(state), std::move(response), /*from_cache=*/false};
 }

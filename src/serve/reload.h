@@ -131,7 +131,7 @@ class SnapshotManager {
   // One request's answer and the generation that produced it.
   struct Served {
     // The state the request ran on; the response's scores come from its
-    // snapshot, which stays alive as long as this pointer.
+    // snapshot.
     std::shared_ptr<const ServingState> state;
     util::StatusOr<ServeResponse> response;
     bool from_cache = false;
@@ -141,8 +141,8 @@ class SnapshotManager {
   // replay): acquires the active state, answers (user, k) from
   // options.cache under that state's version, and on a miss runs the
   // state's HardenedExecutor with `token` (the request's fault and retry
-  // identity) and `deadline`, caching the answer unless it is degraded.
-  // Thread-safe.
+  // identity) and `deadline`, caching the answer and its scores unless it
+  // is degraded. Thread-safe.
   Served Serve(uint32_t user, uint32_t k, uint64_t token,
                Deadline deadline = kNoDeadline) const;
 

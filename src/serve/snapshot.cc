@@ -190,7 +190,7 @@ util::Status SaveSnapshot(const ModelSnapshot& snapshot,
 
 util::StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
   HOSR_ASSIGN_OR_RETURN(std::string body, util::ReadFileVerifyCrc(path));
-  std::istringstream in(body);
+  std::istringstream in(std::move(body));  // takes the buffer, no copy
   return ReadSnapshot(&in);
 }
 

@@ -56,8 +56,8 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
   const kernels::KernelTable& kern = kernels::Active();
 
   // NT: every element is one dot over two contiguous rows, the order
-  // ModelSnapshot::Score and score_block replay, so served scores stay
-  // bit-equal to ScoreAllItems.
+  // ModelSnapshot::Score and the serving engine's rescoring replay, so
+  // served scores stay bit-equal to ScoreAllItems.
   if (!transpose_a && transpose_b) {
     util::ParallelFor(
         0, m,

@@ -6,30 +6,52 @@ namespace hosr::util {
 
 namespace {
 
-// Table generated at first use; 256 entries of the reflected polynomial.
-const std::array<uint32_t, 256>& Crc32Table() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+// Slice-by-8 tables of the reflected polynomial, generated at first use.
+// tables[0] is the classic bytewise table; tables[k][b] is the CRC of byte
+// b followed by k zero bytes, so eight lookups fold eight input bytes.
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
-  const auto& table = Crc32Table();
+  const Crc32Tables& t = Tables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; size -= 8, bytes += 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ c;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -98,7 +98,22 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
 }
 
 StatusOr<std::string> ReadFileVerifyCrc(const std::string& path) {
-  HOSR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  // One read at the file's size: no buffer doubling and no extra copy. A
+  // size that reads as 0 (not a regular file) takes the streaming read.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in) return Status::IoError("cannot open for reading: " + path);
+    const std::streamoff size = in.tellg();
+    if (size > 0) {
+      bytes.resize(static_cast<size_t>(size));
+      in.seekg(0);
+      in.read(bytes.data(), size);
+      if (in.gcount() != size) return Status::IoError("read failed: " + path);
+    } else {
+      HOSR_ASSIGN_OR_RETURN(bytes, ReadFileToString(path));
+    }
+  }
   if (bytes.size() < 4) {
     return Status::DataLoss("file too short for CRC footer: " + path);
   }

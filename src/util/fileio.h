@@ -60,7 +60,8 @@ Status WriteFileAtomicWithCrc(const std::string& path, std::string_view body);
 // trailing garbage) yields DataLoss; a missing file yields IoError.
 StatusOr<std::string> ReadFileVerifyCrc(const std::string& path);
 
-// Whole-file read, no integrity check.
+// Whole-file read, no integrity check. Streams, so a file whose size reads
+// as 0 (a /proc file) still reads whole.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
 }  // namespace hosr::util

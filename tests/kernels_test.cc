@@ -56,7 +56,7 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->dot, nullptr);
     EXPECT_NE(t->scale, nullptr);
     EXPECT_NE(t->reduce_max, nullptr);
-    EXPECT_NE(t->score_block, nullptr);
+    EXPECT_NE(t->score_half, nullptr);
     EXPECT_NE(t->gemm_tile, nullptr);
     EXPECT_NE(t->tanh, nullptr);
     EXPECT_NE(t->rmsprop, nullptr);
@@ -153,50 +153,120 @@ TEST(KernelEquivalenceTest, ReduceMax) {
   }
 }
 
-TEST(KernelEquivalenceTest, ScoreBlock) {
-  if (!SimdAvailable()) GTEST_SKIP() << "no SIMD table on this CPU";
+// Every finite half narrows back to itself, ties round to the even
+// neighbour, and values beyond the half range overflow or underflow.
+TEST(KernelHalfTest, ConversionRoundsToNearestEven) {
+  for (uint32_t bits = 0; bits < 0x10000u; ++bits) {
+    const auto h = static_cast<uint16_t>(bits);
+    const float f = HalfToFloat(h);
+    if (std::isnan(f)) {
+      EXPECT_TRUE(std::isnan(HalfToFloat(FloatToHalf(f)))) << bits;
+    } else {
+      EXPECT_EQ(FloatToHalf(f), h) << bits;
+    }
+  }
+  EXPECT_EQ(FloatToHalf(1.0f + 0x1p-11f), 0x3c00u);      // tie, even below
+  EXPECT_EQ(FloatToHalf(1.0f + 3 * 0x1p-11f), 0x3c02u);  // tie, even above
+  EXPECT_EQ(FloatToHalf(65504.0f), 0x7bffu);
+  EXPECT_EQ(FloatToHalf(65519.0f), 0x7bffu);
+  EXPECT_EQ(FloatToHalf(65520.0f), 0x7c00u);  // rounds past the largest
+  EXPECT_EQ(FloatToHalf(-1e6f), 0xfc00u);
+  EXPECT_EQ(FloatToHalf(0x1p-24f), 0x0001u);  // smallest subnormal
+  EXPECT_EQ(FloatToHalf(0x1p-25f), 0x0000u);  // tie, even below
+  EXPECT_EQ(FloatToHalf(0x1.8p-24f), 0x0002u);  // tie, even above
+  EXPECT_EQ(FloatToHalf(-0x1p-30f), 0x8000u);  // underflow keeps the sign
+  // Away from ties, the nearest half: no neighbour is closer.
+  util::Rng rng(105);
+  for (int n = 0; n < 20000; ++n) {
+    const int exponent = static_cast<int>(rng.UniformInt(40)) - 25;
+    const float x =
+        static_cast<float>(rng.Gaussian() * std::pow(2.0, exponent));
+    const uint16_t h = FloatToHalf(x);
+    const double err = std::fabs(static_cast<double>(HalfToFloat(h)) - x);
+    for (const int step : {-1, 1}) {
+      const auto other = static_cast<uint16_t>(h + step);
+      if ((other & 0x7fffu) >= 0x7c00u || ((other ^ h) & 0x8000u) != 0) {
+        continue;
+      }
+      EXPECT_LE(err, std::fabs(static_cast<double>(HalfToFloat(other)) - x))
+          << x;
+    }
+  }
+}
+
+// The serving engine's exact filter rests on this bound: in each table the
+// half pass is within gamma_d |u| |h| of the exact sum against the widened
+// half image h, so within twice that of the table's fp32 dot against h.
+// With zero radii, lower and upper are that approximate score.
+TEST(KernelHalfTest, ScoreHalfWithinDotBoundInEachTable) {
+  constexpr size_t kRows = kHalfBlockRows;
   util::Rng rng(106);
-  for (const size_t d : kDims) {
-    // Odd and even item counts exercise the paired loop and its remainder.
-    for (const size_t items : {1u, 2u, 3u, 8u}) {
-      const auto u = RandomVec(d, &rng);
-      const auto rows = RandomVec(items * d, &rng);
-      const auto bias = RandomVec(items, &rng);
-      for (const bool with_bias : {false, true}) {
-        std::vector<float> out_s(items), out_b(items);
-        const float* bias_ptr = with_bias ? bias.data() : nullptr;
-        const float max_s = Scalar().score_block(items, d, u.data(),
-                                                 rows.data(), bias_ptr,
-                                                 out_s.data());
-        const float max_b = Best().score_block(items, d, u.data(), rows.data(),
-                                               bias_ptr, out_b.data());
+  for (const KernelTable* t : {&Scalar(), &Best()}) {
+    for (const size_t d : kDims) {
+      const double gamma = d * 0x1p-24 / (1.0 - d * 0x1p-24);
+      for (const size_t items : {1u, 3u, 9u, 21u}) {
+        const size_t blocks = (items + kRows - 1) / kRows;
+        const auto u = RandomVec(d, &rng);
+        std::vector<float> widened(items * d);
+        std::vector<uint16_t> half(blocks * kRows * d, 0);
         for (size_t j = 0; j < items; ++j) {
-          ExpectRelClose(out_s[j], out_b[j], "score_block", d);
+          // Row scales from 1e-3 to 1e3 keep every entry in half range.
+          const float scale = std::pow(10.0f, static_cast<float>(j % 7) - 3);
+          for (size_t i = 0; i < d; ++i) {
+            const uint16_t h = FloatToHalf(
+                static_cast<float>(rng.Gaussian()) * scale);
+            half[((j / kRows) * d + i) * kRows + j % kRows] = h;
+            widened[j * d + i] = HalfToFloat(h);
+          }
         }
-        ExpectRelClose(max_s, max_b, "score_block max", d);
-        EXPECT_EQ(max_s, *std::max_element(out_s.begin(), out_s.end()));
-        EXPECT_EQ(max_b, *std::max_element(out_b.begin(), out_b.end()));
+        const std::vector<float> zeros(blocks * kRows, 0.0f);
+        std::vector<float> lower(blocks * kRows), upper(blocks * kRows);
+        t->score_half(blocks, d, u.data(), half.data(), nullptr, zeros.data(),
+                      0.0f, 0.0f, lower.data(), upper.data());
+        for (size_t j = 0; j < items; ++j) {
+          const float* h = widened.data() + j * d;
+          double exact = 0.0, uu = 0.0, hh = 0.0;
+          for (size_t i = 0; i < d; ++i) {
+            exact += static_cast<double>(u[i]) * h[i];
+            uu += static_cast<double>(u[i]) * u[i];
+            hh += static_cast<double>(h[i]) * h[i];
+          }
+          const double bound = gamma * std::sqrt(uu) * std::sqrt(hh);
+          ASSERT_EQ(lower[j], upper[j]) << t->name << " d=" << d;
+          EXPECT_LE(std::fabs(lower[j] - exact), bound)
+              << t->name << " d=" << d << " item " << j;
+          EXPECT_LE(std::fabs(lower[j] - t->dot(d, u.data(), h)), 2 * bound)
+              << t->name << " d=" << d << " item " << j;
+        }
       }
     }
   }
 }
 
-TEST(KernelEquivalenceTest, ScoreBlockMatchesDotExactly) {
-  // Within one table, the blocked scoring path must replay the dot
-  // kernel's reduction order bit-for-bit — the serving bit-identity
-  // contract (ModelSnapshot::Score and tensor::Gemm use dot; the engine
-  // scan uses score_block).
-  util::Rng rng(107);
+// The bounds are s -+ (scale * radius + bias_radius) with the bias added to
+// s, and a row whose bounds are not both finite gets (-inf, +inf).
+TEST(KernelHalfTest, ScoreHalfBoundsAndUnboundedRows) {
+  constexpr size_t kRows = kHalfBlockRows;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const size_t d = 3;
+  const std::vector<float> u = {1.0f, 2.0f, -1.0f};
+  std::vector<uint16_t> half(kRows * d, FloatToHalf(1.0f));  // s = 2 each
+  half[(0 * d + 0) * kRows + 5] = FloatToHalf(kInf);       // row 5: s = inf
+  std::vector<float> bias(kRows, 0.5f);
+  std::vector<float> radius(kRows, 0.25f);
+  radius[6] = kInf;  // row 6: unbounded radius
+  radius[7] = std::numeric_limits<float>::quiet_NaN();
   for (const KernelTable* t : {&Scalar(), &Best()}) {
-    for (const size_t d : kDims) {
-      const size_t items = 5;
-      const auto u = RandomVec(d, &rng);
-      const auto rows = RandomVec(items * d, &rng);
-      std::vector<float> out(items);
-      t->score_block(items, d, u.data(), rows.data(), nullptr, out.data());
-      for (size_t j = 0; j < items; ++j) {
-        EXPECT_EQ(out[j], t->dot(d, u.data(), rows.data() + j * d))
-            << t->name << " d=" << d << " item " << j;
+    std::vector<float> lower(kRows), upper(kRows);
+    t->score_half(1, d, u.data(), half.data(), bias.data(), radius.data(),
+                  2.0f, 0.125f, lower.data(), upper.data());
+    for (size_t r = 0; r < kRows; ++r) {
+      if (r >= 5) {
+        EXPECT_EQ(lower[r], -kInf) << t->name << " row " << r;
+        EXPECT_EQ(upper[r], kInf) << t->name << " row " << r;
+      } else {
+        EXPECT_EQ(lower[r], 2.5f - 0.625f) << t->name << " row " << r;
+        EXPECT_EQ(upper[r], 2.5f + 0.625f) << t->name << " row " << r;
       }
     }
   }

@@ -222,8 +222,8 @@ TEST(StreamTest, SyntheticStreamIsDeterministic) {
 
 TEST(StreamTest, OutcomesTallyAndSum) {
   Outcomes tally;
-  tally.Count(serve::ServeResponse{{1, 2}, /*degraded=*/false});
-  tally.Count(serve::ServeResponse{{3}, /*degraded=*/true});
+  tally.Count(serve::ServeResponse{{1, 2}, /*degraded=*/false, {}});
+  tally.Count(serve::ServeResponse{{3}, /*degraded=*/true, {}});
   tally.CountStatus(util::Status::DeadlineExceeded("late"));
   tally.CountStatus(util::Status::ResourceExhausted("full"));
   tally.CountStatus(util::Status::Internal("boom"));
@@ -363,7 +363,63 @@ TEST_F(NetServerTest, SecondIdenticalQueryIsServedFromCache) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->served_from_cache);
   EXPECT_EQ(second->items, first->items);
-  EXPECT_EQ(second->scores, first->scores);  // scored fresh both times
+  EXPECT_EQ(second->scores, first->scores);
+  ASSERT_EQ(second->scores.size(), second->items.size());
+  for (size_t i = 0; i < second->items.size(); ++i) {
+    EXPECT_EQ(second->scores[i],
+              engine_->snapshot().Score(3, second->items[i]));
+  }
+}
+
+// One recv can carry several frames: the server answers every one, in
+// order, before it reads again.
+TEST_F(NetServerTest, TwoFramesInOneSendAreBothAnsweredInOrder) {
+  NetServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto raw = ConnectTcp("127.0.0.1", server.port(), 1000);
+  ASSERT_TRUE(raw.ok());
+  ScopedFd fd(raw.value());
+  SetRecvTimeoutMs(fd.get(), 5000);
+  const std::string both =
+      EncodeFrame(FrameType::kQuery, EncodeQueryRequest({1, 2, 10, 0, 0})) +
+      EncodeFrame(FrameType::kQuery, EncodeQueryRequest({2, 5, 3, 0, 0}));
+  ASSERT_TRUE(SendAll(fd.get(), both).ok());
+  for (const auto& [user, k] : {std::pair<uint32_t, uint32_t>{2, 10},
+                                std::pair<uint32_t, uint32_t>{5, 3}}) {
+    auto reply = ReadFrame(fd.get());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    auto response = DecodeQueryResponse(reply->payload);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_TRUE(ResponseStatus(*response).ok()) << ResponseStatus(*response);
+    EXPECT_EQ(response->items, engine_->TopKForUser(user, k)) << user;
+  }
+  server.Stop();
+  EXPECT_EQ(server.GetStats().requests, 2u);
+  EXPECT_EQ(server.GetStats().responses, 2u);
+}
+
+// A frame whose bytes arrive in two sends is answered once it completes.
+TEST_F(NetServerTest, FrameSplitOverTwoSendsIsAnswered) {
+  NetServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto raw = ConnectTcp("127.0.0.1", server.port(), 1000);
+  ASSERT_TRUE(raw.ok());
+  ScopedFd fd(raw.value());
+  SetRecvTimeoutMs(fd.get(), 5000);
+  const std::string frame =
+      EncodeFrame(FrameType::kQuery, EncodeQueryRequest({1, 7, 4, 0, 0}));
+  const size_t cut = kFrameHeaderSize + 5;
+  ASSERT_TRUE(SendAll(fd.get(), frame.substr(0, cut)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(SendAll(fd.get(), frame.substr(cut)).ok());
+  auto reply = ReadFrame(fd.get());
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto response = DecodeQueryResponse(reply->payload);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(ResponseStatus(*response).ok()) << ResponseStatus(*response);
+  EXPECT_EQ(response->items, engine_->TopKForUser(7, 4));
+  server.Stop();
+  EXPECT_EQ(server.GetStats().read_timeouts, 0u);
 }
 
 TEST_F(NetServerTest, ApplicationErrorKeepsConnectionOpen) {

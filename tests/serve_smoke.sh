@@ -4,7 +4,8 @@
 #   2. train BPR for 2 epochs and export a serving snapshot,
 #   3. replay 1k skewed requests through hosr_serve,
 #   4. assert nonzero cache hits and valid JSON metrics + summary output,
-#   5. assert that each out-of-range flag exits 1 with an error naming it.
+#   5. assert that each out-of-range flag of hosr_serve and of
+#      `hosr_cli train` exits 1 with an error naming it.
 #
 # Usage: serve_smoke.sh <hosr_cli binary> <hosr_serve binary>
 set -eu
@@ -69,3 +70,19 @@ for bad in "--retries=20" "--retries=-3" "--cache_shards=0" \
   fi
 done
 echo "serve_smoke: out-of-range flags exit 1 with a named error"
+
+for bad in "--epochs=0" "--epochs=-1" "--batch=0" "--dim=0" "--layers=-1" \
+    "--k=0" "--lr=0" "--weight-decay=-1"; do
+  flag="${bad%%=*}"
+  set +e
+  timeout 60 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/bad.ckpt" \
+    --model=BPR "$bad" > /dev/null 2> "$WORK/bad_flag.err"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 1 ] || ! grep -q "^error: .*$flag=" "$WORK/bad_flag.err"; then
+    echo "FAIL: hosr_cli train $bad exited $rc, expected 1 naming $flag" >&2
+    cat "$WORK/bad_flag.err" >&2
+    exit 1
+  fi
+done
+echo "serve_smoke: out-of-range hosr_cli train counts exit 1 with a named error"

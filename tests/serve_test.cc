@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,10 +16,13 @@
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
 #include "eval/topk.h"
+#include "kernels/kernels.h"
 #include "models/bpr_mf.h"
 #include "models/ncf.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/engine.h"
+#include "serve/hardened.h"
 #include "serve/snapshot.h"
 #include "util/fileio.h"
 #include "util/random.h"
@@ -332,6 +337,218 @@ TEST(EngineTest, AgreesWithEvaluatorRanking) {
   }
 }
 
+// --- the engine's exact half-precision filter --------------------------------
+
+// Tables built to break the engine's half-precision filter if its bounds
+// were not exact.
+enum class FilterTable {
+  kDuplicateRows,    // exact ties, in fp32 and in half precision
+  kSharedHalfImage,  // rows with one half image and different fp32 values
+  kRoundingFlips,    // pairs whose half images rank opposite to fp32
+  kHalfRange,        // entries beyond +-65504 and below 2^-24
+  kNormSpread,       // row norms from 1e-3 to 1e3
+  kItemBias,         // item, user and global biases
+  kSeenTop,          // each user has seen their true top items
+};
+
+constexpr FilterTable kFilterTables[] = {
+    FilterTable::kDuplicateRows, FilterTable::kSharedHalfImage,
+    FilterTable::kRoundingFlips, FilterTable::kHalfRange,
+    FilterTable::kNormSpread,    FilterTable::kItemBias,
+    FilterTable::kSeenTop,
+};
+
+// The scores a full fp32 scan ranks: dot(u, v_j) + item_bias[j] through
+// the active dot kernel.
+std::vector<float> FullScan(const ModelSnapshot& snapshot, uint32_t user) {
+  const auto& f = snapshot.factors;
+  std::vector<float> scores(snapshot.num_items());
+  for (uint32_t j = 0; j < snapshot.num_items(); ++j) {
+    scores[j] = kernels::Active().dot(snapshot.dim(), f.user_factors.row(user),
+                                      f.item_factors.row(j));
+    if (!f.item_bias.empty()) scores[j] += f.item_bias[j];
+  }
+  return scores;
+}
+
+ModelSnapshot MakeFilterTable(FilterTable table, uint32_t num_users,
+                              uint32_t num_items, uint32_t dim,
+                              util::Rng* rng) {
+  ModelSnapshot snapshot;
+  snapshot.model_name = "filter-test";
+  auto& f = snapshot.factors;
+  f.user_factors = tensor::Matrix(num_users, dim);
+  f.item_factors = tensor::Matrix(num_items, dim);
+  for (uint32_t u = 0; u < num_users; ++u) {
+    for (uint32_t i = 0; i < dim; ++i) {
+      // kRoundingFlips needs every user entry positive.
+      f.user_factors.at(u, i) = table == FilterTable::kRoundingFlips
+                                    ? 1.0f + rng->UniformFloat()
+                                    : rng->Gaussian();
+    }
+  }
+  for (uint32_t j = 0; j < num_items; ++j) {
+    float* v = f.item_factors.row(j);
+    for (uint32_t i = 0; i < dim; ++i) v[i] = rng->Gaussian();
+    switch (table) {
+      case FilterTable::kDuplicateRows:
+        if (j >= 7 && j % 2 == 1) {
+          std::copy_n(f.item_factors.row(j % 7), dim, v);
+        }
+        break;
+      case FilterTable::kSharedHalfImage:
+        // Row j % 5's half-exact values, each moved by less than a quarter
+        // of a half ulp: the half image stays, the fp32 scores differ.
+        for (uint32_t i = 0; i < dim; ++i) {
+          const float base = kernels::HalfToFloat(
+              kernels::FloatToHalf(f.item_factors.at(j % 5, i)));
+          const float step = static_cast<float>(rng->UniformInt(129)) - 64.0f;
+          v[i] = j < 5 ? base : base * (1.0f + step * 0x1p-20f);
+          EXPECT_EQ(kernels::FloatToHalf(v[i]), kernels::FloatToHalf(base));
+        }
+        break;
+      case FilterTable::kRoundingFlips: {
+        // Pair p: a half-exact base row w in [1, 2) (half ulp 2^-10). Row
+        // 2p is w + 0.49 ulp everywhere, so its half image is w; row 2p+1
+        // is w except w_0 + 0.51 ulp, whose image is w_0 + 1 ulp. Row 2p+1
+        // has the larger approximate score and, for any positive user over
+        // more than one dimension, the smaller fp32 score.
+        if (j % 2 == 1) {
+          const float* pair = f.item_factors.row(j - 1);
+          for (uint32_t i = 0; i < dim; ++i) {
+            v[i] = kernels::HalfToFloat(kernels::FloatToHalf(pair[i]));
+          }
+          v[0] += 0.51f * 0x1p-10f;
+          break;
+        }
+        for (uint32_t i = 0; i < dim; ++i) {
+          const float w =
+              1.0f + static_cast<float>(rng->UniformInt(1024)) * 0x1p-10f;
+          v[i] = w + 0.49f * 0x1p-10f;
+        }
+        break;
+      }
+      case FilterTable::kHalfRange:
+        if (j % 3 == 0) {
+          v[j % dim] = (j % 2 == 0 ? 1.0f : -1.0f) *
+                       (65504.0f + static_cast<float>(rng->UniformInt(40000)));
+        } else if (j % 3 == 1) {
+          for (uint32_t i = 0; i < dim; ++i) v[i] *= 1e-8f;
+        }
+        break;
+      case FilterTable::kNormSpread: {
+        const float scale = std::pow(10.0f, 6.0f * rng->UniformFloat() - 3.0f);
+        for (uint32_t i = 0; i < dim; ++i) v[i] *= scale;
+        break;
+      }
+      case FilterTable::kItemBias:
+      case FilterTable::kSeenTop:
+        break;
+    }
+  }
+  if (table == FilterTable::kItemBias) {
+    for (uint32_t j = 0; j < num_items; ++j) {
+      f.item_bias.push_back(3.0f * rng->Gaussian());
+    }
+    for (uint32_t u = 0; u < num_users; ++u) {
+      f.user_bias.push_back(rng->Gaussian());
+    }
+    f.global_bias = 0.25f;
+  }
+  return snapshot;
+}
+
+// Each user has seen a random tenth of the items; under kSeenTop also their
+// three best items by the full scan.
+data::InteractionMatrix MakeFilterSeen(FilterTable table,
+                                       const ModelSnapshot& snapshot,
+                                       util::Rng* rng) {
+  std::vector<data::Interaction> seen;
+  for (uint32_t u = 0; u < snapshot.num_users(); ++u) {
+    for (uint32_t j = 0; j < snapshot.num_items(); ++j) {
+      if (rng->UniformInt(10) == 0) seen.push_back({u, j});
+    }
+    if (table == FilterTable::kSeenTop) {
+      const std::vector<float> scores = FullScan(snapshot, u);
+      for (const uint32_t j :
+           eval::TopK(scores.data(), snapshot.num_items(), 3, {})) {
+        seen.push_back({u, j});
+      }
+    }
+  }
+  auto matrix = data::InteractionMatrix::FromInteractions(
+      snapshot.num_users(), snapshot.num_items(), std::move(seen));
+  HOSR_CHECK(matrix.ok()) << matrix.status();
+  return std::move(matrix).value();
+}
+
+// The engine's answer is the full scan's: items, order and ties for every
+// k around the unseen-item count, and the executor's scores are
+// ModelSnapshot::Score bit for bit. serve_test_forced_scalar reruns this
+// under the scalar kernels.
+TEST(EngineFilterTest, MatchesFullScanOnAdversarialTables) {
+  util::Rng rng(2024);
+  for (const FilterTable table : kFilterTables) {
+    for (const uint32_t dim : {13u, 64u}) {
+      const ModelSnapshot snapshot =
+          MakeFilterTable(table, /*num_users=*/12, /*num_items=*/203, dim,
+                          &rng);
+      const data::InteractionMatrix seen =
+          MakeFilterSeen(table, snapshot, &rng);
+      for (const uint32_t item_block : {2048u, 13u}) {
+        EngineOptions options;
+        options.item_block = item_block;
+        const InferenceEngine engine(snapshot, &seen, options);
+        const HardenedExecutor executor(&engine, HardenedOptions{});
+        for (uint32_t u = 0; u < snapshot.num_users(); ++u) {
+          const std::vector<float> scores = FullScan(snapshot, u);
+          const auto unseen =
+              static_cast<uint32_t>(snapshot.num_items() -
+                                    seen.ItemsOf(u).size());
+          for (const uint32_t k :
+               {1u, 5u, 20u, unseen - 1, unseen, unseen + 3}) {
+            const std::vector<uint32_t> expected = eval::TopK(
+                scores.data(), snapshot.num_items(), k, seen.ItemsOf(u));
+            ASSERT_EQ(engine.TopKForUser(u, k), expected)
+                << "table " << static_cast<int>(table) << " dim " << dim
+                << " block " << item_block << " user " << u << " k " << k;
+            auto served = executor.Execute(u, k, /*token=*/u);
+            ASSERT_TRUE(served.ok()) << served.status();
+            ASSERT_EQ(served->items, expected);
+            ASSERT_EQ(served->scores.size(), expected.size());
+            for (size_t i = 0; i < expected.size(); ++i) {
+              ASSERT_EQ(served->scores[i], snapshot.Score(u, expected[i]));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// When |u| * max|v_j| could overflow a float, no bound is trusted: every
+// unseen item is rescored, and the answer is still the full scan's.
+TEST(EngineFilterTest, OverflowRiskRescoresEveryItem) {
+  util::Rng rng(7);
+  ModelSnapshot snapshot = MakeFilterTable(FilterTable::kItemBias,
+                                           /*num_users=*/4,
+                                           /*num_items=*/40, /*dim=*/8, &rng);
+  auto& f = snapshot.factors;
+  for (uint32_t u = 0; u < 4; ++u) f.user_factors.at(u, 0) = 1e20f;
+  // Orthogonal to the large user entry, so every score stays finite.
+  std::fill_n(f.item_factors.row(7), 8, 0.0f);
+  f.item_factors.at(7, 1) = 1e19f;
+  const InferenceEngine engine(snapshot);
+  obs::Counter& candidates =
+      *obs::Registry::Global().GetCounter("serve/engine_candidates");
+  for (uint32_t u = 0; u < 4; ++u) {
+    const std::vector<float> scores = FullScan(snapshot, u);
+    const uint64_t before = candidates.Get();
+    EXPECT_EQ(engine.TopKForUser(u, 5), eval::TopK(scores.data(), 40, 5, {}));
+    EXPECT_EQ(candidates.Get() - before, 40u) << "user " << u;
+  }
+}
+
 // --- cache -------------------------------------------------------------------
 
 TEST(CacheTest, HitMissAndEviction) {
@@ -362,6 +579,33 @@ TEST(CacheTest, HitMissAndEviction) {
 
   cache.Clear();
   EXPECT_EQ(cache.GetStats().entries, 0u);
+}
+
+TEST(CacheTest, ScoresRoundTripAndStaleGenerationDropsBoth) {
+  ResultCache cache;
+  cache.Advance(3);
+  cache.Put(7, 2, {4, 9}, /*generation=*/3, {1.5f, -0.25f});
+  std::vector<float> scores;
+  auto hit = cache.Get(7, 2, /*generation=*/3, &scores);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, (std::vector<uint32_t>{4, 9}));
+  EXPECT_EQ(scores, (std::vector<float>{1.5f, -0.25f}));
+  // The items-only forms still work: no scores stored, none asked for.
+  cache.Put(8, 2, {1}, /*generation=*/3);
+  EXPECT_EQ(cache.Get(8, 2, /*generation=*/3, &scores),
+            std::vector<uint32_t>{1});
+  EXPECT_TRUE(scores.empty());
+  EXPECT_TRUE(cache.Get(7, 2, /*generation=*/3).has_value());
+
+  // A swap: the old entry misses (and is evicted) with its scores, and a
+  // Put computed under the old generation stores neither.
+  cache.Advance(4);
+  scores = {42.0f};
+  EXPECT_FALSE(cache.Get(7, 2, /*generation=*/4, &scores).has_value());
+  EXPECT_EQ(scores, std::vector<float>{42.0f});  // untouched on a miss
+  cache.Put(7, 2, {4, 9}, /*generation=*/3, {1.5f, -0.25f});
+  EXPECT_FALSE(cache.Get(7, 2, /*generation=*/4, &scores).has_value());
+  EXPECT_EQ(cache.GetStats().stale_puts, 1u);
 }
 
 TEST(CacheTest, LruRefreshOnGet) {

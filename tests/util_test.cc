@@ -8,6 +8,7 @@
 #include <set>
 #include <thread>
 
+#include "util/crc32.h"
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -354,6 +355,46 @@ TEST(FlagsTest, GetIntRejectsExponentAndFractionForms) {
   const Flags f = ParseArgs({"--epochs=1e2", "--batch=3.5"});
   EXPECT_EQ(f.GetInt("epochs", 11), 11);
   EXPECT_EQ(f.GetInt("batch", 13), 13);
+}
+
+// --- CRC-32 -----------------------------------------------------------------
+
+// The bytewise table loop that slice-by-8 replaces: the reference.
+uint32_t BytewiseCrc32(uint32_t crc, const unsigned char* bytes, size_t size) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);  // the standard check value
+  EXPECT_EQ(Crc32(""), 0u);
+  Rng rng(33);
+  std::vector<unsigned char> data(1024 + 8);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.UniformInt(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size + offset <= data.size() && size <= 1024;
+         ++size) {
+      const unsigned char* p = data.data() + offset;
+      const uint32_t expected = BytewiseCrc32(0, p, size);
+      ASSERT_EQ(Crc32(p, size), expected) << offset << " " << size;
+      // Split at an arbitrary point: the incremental form agrees.
+      const size_t cut = size / 3;
+      ASSERT_EQ(Crc32Update(Crc32Update(0, p, cut), p + cut, size - cut),
+                expected)
+          << offset << " " << size;
+    }
+  }
 }
 
 // --- Table ------------------------------------------------------------------

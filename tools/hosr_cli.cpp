@@ -47,6 +47,8 @@
 // capture a model: evaluation is reproducible across processes.
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -74,6 +76,23 @@ using namespace hosr;
 int Fail(const util::Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// Count flags that reach a CHECKed constructor or an unsigned cast: out of
+// range they would abort the process or wrap (--epochs=-1 trained for 2^32
+// - 1 epochs), so they are refused before anything is loaded or built.
+util::Status CheckCountFlags(const util::Flags& flags,
+                             std::initializer_list<const char*> names) {
+  constexpr int64_t kMax = std::numeric_limits<uint32_t>::max();
+  for (const char* name : names) {
+    const int64_t value = flags.GetInt(name, 1);
+    if (value < 1 || value > kMax) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "--%s=%lld must be %s", name, static_cast<long long>(value),
+          value < 1 ? ">= 1" : "<= 4294967295"));
+    }
+  }
+  return util::Status::Ok();
 }
 
 int Usage() {
@@ -115,6 +134,7 @@ struct Session {
 };
 
 util::StatusOr<Session> OpenSession(const util::Flags& flags) {
+  HOSR_RETURN_IF_ERROR(CheckCountFlags(flags, {"dim", "layers", "k"}));
   const std::string data_dir = flags.GetString("data", "");
   if (data_dir.empty()) {
     return util::Status::InvalidArgument("missing --data=DIR");
@@ -134,7 +154,24 @@ util::StatusOr<Session> OpenSession(const util::Flags& flags) {
   return session;
 }
 
+// The rest of TrainConfig::Validate(), which BprTrainer CHECKs, refused
+// up front with the flag's name.
+util::Status CheckTrainFlags(const util::Flags& flags) {
+  HOSR_RETURN_IF_ERROR(CheckCountFlags(flags, {"epochs", "batch"}));
+  if (const double lr = flags.GetDouble("lr", 0.001); !(lr > 0.0)) {
+    return util::Status::InvalidArgument(
+        util::StrFormat("--lr=%g must be > 0", lr));
+  }
+  if (const double decay = flags.GetDouble("weight-decay", 1e-5);
+      !(decay >= 0.0)) {
+    return util::Status::InvalidArgument(
+        util::StrFormat("--weight-decay=%g must be >= 0", decay));
+  }
+  return util::Status::Ok();
+}
+
 int RunTrain(const util::Flags& flags) {
+  if (auto status = CheckTrainFlags(flags); !status.ok()) return Fail(status);
   auto session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status());
   const std::string checkpoint = flags.GetString("checkpoint", "");
