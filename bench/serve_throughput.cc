@@ -1,5 +1,5 @@
 // Serving-path benchmarks: single-user top-K latency (the acceptance
-// criterion's ≥50k QPS single-user top-10 path), batched top-K, the cached
+// criterion's ≥50k QPS single-user top-10 path), the cached
 // hot path, snapshot (de)serialization, and single-user top-20 at the
 // paper's item-table shape. Run via run_benches.sh or:
 //   ./build/bench/serve_throughput --benchmark_filter=TopK
@@ -77,23 +77,6 @@ void BM_SingleUserTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleUserTopK)->Arg(10)->Arg(50)->ThreadRange(1, 4)
     ->UseRealTime();
-
-void BM_TopKBatch(benchmark::State& state) {
-  const auto& engine = BenchEngine();
-  const auto batch_size = static_cast<size_t>(state.range(0));
-  util::Rng rng(7);
-  std::vector<uint32_t> users(batch_size);
-  for (auto& u : users) {
-    u = static_cast<uint32_t>(rng.UniformInt(engine.num_users()));
-  }
-  for (auto _ : state) {
-    auto ranked = engine.TopKBatch(users, 10);
-    benchmark::DoNotOptimize(ranked.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_size));
-}
-BENCHMARK(BM_TopKBatch)->Arg(16)->Arg(256);
 
 // The cached hot path under a skewed (90% repeat) request mix.
 void BM_CachedTopK(benchmark::State& state) {

@@ -1,7 +1,6 @@
 #include "autograd/param.h"
 
 #include "tensor/init.h"
-#include "tensor/ops.h"
 
 namespace hosr::autograd {
 
@@ -33,18 +32,6 @@ Param* ParamStore::Find(const std::string& name) {
 
 void ParamStore::ZeroGrad() {
   for (auto& p : params_) p->grad.SetZero();
-}
-
-double ParamStore::SquaredNorm() const {
-  double acc = 0.0;
-  for (const auto& p : params_) acc += tensor::SquaredNorm(p->value);
-  return acc;
-}
-
-size_t ParamStore::NumScalars() const {
-  size_t acc = 0;
-  for (const auto& p : params_) acc += p->value.size();
-  return acc;
 }
 
 }  // namespace hosr::autograd

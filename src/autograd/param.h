@@ -50,12 +50,6 @@ class ParamStore {
 
   void ZeroGrad();
 
-  // Sum over parameters of squared Frobenius norm (the ||Theta||^2 term).
-  double SquaredNorm() const;
-
-  // Total scalar count across all parameters.
-  size_t NumScalars() const;
-
  private:
   std::vector<std::unique_ptr<Param>> params_;
 };

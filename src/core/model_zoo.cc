@@ -63,7 +63,6 @@ util::StatusOr<std::unique_ptr<models::RankingModel>> MakeModel(
     c.embedding_dim = config.embedding_dim;
     c.num_layers = config.hosr_layers;
     c.graph_dropout = config.hosr_graph_dropout;
-    c.embedding_dropout = config.hosr_embedding_dropout;
     c.seed = config.seed;
     return std::unique_ptr<models::RankingModel>(new Hosr(train, c));
   }

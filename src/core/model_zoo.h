@@ -20,7 +20,6 @@ struct ZooConfig {
   // HOSR-specific knobs forwarded to Hosr::Config.
   uint32_t hosr_layers = 3;
   float hosr_graph_dropout = 0.2f;
-  float hosr_embedding_dropout = 0.0f;
 };
 
 // Names accepted by MakeModel, in the paper's Table 3 column order.

@@ -69,22 +69,6 @@ double NdcgAtK(const std::vector<uint32_t>& ranked,
   return ideal > 0.0 ? dcg / ideal : 0.0;
 }
 
-double ReciprocalRankAtK(const std::vector<uint32_t>& ranked,
-                         const std::vector<uint32_t>& relevant, uint32_t k) {
-  if (relevant.empty() || k == 0) return 0.0;
-  for (size_t pos = 0; pos < ranked.size() && pos < k; ++pos) {
-    if (IsRelevant(relevant, ranked[pos])) {
-      return 1.0 / static_cast<double>(pos + 1);
-    }
-  }
-  return 0.0;
-}
-
-double HitRateAtK(const std::vector<uint32_t>& ranked,
-                  const std::vector<uint32_t>& relevant, uint32_t k) {
-  return ReciprocalRankAtK(ranked, relevant, k) > 0.0 ? 1.0 : 0.0;
-}
-
 std::vector<uint32_t> TopKExcluding(const float* scores, uint32_t num_items,
                                     uint32_t k,
                                     const std::vector<uint32_t>& excluded) {

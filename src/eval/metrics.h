@@ -29,14 +29,6 @@ double AveragePrecisionAtK(const std::vector<uint32_t>& ranked,
 double NdcgAtK(const std::vector<uint32_t>& ranked,
                const std::vector<uint32_t>& relevant, uint32_t k);
 
-// Reciprocal rank of the first relevant item within the top K (0 if none).
-double ReciprocalRankAtK(const std::vector<uint32_t>& ranked,
-                         const std::vector<uint32_t>& relevant, uint32_t k);
-
-// 1 if any relevant item appears in the top K, else 0.
-double HitRateAtK(const std::vector<uint32_t>& ranked,
-                  const std::vector<uint32_t>& relevant, uint32_t k);
-
 // Indices of the K largest scores, excluding `excluded` (sorted ascending;
 // typically the user's training items). Ties broken by lower index.
 // Thin wrapper over eval::TopK (eval/topk.h), kept for existing callers.

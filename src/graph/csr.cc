@@ -45,22 +45,6 @@ CsrMatrix CsrMatrix::FromTriplets(uint32_t num_rows, uint32_t num_cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::Diagonal(const std::vector<float>& diag) {
-  CsrMatrix m;
-  const auto n = static_cast<uint32_t>(diag.size());
-  m.num_rows_ = n;
-  m.num_cols_ = n;
-  m.row_ptr_.assign(n + 1, 0);
-  m.col_idx_.resize(n);
-  m.values_ = diag;
-  for (uint32_t i = 0; i < n; ++i) {
-    m.row_ptr_[i] = i;
-    m.col_idx_[i] = i;
-  }
-  m.row_ptr_[n] = n;
-  return m;
-}
-
 float CsrMatrix::At(uint32_t r, uint32_t c) const {
   HOSR_CHECK(r < num_rows_ && c < num_cols_);
   const auto begin = col_idx_.begin() + static_cast<ptrdiff_t>(row_begin(r));
@@ -68,14 +52,6 @@ float CsrMatrix::At(uint32_t r, uint32_t c) const {
   const auto it = std::lower_bound(begin, end, c);
   if (it == end || *it != c) return 0.0f;
   return values_[static_cast<size_t>(it - col_idx_.begin())];
-}
-
-std::vector<uint32_t> CsrMatrix::RowDegrees() const {
-  std::vector<uint32_t> degrees(num_rows_);
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    degrees[r] = static_cast<uint32_t>(row_nnz(r));
-  }
-  return degrees;
 }
 
 CsrMatrix CsrMatrix::Transpose() const {

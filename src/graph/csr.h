@@ -26,9 +26,6 @@ class CsrMatrix {
   static CsrMatrix FromTriplets(uint32_t num_rows, uint32_t num_cols,
                                 std::vector<Triplet> triplets);
 
-  // Identity-like diagonal matrix with the given values (size n x n).
-  static CsrMatrix Diagonal(const std::vector<float>& diag);
-
   uint32_t num_rows() const { return num_rows_; }
   uint32_t num_cols() const { return num_cols_; }
   size_t nnz() const { return col_idx_.size(); }
@@ -44,9 +41,6 @@ class CsrMatrix {
 
   // Value at (r, c), 0 if absent. O(log nnz(r)).
   float At(uint32_t r, uint32_t c) const;
-
-  // Out-degree (stored entries) per row.
-  std::vector<uint32_t> RowDegrees() const;
 
   CsrMatrix Transpose() const;
 

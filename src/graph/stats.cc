@@ -96,19 +96,6 @@ std::vector<OrderStats> KOrderStats(const SocialGraph& graph,
   return stats;
 }
 
-uint64_t CountNeighborsWithinOrder(const SocialGraph& graph, uint32_t user,
-                                   uint32_t order) {
-  HOSR_CHECK(user < graph.num_users());
-  HOSR_CHECK(order >= 1);
-  const uint32_t n = graph.num_users();
-  std::vector<uint32_t> visited_epoch(n, 0);
-  std::vector<uint32_t> frontier, next_frontier;
-  std::vector<uint64_t> counts(order, 0);
-  BfsOrderCounts(graph.adjacency(), user, order, &visited_epoch, 1, &frontier,
-                 &next_frontier, &counts);
-  return counts[order - 1];
-}
-
 DegreeHistogram ComputeDegreeHistogram(const SocialGraph& graph,
                                        std::vector<uint32_t> bucket_edges) {
   HOSR_CHECK(!bucket_edges.empty());

@@ -23,10 +23,6 @@ struct OrderStats {
 std::vector<OrderStats> KOrderStats(const SocialGraph& graph,
                                     uint32_t max_order);
 
-// Number of distinct users within <= order hops of `user` (excluding it).
-uint64_t CountNeighborsWithinOrder(const SocialGraph& graph, uint32_t user,
-                                   uint32_t order);
-
 // Histogram of users by first-order neighbor count — Fig. 5. Bucket i
 // counts users whose degree falls in [edges[i], edges[i+1]); a final
 // overflow bucket counts degrees >= edges.back().

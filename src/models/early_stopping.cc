@@ -5,6 +5,13 @@
 
 namespace hosr::models {
 
+namespace {
+
+// Minimum improvement that counts as progress.
+constexpr double kMinDelta = 1e-5;
+
+}  // namespace
+
 util::Status EarlyStoppingConfig::Validate() const {
   if (max_epochs == 0) {
     return util::Status::InvalidArgument("max_epochs must be > 0");
@@ -14,9 +21,6 @@ util::Status EarlyStoppingConfig::Validate() const {
   }
   if (patience == 0) {
     return util::Status::InvalidArgument("patience must be > 0");
-  }
-  if (min_delta < 0.0) {
-    return util::Status::InvalidArgument("min_delta must be >= 0");
   }
   return util::Status::Ok();
 }
@@ -41,7 +45,7 @@ EarlyStoppingResult TrainWithEarlyStopping(
     if (!should_eval) continue;
 
     const double value = metric(model);
-    if (value > best + config.min_delta) {
+    if (value > best + kMinDelta) {
       best = value;
       result.best_metric = value;
       result.best_epoch = epoch + 1;

@@ -12,15 +12,14 @@ namespace hosr::models {
 
 // Early-stopping policy around BprTrainer: train up to `max_epochs`,
 // evaluate a validation metric every `eval_stride` epochs, and stop when
-// the metric has not improved for `patience` consecutive evaluations. The
-// best epoch's parameters are restored into the model before returning.
+// the metric has not improved (by more than 1e-5) for `patience`
+// consecutive evaluations. The best epoch's parameters are restored into
+// the model before returning.
 struct EarlyStoppingConfig {
   uint32_t max_epochs = 200;
   uint32_t eval_stride = 5;
   // Number of consecutive non-improving evaluations tolerated.
   uint32_t patience = 3;
-  // Minimum improvement that counts as progress.
-  double min_delta = 1e-5;
 
   util::Status Validate() const;
 };

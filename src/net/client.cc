@@ -17,7 +17,7 @@ util::StatusOr<NetClient> NetClient::Connect(const std::string& host,
   if (!fd.ok()) return fd.status();
   ScopedFd owned(fd.value());
   SetRecvTimeoutMs(owned.get(), options.read_timeout_ms);
-  SetSendTimeoutMs(owned.get(), options.write_timeout_ms);
+  SetSendTimeoutMs(owned.get(), kWriteTimeoutMs);
   return NetClient(host, port, options, std::move(owned));
 }
 

@@ -28,7 +28,6 @@ class NetClient {
   struct Options {
     int connect_timeout_ms = 5000;
     int read_timeout_ms = 30000;
-    int write_timeout_ms = 10000;
   };
 
   // One served ranking as it crossed the wire.

@@ -144,7 +144,7 @@ void NetServer::Stop() {
   const std::string drain_frame = ErrorResponseFrame(
       util::Status::Unavailable("server draining"));
   for (const auto& [fd, enqueue_ns] : leftover) {
-    SetSendTimeoutMs(fd, options_.write_timeout_ms);
+    SetSendTimeoutMs(fd, kWriteTimeoutMs);
     (void)SendAll(fd, drain_frame);
     close(fd);
   }
@@ -204,7 +204,7 @@ void NetServer::AcceptLoop() {
     if (!verdict.ok()) {
       shed_.fetch_add(1, std::memory_order_relaxed);
       HOSR_COUNTER("net/shed").Increment();
-      SetSendTimeoutMs(fd, options_.write_timeout_ms);
+      SetSendTimeoutMs(fd, kWriteTimeoutMs);
       (void)SendAll(fd, ErrorResponseFrame(verdict));
       close(fd);
       continue;
@@ -245,7 +245,7 @@ void NetServer::ServeConnection(int fd) {
                            ? std::min(kIdlePollMs, options_.read_timeout_ms)
                            : kIdlePollMs;
   SetRecvTimeoutMs(fd, slice_ms);
-  SetSendTimeoutMs(fd, options_.write_timeout_ms);
+  SetSendTimeoutMs(fd, kWriteTimeoutMs);
   // Received bytes not yet consumed are buffer[begin, end).
   std::vector<char> buffer(kRecvChunk);
   size_t begin = 0, end = 0;

@@ -77,12 +77,11 @@ class NetServer {
     // Accepted-but-unclaimed connections allowed to wait for a worker;
     // beyond this the acceptor sheds on the wire (ResourceExhausted).
     size_t max_pending_conns = 64;
-    // Per-socket operation bounds. read_timeout_ms caps how long a worker
-    // waits for the REST of a frame once its first byte arrived (the
-    // slow-loris bound); idle waits between frames poll in short slices so
-    // drain stays responsive.
+    // Caps how long a worker waits for the REST of a frame once its first
+    // byte arrived (the slow-loris bound); idle waits between frames poll in
+    // short slices so drain stays responsive. Sends are bounded by
+    // kWriteTimeoutMs.
     int read_timeout_ms = 30000;
-    int write_timeout_ms = 10000;
 
     // The serving pipeline every frame runs through; required, borrowed,
     // must outlive the server.

@@ -72,6 +72,9 @@ util::StatusOr<int> ConnectTcp(const std::string& host, int port,
 void SetRecvTimeoutMs(int fd, int timeout_ms);
 void SetSendTimeoutMs(int fd, int timeout_ms);
 
+// The send bound on every NetClient and NetServer socket.
+inline constexpr int kWriteTimeoutMs = 10000;
+
 // Writes all of `data`, retrying partial writes. SIGPIPE is suppressed
 // (MSG_NOSIGNAL); a closed peer surfaces as Unavailable.
 util::Status SendAll(int fd, std::string_view data);

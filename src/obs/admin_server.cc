@@ -26,6 +26,9 @@ namespace {
 // cannot pin a thread forever.
 constexpr int kSocketTimeoutSeconds = 5;
 
+// Concurrent in-flight responses.
+constexpr size_t kHandlerThreads = 2;
+
 void SetRecvTimeout(int fd) {
   struct timeval tv;
   tv.tv_sec = kSocketTimeoutSeconds;
@@ -192,11 +195,8 @@ util::Status AdminServer::Start() {
   start_ns_ = NowNanos();
   stopping_.store(false, std::memory_order_relaxed);
 
-  const int handler_count = options_.handler_threads > 0
-                                ? options_.handler_threads
-                                : 1;
-  handlers_.reserve(static_cast<size_t>(handler_count));
-  for (int i = 0; i < handler_count; ++i) {
+  handlers_.reserve(kHandlerThreads);
+  for (size_t i = 0; i < kHandlerThreads; ++i) {
     handlers_.emplace_back([this] { HandlerLoop(); });
   }
   listener_ = std::thread([this] { ListenLoop(); });

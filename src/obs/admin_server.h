@@ -112,8 +112,7 @@ struct HttpResponse {
 class AdminServer {
  public:
   struct Options {
-    int port = 0;             // 0 = kernel-assigned ephemeral port
-    int handler_threads = 2;  // concurrent in-flight responses
+    int port = 0;  // 0 = kernel-assigned ephemeral port
   };
 
   explicit AdminServer(Options options);

@@ -36,12 +36,6 @@ void StatsReporter::Snapshot() {
       HOSR_LOG(Warning) << "metrics snapshot failed: " << status;
     }
   }
-  if (options_.log_snapshots) {
-    HOSR_LOG(Info) << "metrics snapshot"
-                   << (options_.metrics_path.empty()
-                           ? ""
-                           : " -> " + options_.metrics_path);
-  }
 }
 
 void StatsReporter::Stop() {

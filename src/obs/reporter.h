@@ -20,7 +20,7 @@ util::Status WriteMetricsJson(const std::string& path);
 //  * epoch mode — `interval_seconds <= 0` starts no thread; the owner calls
 //    Snapshot() itself (e.g. once per training epoch).
 // Every snapshot rewrites `metrics_path` (when set) so the on-disk JSON is
-// always the latest state, and optionally logs a one-line summary.
+// always the latest state.
 //
 // Shutdown-flush guarantee: any Stop() call — including one racing another
 // Stop() or the destructor — returns only after a final Snapshot() that
@@ -32,7 +32,6 @@ class StatsReporter {
   struct Options {
     double interval_seconds = 0.0;
     std::string metrics_path;
-    bool log_snapshots = false;
   };
 
   explicit StatsReporter(Options options);

@@ -89,11 +89,11 @@ void SnapshotOnce(RecorderState* state) {
           ? state->options.snapshot_interval_s
           : static_cast<double>(now_ns - state->last_snapshot_ns) / 1e9;
   state->last_snapshot_ns = now_ns;
-  const size_t capacity = state->options.window_capacity;
-
-  const auto push = [capacity](Series* series, Point point) {
+  const auto push = [](Series* series, Point point) {
     series->points.push_back(point);
-    while (series->points.size() > capacity) series->points.pop_front();
+    while (series->points.size() > TimeseriesRecorder::kWindowCapacity) {
+      series->points.pop_front();
+    }
   };
 
   Registry::Global().VisitMetrics(
@@ -190,10 +190,6 @@ util::Status TimeseriesRecorder::Start(const Options& options) {
     return util::Status::InvalidArgument(
         "timeseries snapshot interval must be positive");
   }
-  if (options.window_capacity == 0) {
-    return util::Status::InvalidArgument(
-        "timeseries window capacity must be positive");
-  }
   RecorderState& state = State();
   std::lock_guard<std::mutex> stop_lock(state.stop_mutex);
   {
@@ -215,7 +211,7 @@ util::Status TimeseriesRecorder::Start(const Options& options) {
   state.thread = std::thread([&state] { RecorderLoop(&state); });
   HOSR_LOG(Info) << "timeseries recorder started ("
                  << options.snapshot_interval_s << "s interval, "
-                 << options.window_capacity << " windows)";
+                 << kWindowCapacity << " windows)";
   return util::Status::Ok();
 }
 
@@ -248,7 +244,7 @@ std::string TimeseriesRecorder::ToJson(std::string_view metric_filter,
   std::string json = util::StrFormat(
       "{\n  \"snapshot_interval_s\": %.3f,\n  \"window_capacity\": %zu,\n"
       "  \"series\": {",
-      state.options.snapshot_interval_s, state.options.window_capacity);
+      state.options.snapshot_interval_s, kWindowCapacity);
   bool first = true;
   for (const auto& [name, series] : state.series) {
     if (!metric_filter.empty() &&

@@ -24,14 +24,16 @@ namespace hosr::obs {
 //
 // The recorder reads the registry through its lock-free metric accessors
 // (one relaxed load per atomic), so recording adds nothing to the hot
-// paths being measured. Memory is bounded: window_capacity points per
+// paths being measured. Memory is bounded: kWindowCapacity points per
 // metric, oldest evicted first.
 class TimeseriesRecorder {
  public:
   struct Options {
     double snapshot_interval_s = 1.0;
-    size_t window_capacity = 300;  // e.g. 5 minutes of 1s windows
   };
+
+  // Points kept per series: 5 minutes of 1s windows.
+  static constexpr size_t kWindowCapacity = 300;
 
   static TimeseriesRecorder& Global();
 

@@ -88,14 +88,6 @@ void ResultCache::Advance(uint64_t generation) {
   generation_.store(generation, std::memory_order_release);
 }
 
-void ResultCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-  }
-}
-
 ResultCache::Stats ResultCache::GetStats() const {
   Stats stats;
   for (const Shard& shard : shards_) {

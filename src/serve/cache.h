@@ -64,9 +64,6 @@ class ResultCache {
     return generation_.load(std::memory_order_acquire);
   }
 
-  // Drops every entry (e.g. after a snapshot swap). Stats are kept.
-  void Clear();
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace hosr::serve {
@@ -293,31 +292,6 @@ const std::vector<uint32_t>& InferenceEngine::SeenItems(uint32_t user) const {
   HOSR_CHECK(user < num_users());
   if (seen_.empty()) return kNoExclusions;
   return seen_[user];
-}
-
-std::vector<std::vector<uint32_t>> InferenceEngine::TopKBatch(
-    const std::vector<uint32_t>& users, uint32_t k) const {
-  HOSR_TRACE_SPAN("serve/topk_batch");
-  std::vector<std::vector<uint32_t>> results(users.size());
-  util::ParallelFor(
-      0, users.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          results[i] = TopKForUser(users[i], k);
-        }
-      },
-      util::GrainFor(static_cast<size_t>(num_items()) * dim()));
-  HOSR_HISTOGRAM("serve/batch_size").Observe(static_cast<double>(users.size()));
-  return results;
-}
-
-std::vector<float> InferenceEngine::ScoreAll(uint32_t user) const {
-  HOSR_CHECK(user < num_users());
-  std::vector<float> scores(num_items());
-  for (uint32_t j = 0; j < num_items(); ++j) {
-    scores[j] = snapshot_.Score(user, j);
-  }
-  return scores;
 }
 
 }  // namespace hosr::serve

@@ -40,10 +40,7 @@ struct EngineOptions {
 //      would get, and fed to the accumulator.
 // The candidates always contain the exact top-K, so items, order, ties
 // (lower index wins) and scores are those of a full fp32 scan. Stateless per
-// query and safe to call from any number of threads concurrently;
-// TopKBatch additionally shards a batch across util::ThreadPool::Global(),
-// in chunks that util::GrainFor sizes from the per-user work
-// (num_items * dim).
+// query and safe to call from any number of threads concurrently.
 class InferenceEngine {
  public:
   // `seen` (optional) supplies per-user items to exclude from results —
@@ -75,17 +72,9 @@ class InferenceEngine {
       uint32_t user, uint32_t k, Deadline deadline = kNoDeadline,
       uint64_t fault_token = kNoFaultToken) const;
 
-  // One ranked list per user, sharded across the global thread pool.
-  std::vector<std::vector<uint32_t>> TopKBatch(
-      const std::vector<uint32_t>& users, uint32_t k) const;
-
   // The per-user exclusion list (empty when the engine was built without
   // seen-item filtering). Sorted ascending; used by DegradedRanker.
   const std::vector<uint32_t>& SeenItems(uint32_t user) const;
-
-  // Full unfiltered ModelSnapshot::Score vector for one user — a test
-  // reference and a debugging aid.
-  std::vector<float> ScoreAll(uint32_t user) const;
 
  private:
   // The one top-K path, shared by TopKForUser and TryTopKForUser: the half

@@ -81,14 +81,15 @@ util::StatusOr<std::unique_ptr<SnapshotManager>> SnapshotManager::Create(
 }
 
 std::shared_ptr<const ServingState> SnapshotManager::Acquire() const {
-  return active_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(active_mutex_);
+  return active_;
 }
 
 SnapshotManager::Served SnapshotManager::Serve(uint32_t user, uint32_t k,
                                                uint64_t token,
                                                Deadline deadline) const {
-  // One atomic load pins the request's generation: ranking, fallback,
-  // scores and cache key all come from this state even if a swap lands
+  // One acquire pins the request's generation: ranking, fallback, scores
+  // and cache key all come from this state even if a swap lands
   // mid-request.
   std::shared_ptr<const ServingState> state = Acquire();
   ResultCache* const cache = options_.cache;
@@ -116,8 +117,7 @@ util::Status SnapshotManager::ReloadNow(const std::string& path) {
 
 util::Status SnapshotManager::ReloadLocked(
     const std::string& path, std::optional<ModelSnapshot> preloaded) {
-  const std::shared_ptr<const ServingState> previous =
-      active_.load(std::memory_order_acquire);
+  const std::shared_ptr<const ServingState> previous = Acquire();
   const uint64_t version = previous != nullptr ? previous->version() + 1 : 1;
 
   auto candidate = LoadAndValidate(path, version, std::move(preloaded));
@@ -140,7 +140,11 @@ util::Status SnapshotManager::ReloadLocked(
     return candidate.status();
   }
 
-  active_.store(std::move(candidate).value(), std::memory_order_release);
+  std::shared_ptr<const ServingState> replaced = std::move(candidate).value();
+  {
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    active_.swap(replaced);
+  }
   if (options_.cache != nullptr) {
     // Pre-swap entries become misses and racing Puts from requests still on
     // the old state are dropped — a post-swap query can never observe
@@ -184,8 +188,7 @@ SnapshotManager::LoadAndValidate(const std::string& path, uint64_t version,
   // results, and in-flight request streams are all indexed by it. A
   // candidate that changes it is a different serving universe, not a
   // refresh — reject before the engine ctor can CHECK-fail on it.
-  const std::shared_ptr<const ServingState> current =
-      active_.load(std::memory_order_acquire);
+  const std::shared_ptr<const ServingState> current = Acquire();
   if (current != nullptr &&
       (snapshot.num_users() != current->engine().num_users() ||
        snapshot.num_items() != current->engine().num_items())) {
@@ -298,8 +301,7 @@ void SnapshotManager::SetReloadListener(
 
 SnapshotManager::Stats SnapshotManager::StatsLocked() const {
   Stats stats;
-  const std::shared_ptr<const ServingState> state =
-      active_.load(std::memory_order_acquire);
+  const std::shared_ptr<const ServingState> state = Acquire();
   if (state != nullptr) {
     stats.active_version = state->version();
     stats.active_path = state->path();

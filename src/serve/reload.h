@@ -1,7 +1,6 @@
 #ifndef HOSR_SERVE_RELOAD_H_
 #define HOSR_SERVE_RELOAD_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -23,9 +22,10 @@ namespace hosr::serve {
 
 // One immutable generation of the serving stack: an InferenceEngine over a
 // loaded snapshot plus the hardened pipeline built on top of it. A state is
-// constructed whole, published atomically by the SnapshotManager, and never
-// mutated afterwards — requests that acquired it keep it alive through the
-// shared_ptr refcount, so a swap never invalidates an in-flight request.
+// constructed whole, published in one pointer swap by the SnapshotManager,
+// and never mutated afterwards — requests that acquired it keep it alive
+// through the shared_ptr refcount, so a swap never invalidates an in-flight
+// request.
 class ServingState {
  public:
   ServingState(uint64_t version, std::string path, ModelSnapshot snapshot,
@@ -53,14 +53,14 @@ class ServingState {
 };
 
 // Zero-downtime snapshot hot-swap (docs/ROBUSTNESS.md "Hot reload &
-// overload control"): owns an RCU-style atomic shared_ptr to the active
-// ServingState and is the one serving pipeline. Each request runs through
-// Serve(), which acquires the current state — one atomic shared_ptr load —
+// overload control"): owns a shared_ptr to the active ServingState behind a
+// mutex and is the one serving pipeline. Each request runs through Serve(),
+// which acquires the current state — one shared_ptr copy under the mutex —
 // and answers entirely from it; ReloadNow() (admin POST /reloadz) or the
 // mtime watcher loads and validates a candidate OFF the serving threads,
-// then swaps the pointer. In-flight requests finish on the state they
-// acquired; every later request sees the new one. A pinned snapshot is a
-// manager whose watcher is never started.
+// then swaps the pointer under the same mutex. In-flight requests finish on
+// the state they acquired; every later request sees the new one. A pinned
+// snapshot is a manager whose watcher is never started.
 //
 // Validation gate, in order, all failures rolling back to the active state:
 //   1. snapshot.load fault point (chaos hook for the soak harness);
@@ -124,8 +124,8 @@ class SnapshotManager {
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  // The RCU read side: the current state, kept alive at least as long as
-  // the returned pointer. One atomic shared_ptr load.
+  // The current state, kept alive at least as long as the returned
+  // pointer. One shared_ptr copy under active_mutex_.
   std::shared_ptr<const ServingState> Acquire() const;
 
   // One request's answer and the generation that produced it.
@@ -187,7 +187,10 @@ class SnapshotManager {
   void NotifyListenerLocked();
 
   Options options_;
-  std::atomic<std::shared_ptr<const ServingState>> active_;
+  // Copied under the mutex by Acquire() and swapped under it by a reload,
+  // which drops the replaced state only after unlocking.
+  mutable std::mutex active_mutex_;
+  std::shared_ptr<const ServingState> active_;
 
   mutable std::mutex reload_mutex_;  // serializes reload attempts
   uint64_t reloads_ok_ = 0;

@@ -16,13 +16,6 @@ void XavierUniformInit(Matrix* m, util::Rng* rng) {
   UniformInit(m, -a, a, rng);
 }
 
-void XavierNormalInit(Matrix* m, util::Rng* rng) {
-  const float fan_in = static_cast<float>(m->rows());
-  const float fan_out = static_cast<float>(m->cols());
-  const float stddev = std::sqrt(2.0f / (fan_in + fan_out));
-  GaussianInit(m, stddev, rng);
-}
-
 void UniformInit(Matrix* m, float lo, float hi, util::Rng* rng) {
   float* p = m->data();
   const float span = hi - lo;

@@ -15,9 +15,6 @@ void GaussianInit(Matrix* m, float stddev, util::Rng* rng);
 // fan_in = rows, fan_out = cols. The paper's GCN weight init.
 void XavierUniformInit(Matrix* m, util::Rng* rng);
 
-// Xavier/Glorot normal: N(0, 2 / (fan_in + fan_out)).
-void XavierNormalInit(Matrix* m, util::Rng* rng);
-
 // U(lo, hi) entries.
 void UniformInit(Matrix* m, float lo, float hi, util::Rng* rng);
 

@@ -8,8 +8,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/string_util.h"
-
 namespace hosr::tensor {
 
 namespace {
@@ -84,22 +82,6 @@ void Matrix::Fill(float value) {
   } else {
     std::fill_n(data(), size(), value);
   }
-}
-
-std::string Matrix::ToString(size_t max_rows) const {
-  std::string out = util::StrFormat("Matrix %zux%zu [", rows_, cols_);
-  const size_t show = std::min(rows_, max_rows);
-  for (size_t r = 0; r < show; ++r) {
-    out += r == 0 ? "[" : ", [";
-    for (size_t c = 0; c < cols_; ++c) {
-      if (c > 0) out += ", ";
-      out += util::StrFormat("%.4g", (*this)(r, c));
-    }
-    out += "]";
-  }
-  if (show < rows_) out += ", ...";
-  out += "]";
-  return out;
 }
 
 }  // namespace hosr::tensor

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "util/logging.h"
@@ -71,9 +70,6 @@ class Matrix {
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  // Debug rendering, e.g. "[[1, 2], [3, 4]]" (rows capped for large mats).
-  std::string ToString(size_t max_rows = 8) const;
 
  private:
   size_t rows_;

@@ -185,17 +185,6 @@ Matrix RowDot(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix RowSum(const Matrix& a) {
-  Matrix out(a.rows(), 1);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const float* ar = a.row(r);
-    float acc = 0.0f;
-    for (size_t c = 0; c < a.cols(); ++c) acc += ar[c];
-    out(r, 0) = acc;
-  }
-  return out;
-}
-
 Matrix ColSum(const Matrix& a) {
   Matrix out(1, a.cols());
   float* op = out.data();

@@ -44,8 +44,7 @@ Matrix Relu(const Matrix& a);
 // Row-wise dot products of equally-shaped (n x d) matrices -> (n x 1).
 Matrix RowDot(const Matrix& a, const Matrix& b);
 
-// Sum over each row -> (n x 1); sum over each column -> (1 x d).
-Matrix RowSum(const Matrix& a);
+// Sum over each column -> (1 x d).
 Matrix ColSum(const Matrix& a);
 
 // Row-wise softmax of an (n x k) matrix (numerically stable).

@@ -1,7 +1,6 @@
 #include "util/random.h"
 
 #include <cmath>
-#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -68,12 +67,6 @@ uint64_t Rng::UniformInt(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformRange(int64_t lo, int64_t hi) {
-  HOSR_CHECK(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(UniformInt(span));
-}
-
 float Rng::UniformFloat() {
   return static_cast<float>(NextUint64() >> 40) * 0x1.0p-24f;
 }
@@ -106,33 +99,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return UniformDouble() < p;
-}
-
-std::vector<uint32_t> Rng::SampleWithoutReplacement(uint32_t n, uint32_t k) {
-  HOSR_CHECK(k <= n);
-  std::vector<uint32_t> result;
-  result.reserve(k);
-  if (k == 0) return result;
-  if (k * 2 >= n) {
-    // Dense case: partial Fisher-Yates over an explicit index array.
-    std::vector<uint32_t> indices(n);
-    for (uint32_t i = 0; i < n; ++i) indices[i] = i;
-    for (uint32_t i = 0; i < k; ++i) {
-      const uint32_t j =
-          i + static_cast<uint32_t>(UniformInt(static_cast<uint64_t>(n - i)));
-      std::swap(indices[i], indices[j]);
-      result.push_back(indices[i]);
-    }
-    return result;
-  }
-  // Sparse case: rejection with a hash set.
-  std::unordered_set<uint32_t> seen;
-  seen.reserve(k * 2);
-  while (result.size() < k) {
-    const auto candidate = static_cast<uint32_t>(UniformInt(n));
-    if (seen.insert(candidate).second) result.push_back(candidate);
-  }
-  return result;
 }
 
 Rng Rng::Fork(uint64_t salt) {

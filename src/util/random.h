@@ -39,9 +39,6 @@ class Rng {
   // Uniform integer in [0, bound). bound must be > 0.
   uint64_t UniformInt(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformRange(int64_t lo, int64_t hi);
-
   // Uniform float in [0, 1).
   float UniformFloat();
 
@@ -64,10 +61,6 @@ class Rng {
       std::swap(items[i - 1], items[j]);
     }
   }
-
-  // k distinct values sampled uniformly from [0, n) without replacement.
-  // Requires k <= n. O(k) expected time for k << n, O(n) worst case.
-  std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k);
 
   // Forks an independent stream; deterministic function of this stream's
   // current state and `salt`.

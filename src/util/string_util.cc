@@ -1,6 +1,5 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -22,38 +21,9 @@ std::vector<std::string> Split(std::string_view text, char delim) {
   }
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delim) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += delim;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string_view Trim(std::string_view text) {
-  size_t begin = 0;
-  size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 StatusOr<int64_t> ParseInt(std::string_view text) {

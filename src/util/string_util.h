@@ -12,15 +12,7 @@ namespace hosr::util {
 // Splits on `delim`; empty fields are preserved ("a,,b" -> {"a","","b"}).
 std::vector<std::string> Split(std::string_view text, char delim);
 
-// Joins with `delim` between elements.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delim);
-
-// Strips ASCII whitespace from both ends.
-std::string_view Trim(std::string_view text);
-
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 // Strict numeric parsing: the whole string must be consumed.
 StatusOr<int64_t> ParseInt(std::string_view text);

@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -72,14 +71,6 @@ std::string Table::ToCsv() const {
   append_row(header_);
   for (const auto& row : rows_) append_row(row);
   return out;
-}
-
-Status Table::WriteCsv(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << ToCsv();
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
 }
 
 }  // namespace hosr::util

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace hosr::util {
 
 // Builds a table of string cells and renders it either as an aligned text
@@ -28,9 +26,6 @@ class Table {
 
   // Renders RFC-4180-ish CSV (fields containing comma/quote are quoted).
   std::string ToCsv() const;
-
-  // Writes CSV to a file.
-  Status WriteCsv(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

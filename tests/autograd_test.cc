@@ -50,7 +50,6 @@ TEST_F(AutogradTest, ParamStoreCreateAndFind) {
   EXPECT_EQ(store_.Find("w"), p);
   EXPECT_EQ(store_.Find("missing"), nullptr);
   EXPECT_EQ(store_.size(), 1u);
-  EXPECT_EQ(store_.NumScalars(), 12u);
 }
 
 TEST_F(AutogradTest, ZeroGradClearsAccumulation) {
@@ -58,15 +57,6 @@ TEST_F(AutogradTest, ZeroGradClearsAccumulation) {
   p->grad.Fill(3.0f);
   store_.ZeroGrad();
   EXPECT_DOUBLE_EQ(tensor::MaxAbs(p->grad), 0.0);
-}
-
-TEST_F(AutogradTest, SquaredNormSumsAllParams) {
-  Param* a = store_.Create("a", 1, 2);
-  Param* b = store_.Create("b", 1, 1);
-  a->value(0, 0) = 3.0f;
-  a->value(0, 1) = 4.0f;
-  b->value(0, 0) = 2.0f;
-  EXPECT_DOUBLE_EQ(store_.SquaredNorm(), 29.0);
 }
 
 // --- Forward values -------------------------------------------------------------

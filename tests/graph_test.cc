@@ -47,19 +47,6 @@ TEST(CsrTest, EmptyMatrix) {
   for (uint32_t r = 0; r < 3; ++r) EXPECT_EQ(m.row_nnz(r), 0u);
 }
 
-TEST(CsrTest, Diagonal) {
-  const CsrMatrix m = CsrMatrix::Diagonal({1.0f, 2.0f, 3.0f});
-  EXPECT_EQ(m.nnz(), 3u);
-  EXPECT_FLOAT_EQ(m.At(1, 1), 2.0f);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 0.0f);
-}
-
-TEST(CsrTest, RowDegrees) {
-  const CsrMatrix m = CsrMatrix::FromTriplets(
-      3, 3, {{0, 1, 1.0f}, {0, 2, 1.0f}, {2, 0, 1.0f}});
-  EXPECT_EQ(m.RowDegrees(), (std::vector<uint32_t>{2, 0, 1}));
-}
-
 TEST(CsrTest, TransposeCorrectAndInvolutive) {
   const CsrMatrix m = CsrMatrix::FromTriplets(
       2, 3, {{0, 2, 7.0f}, {1, 0, 3.0f}, {1, 2, 4.0f}});
@@ -358,13 +345,18 @@ TEST(KOrderStatsTest, FirstOrderMatchesDegreeAverage) {
   EXPECT_DOUBLE_EQ(stats[0].avg_neighbors_per_user, avg_degree / 5);
 }
 
-TEST(CountNeighborsWithinOrderTest, SingleSource) {
+TEST(KOrderStatsTest, PathGraphCountsEachOrder) {
+  // Path 0-1-2-3-4: within k hops the users reach 8, 14, 18 and 20
+  // others in total for k = 1..4; a fifth hop reaches nobody new.
   const auto g = SocialGraph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(CountNeighborsWithinOrder(*g, 0, 1), 1u);
-  EXPECT_EQ(CountNeighborsWithinOrder(*g, 0, 2), 2u);
-  EXPECT_EQ(CountNeighborsWithinOrder(*g, 0, 4), 4u);
-  EXPECT_EQ(CountNeighborsWithinOrder(*g, 2, 1), 2u);
+  const auto stats = KOrderStats(*g, 5);
+  const double totals[] = {8, 14, 18, 20, 20};
+  for (uint32_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(stats[k].order, k + 1);
+    EXPECT_DOUBLE_EQ(stats[k].avg_neighbors_per_user, totals[k] / 5);
+    EXPECT_DOUBLE_EQ(stats[k].density, totals[k] / 20);
+  }
 }
 
 TEST(DegreeHistogramTest, BucketsCounts) {

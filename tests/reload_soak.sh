@@ -24,15 +24,15 @@
 #      requests == responses). A second, deadline-free replay drives the
 #      half-open probes to success: the breaker closes and every request
 #      is served.
-#   4. reload_test under AddressSanitizer.
+#   4. reload_test under AddressSanitizer (built by the asan_build ctest).
 #
-# Usage: reload_soak.sh <hosr_cli> <hosr_serve> <hosr_loadgen> <source dir>
+# Usage: reload_soak.sh <hosr_cli> <hosr_serve> <hosr_loadgen> <asan build dir>
 set -eu
 
 CLI="$1"
 SERVE="$2"
 LOADGEN="$3"
-SRC="$4"
+ASAN="$4"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -308,13 +308,7 @@ EOF
 
 # --- reload surface under AddressSanitizer -----------------------------------
 
-cmake -B "$WORK/asan" -S "$SRC" -DHOSR_SANITIZE=address \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$WORK/asan_configure.log" 2>&1 \
-  || { cat "$WORK/asan_configure.log" >&2; exit 1; }
-cmake --build "$WORK/asan" -j "$(nproc)" --target reload_test \
-  > "$WORK/asan_build.log" 2>&1 \
-  || { tail -50 "$WORK/asan_build.log" >&2; exit 1; }
-"$WORK/asan/tests/reload_test" > "$WORK/asan_reload.log" 2>&1 \
+"$ASAN/tests/reload_test" > "$WORK/asan_reload.log" 2>&1 \
   || { tail -50 "$WORK/asan_reload.log" >&2; exit 1; }
 echo "asan OK: reload_test clean"
 

@@ -13,18 +13,18 @@
 #      (engine.score:p=0.2, --deadline_ms=5) and assert: every request
 #      resolved, >0 degraded, >0 deadline_exceeded, and both runs report
 #      identical outcome counts;
-#   6. rebuild the fault + serve + obs-admin + net unit tests under
-#      AddressSanitizer (-DHOSR_SANITIZE=address) and run them — the
-#      obs_admin and net suites cover the live socket servers (admin HTTP
-#      and the wire-protocol NetServer), the exemplar slots, and the
+#   6. run the fault + serve + obs-admin + net unit tests built under
+#      AddressSanitizer (-DHOSR_SANITIZE=address, by the asan_build ctest)
+#      — the obs_admin and net suites cover the live socket servers (admin
+#      HTTP and the wire-protocol NetServer), the exemplar slots, and the
 #      flight recorder under a sanitizer.
 #
-# Usage: robustness_smoke.sh <hosr_cli> <hosr_serve> <source_dir>
+# Usage: robustness_smoke.sh <hosr_cli> <hosr_serve> <asan build dir>
 set -eu
 
 CLI="$1"
 SERVE="$2"
-SRC="$3"
+ASAN="$3"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -99,22 +99,15 @@ EOF
 
 # --- fault + serve unit tests under AddressSanitizer -------------------------
 
-cmake -B "$WORK/asan" -S "$SRC" -DHOSR_SANITIZE=address \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$WORK/asan_configure.log" 2>&1 \
-  || { cat "$WORK/asan_configure.log" >&2; exit 1; }
-cmake --build "$WORK/asan" -j "$(nproc)" \
-  --target fault_test serve_test robustness_test obs_admin_test net_test \
-  > "$WORK/asan_build.log" 2>&1 \
-  || { tail -50 "$WORK/asan_build.log" >&2; exit 1; }
-"$WORK/asan/tests/fault_test" > "$WORK/asan_fault.log" 2>&1 \
+"$ASAN/tests/fault_test" > "$WORK/asan_fault.log" 2>&1 \
   || { tail -50 "$WORK/asan_fault.log" >&2; exit 1; }
-"$WORK/asan/tests/serve_test" > "$WORK/asan_serve.log" 2>&1 \
+"$ASAN/tests/serve_test" > "$WORK/asan_serve.log" 2>&1 \
   || { tail -50 "$WORK/asan_serve.log" >&2; exit 1; }
-"$WORK/asan/tests/robustness_test" > "$WORK/asan_robustness.log" 2>&1 \
+"$ASAN/tests/robustness_test" > "$WORK/asan_robustness.log" 2>&1 \
   || { tail -50 "$WORK/asan_robustness.log" >&2; exit 1; }
-"$WORK/asan/tests/obs_admin_test" > "$WORK/asan_obs_admin.log" 2>&1 \
+"$ASAN/tests/obs_admin_test" > "$WORK/asan_obs_admin.log" 2>&1 \
   || { tail -50 "$WORK/asan_obs_admin.log" >&2; exit 1; }
-"$WORK/asan/tests/net_test" > "$WORK/asan_net.log" 2>&1 \
+"$ASAN/tests/net_test" > "$WORK/asan_net.log" 2>&1 \
   || { tail -50 "$WORK/asan_net.log" >&2; exit 1; }
 echo "asan OK: fault_test + serve_test + robustness_test + obs_admin_test + net_test clean"
 

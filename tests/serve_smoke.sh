@@ -5,7 +5,8 @@
 #   3. replay 1k skewed requests through hosr_serve,
 #   4. assert nonzero cache hits and valid JSON metrics + summary output,
 #   5. assert that each out-of-range flag of hosr_serve and of
-#      `hosr_cli train` exits 1 with an error naming it.
+#      `hosr_cli train`, and each `hosr_cli train` flag combination that
+#      would drop crash safety, exits 1 with an error naming the flag.
 #
 # Usage: serve_smoke.sh <hosr_cli binary> <hosr_serve binary>
 set -eu
@@ -71,12 +72,18 @@ for bad in "--retries=20" "--retries=-3" "--cache_shards=0" \
 done
 echo "serve_smoke: out-of-range flags exit 1 with a named error"
 
+# --early-stop neither saves nor resumes a training state, and --resume
+# needs one: those combinations are refused before anything loads.
 for bad in "--epochs=0" "--epochs=-1" "--batch=0" "--dim=0" "--layers=-1" \
-    "--k=0" "--lr=0" "--weight-decay=-1"; do
-  flag="${bad%%=*}"
+    "--k=0" "--lr=0" "--weight-decay=-1" \
+    "--early-stop --train_state=$WORK/es.state" "--early-stop --resume" \
+    "--resume"; do
+  flag="${bad##* }"
+  flag="${flag%%=*}"
   set +e
+  # shellcheck disable=SC2086  # $bad holds one or two flags
   timeout 60 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/bad.ckpt" \
-    --model=BPR "$bad" > /dev/null 2> "$WORK/bad_flag.err"
+    --model=BPR $bad > /dev/null 2> "$WORK/bad_flag.err"
   rc=$?
   set -e
   if [ "$rc" -ne 1 ] || ! grep -q "^error: .*$flag=" "$WORK/bad_flag.err"; then
@@ -85,4 +92,4 @@ for bad in "--epochs=0" "--epochs=-1" "--batch=0" "--dim=0" "--layers=-1" \
     exit 1
   fi
 done
-echo "serve_smoke: out-of-range hosr_cli train counts exit 1 with a named error"
+echo "serve_smoke: bad hosr_cli train flags exit 1 with a named error"

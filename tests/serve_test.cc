@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -126,6 +127,7 @@ TEST_P(SnapshotRoundTripTest, BitIdenticalScoresAndTopK) {
 
   const InferenceEngine engine(std::move(loaded).value(),
                                &TestDataset().interactions);
+  const HardenedExecutor executor(&engine, HardenedOptions{});
   std::vector<uint32_t> all_users(model->num_users());
   std::iota(all_users.begin(), all_users.end(), 0);
   const tensor::Matrix reference = model->ScoreAllItems(all_users);
@@ -133,19 +135,29 @@ TEST_P(SnapshotRoundTripTest, BitIdenticalScoresAndTopK) {
   // Scoring only these users runs the model's tail on their rows alone.
   const tensor::Matrix some = model->ScoreAllItems(some_users);
 
-  for (size_t b = 0; b < some_users.size(); ++b) {
-    const uint32_t u = some_users[b];
-    // Bit-identical scores: same accumulation order as tensor::Gemm.
-    const auto served = engine.ScoreAll(u);
-    for (uint32_t j = 0; j < model->num_items(); ++j) {
-      ASSERT_EQ(served[j], reference.at(u, j)) << "user " << u << " item "
-                                               << j;
-      ASSERT_EQ(served[j], some.at(b, j)) << "user " << u << " item " << j;
+  // The served answer with k = every item: all unseen items, ranked as the
+  // offline evaluator ranks them, each with its ScoreAllItems score bit
+  // for bit.
+  const uint32_t m = model->num_items();
+  const auto expect_served = [&](uint32_t u, const float* expected_scores) {
+    const auto response = executor.Execute(u, m, /*token=*/u);
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_FALSE(response->degraded);
+    EXPECT_EQ(response->items,
+              eval::TopK(expected_scores, m, m,
+                         TestDataset().interactions.ItemsOf(u)))
+        << "user " << u;
+    ASSERT_EQ(response->scores.size(), response->items.size());
+    for (size_t i = 0; i < response->items.size(); ++i) {
+      const uint32_t j = response->items[i];
+      ASSERT_EQ(std::bit_cast<uint32_t>(response->scores[i]),
+                std::bit_cast<uint32_t>(expected_scores[j]))
+          << "user " << u << " item " << j;
     }
-    // And therefore identical top-K lists to the offline evaluator path.
-    const auto expected = eval::TopK(reference.row(u), model->num_items(), 10,
-                                     TestDataset().interactions.ItemsOf(u));
-    EXPECT_EQ(engine.TopKForUser(u, 10), expected);
+  };
+  for (const uint32_t u : all_users) expect_served(u, reference.row(u));
+  for (size_t b = 0; b < some_users.size(); ++b) {
+    expect_served(some_users[b], some.row(b));
   }
   std::remove(path.c_str());
 }
@@ -301,20 +313,6 @@ TEST(EngineTest, TinyItemBlocksMatchDefault) {
                                 &TestDataset().interactions, tiny);
   for (const uint32_t u : {0u, 11u, 42u}) {
     EXPECT_EQ(blocked.TopKForUser(u, 15), reference.TopKForUser(u, 15));
-  }
-}
-
-TEST(EngineTest, BatchMatchesSingleQueries) {
-  auto model = MakeTestModel("HOSR");
-  auto snapshot = BuildSnapshot(*model);
-  ASSERT_TRUE(snapshot.ok());
-  const InferenceEngine engine(std::move(snapshot).value(),
-                               &TestDataset().interactions);
-  std::vector<uint32_t> users{4, 4, 19, 60, 88, 0};
-  const auto batched = engine.TopKBatch(users, 10);
-  ASSERT_EQ(batched.size(), users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    EXPECT_EQ(batched[i], engine.TopKForUser(users[i], 10));
   }
 }
 
@@ -576,9 +574,6 @@ TEST(CacheTest, HitMissAndEviction) {
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_NEAR(cache.HitRate(), 2.0 / 5.0, 1e-9);
-
-  cache.Clear();
-  EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 TEST(CacheTest, ScoresRoundTripAndStaleGenerationDropsBoth) {

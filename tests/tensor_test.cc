@@ -59,11 +59,6 @@ TEST(MatrixTest, SameShape) {
   EXPECT_FALSE(Matrix(2, 3).SameShape(Matrix(3, 2)));
 }
 
-TEST(MatrixTest, ToStringMentionsShape) {
-  const Matrix m(2, 2, 1.0f);
-  EXPECT_NE(m.ToString().find("2x2"), std::string::npos);
-}
-
 // --- GEMM -------------------------------------------------------------------
 
 TEST(GemmTest, PlainMultiply) {
@@ -162,9 +157,6 @@ TEST(OpsTest, RowDotAndSums) {
   const Matrix dot = RowDot(a, b);
   EXPECT_FLOAT_EQ(dot(0, 0), 17.0f);
   EXPECT_FLOAT_EQ(dot(1, 0), 53.0f);
-  const Matrix rs = RowSum(a);
-  EXPECT_FLOAT_EQ(rs(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(rs(1, 0), 7.0f);
   const Matrix cs = ColSum(a);
   EXPECT_FLOAT_EQ(cs(0, 0), 4.0f);
   EXPECT_FLOAT_EQ(cs(0, 1), 6.0f);

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -153,18 +152,6 @@ TEST(RngTest, UniformIntCoversRange) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(RngTest, UniformRangeInclusive) {
-  Rng rng(11);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const int64_t v = rng.UniformRange(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
 TEST(RngTest, UniformFloatInHalfOpenUnit) {
   Rng rng(12);
   for (int i = 0; i < 10000; ++i) {
@@ -218,17 +205,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, v);
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinctAndInRange) {
-  Rng rng(17);
-  for (const uint32_t k : {0u, 1u, 5u, 50u, 100u}) {
-    const auto sample = rng.SampleWithoutReplacement(100, k);
-    EXPECT_EQ(sample.size(), k);
-    std::set<uint32_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), k);
-    for (const uint32_t s : sample) EXPECT_LT(s, 100u);
-  }
-}
-
 TEST(RngTest, ForkProducesIndependentStream) {
   Rng a(18);
   Rng forked = a.Fork(1);
@@ -250,24 +226,9 @@ TEST(StringUtilTest, SplitPreservesEmptyFields) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(StringUtilTest, JoinRoundTrips) {
-  const std::vector<std::string> parts{"x", "y", "z"};
-  EXPECT_EQ(Join(parts, "-"), "x-y-z");
-  EXPECT_EQ(Join({}, "-"), "");
-}
-
-TEST(StringUtilTest, TrimStripsWhitespace) {
-  EXPECT_EQ(Trim("  hello \t\n"), "hello");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim("nospace"), "nospace");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("hello", "he"));
   EXPECT_FALSE(StartsWith("he", "hello"));
-  EXPECT_TRUE(EndsWith("hello", "lo"));
-  EXPECT_FALSE(EndsWith("lo", "hello"));
 }
 
 TEST(StringUtilTest, ParseIntStrict) {
@@ -421,17 +382,11 @@ TEST(TableTest, CellFormatsPrecision) {
   EXPECT_EQ(Table::Cell(2.0, 1), "2.0");
 }
 
-TEST(TableTest, WriteCsvAndCount) {
+TEST(TableTest, Counts) {
   Table t({"h"});
   t.AddRow({"v"});
   EXPECT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(t.num_cols(), 1u);
-  const std::string path = ::testing::TempDir() + "/hosr_table_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "h");
 }
 
 // --- ThreadPool / ParallelFor ------------------------------------------------

@@ -19,7 +19,7 @@
 //       --train_state saves a crash-safe full training checkpoint (params,
 //       optimizer state, RNG streams, epoch) after every epoch; --resume
 //       restores it and continues, bit-identical to an uninterrupted run
-//       (docs/ROBUSTNESS.md).
+//       (docs/ROBUSTNESS.md). --early-stop refuses both.
 //   evaluate  --data=DIR --checkpoint=FILE [--model=HOSR] [--dim=N] [--k=N]
 //       Reload a checkpoint and report Recall/MAP/NDCG/Precision@K.
 //   recommend --data=DIR --checkpoint=FILE --user=N [--model=HOSR]
@@ -155,7 +155,9 @@ util::StatusOr<Session> OpenSession(const util::Flags& flags) {
 }
 
 // The rest of TrainConfig::Validate(), which BprTrainer CHECKs, refused
-// up front with the flag's name.
+// up front with the flag's name, and so are the crash-safety flags that
+// would otherwise be dropped: --early-stop neither saves nor resumes a
+// training state, and --resume needs one to read.
 util::Status CheckTrainFlags(const util::Flags& flags) {
   HOSR_RETURN_IF_ERROR(CheckCountFlags(flags, {"epochs", "batch"}));
   if (const double lr = flags.GetDouble("lr", 0.001); !(lr > 0.0)) {
@@ -166,6 +168,23 @@ util::Status CheckTrainFlags(const util::Flags& flags) {
       !(decay >= 0.0)) {
     return util::Status::InvalidArgument(
         util::StrFormat("--weight-decay=%g must be >= 0", decay));
+  }
+  const std::string train_state = flags.GetString("train_state", "");
+  const bool resume = flags.GetBool("resume", false);
+  if (flags.GetBool("early-stop", false)) {
+    if (!train_state.empty()) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "--train_state=%s is not supported with --early-stop",
+          train_state.c_str()));
+    }
+    if (resume) {
+      return util::Status::InvalidArgument(
+          "--resume=true is not supported with --early-stop");
+    }
+  }
+  if (resume && train_state.empty()) {
+    return util::Status::InvalidArgument(
+        "--resume=true requires --train_state=FILE");
   }
   return util::Status::Ok();
 }
@@ -244,10 +263,6 @@ int RunTrain(const util::Flags& flags) {
     models::BprTrainer trainer(session->model.get(), &train, config);
     const std::string train_state = flags.GetString("train_state", "");
     if (flags.GetBool("resume", false)) {
-      if (train_state.empty()) {
-        std::fprintf(stderr, "--resume requires --train_state=FILE\n");
-        return 2;
-      }
       auto restored = trainer.RestoreTrainingState(train_state);
       if (restored.ok()) {
         std::printf("resumed from %s at epoch %u/%u\n", train_state.c_str(),
