@@ -12,7 +12,7 @@
 #include "core/hosr.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
-#include "eval/metrics.h"
+#include "eval/topk.h"
 #include "models/trainer.h"
 
 int main() {
@@ -74,8 +74,8 @@ int main() {
   // 5. Top-10 recommendations for user 0 (training items masked).
   const uint32_t user = 0;
   const tensor::Matrix scores = model.ScoreAllItems({user});
-  const auto top = eval::TopKExcluding(scores.row(0), dataset.num_items(),
-                                       10, split.train.interactions.ItemsOf(user));
+  const auto top = eval::TopK(scores.row(0), dataset.num_items(), 10,
+                              split.train.interactions.ItemsOf(user));
   std::printf("top-10 items for user %u:", user);
   for (const uint32_t item : top) std::printf(" %u", item);
   std::printf("\n");

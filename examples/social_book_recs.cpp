@@ -15,7 +15,7 @@
 #include "core/hosr.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
-#include "eval/metrics.h"
+#include "eval/topk.h"
 #include "models/bpr_mf.h"
 #include "models/trainer.h"
 
@@ -115,8 +115,8 @@ int main() {
   auto social_overlap = [&](models::RankingModel* model, const char* name) {
     const tensor::Matrix scores = model->ScoreAllItems({reader});
     const auto top =
-        eval::TopKExcluding(scores.row(0), dataset.num_items(), 20,
-                            split.train.interactions.ItemsOf(reader));
+        eval::TopK(scores.row(0), dataset.num_items(), 20,
+                   split.train.interactions.ItemsOf(reader));
     size_t from_friends = 0, from_fof = 0;
     for (const uint32_t item : top) {
       if (friend_books.count(item) > 0) ++from_friends;

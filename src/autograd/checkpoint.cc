@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <sstream>
 
 #include "tensor/serialize.h"
 #include "util/fileio.h"
@@ -35,49 +34,37 @@ void ParamSnapshot::Restore(ParamStore* store) const {
   }
 }
 
-util::Status WriteParams(const ParamStore& store, std::ostream* out) {
-  const uint32_t magic = kCheckpointMagic;
-  const uint64_t count = store.size();
-  out->write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out->write(reinterpret_cast<const char*>(&count), sizeof(count));
+void WriteParams(const ParamStore& store, util::ByteWriter* out) {
+  out->Put(kCheckpointMagic);
+  out->Put<uint64_t>(store.size());
   for (size_t i = 0; i < store.size(); ++i) {
-    const Param* p = store.at(i);
-    const uint64_t name_len = p->name.size();
-    out->write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-    out->write(p->name.data(), static_cast<std::streamsize>(name_len));
-    HOSR_RETURN_IF_ERROR(tensor::WriteMatrix(p->value, out));
+    out->PutString<uint64_t>(store.at(i)->name);
+    tensor::WriteMatrix(store.at(i)->value, out);
   }
-  if (!*out) return util::Status::IoError("parameter write failed");
-  return util::Status::Ok();
 }
 
-util::Status ReadParams(std::istream* in, ParamStore* store) {
+util::StatusOr<ParamSnapshot> ReadParams(util::ByteReader* in,
+                                         const ParamStore& store) {
   uint32_t magic = 0;
   uint64_t count = 0;
-  in->read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!*in || magic != kCheckpointMagic) {
+  if (!in->Get(&magic)) return in->Truncated("checkpoint magic");
+  if (magic != kCheckpointMagic) {
     return util::Status::InvalidArgument("not a HOSR parameter checkpoint");
   }
-  in->read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!*in) return util::Status::IoError("checkpoint header read failed");
-
+  if (!in->Get(&count)) return in->Truncated("checkpoint header");
   std::map<std::string, tensor::Matrix> loaded;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = 0;
-    in->read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!*in || name_len > 4096) {
-      return util::Status::InvalidArgument("bad parameter name length");
+    std::string name;
+    if (!in->GetString<uint64_t>(&name)) {
+      return in->Truncated("parameter name");
     }
-    std::string name(name_len, '\0');
-    in->read(name.data(), static_cast<std::streamsize>(name_len));
-    if (!*in) return util::Status::IoError("parameter name read failed");
     HOSR_ASSIGN_OR_RETURN(tensor::Matrix value, tensor::ReadMatrix(in));
     loaded.emplace(std::move(name), std::move(value));
   }
 
-  // Validate everything before mutating the store.
-  for (size_t i = 0; i < store->size(); ++i) {
-    Param* p = store->at(i);
+  std::vector<tensor::Matrix> values;
+  for (size_t i = 0; i < store.size(); ++i) {
+    const Param* p = store.at(i);
     const auto it = loaded.find(p->name);
     if (it == loaded.end()) {
       return util::Status::NotFound("checkpoint missing parameter: " +
@@ -89,25 +76,25 @@ util::Status ReadParams(std::istream* in, ParamStore* store) {
           p->name.c_str(), it->second.rows(), it->second.cols(),
           p->value.rows(), p->value.cols()));
     }
+    values.push_back(std::move(it->second));
   }
-  for (size_t i = 0; i < store->size(); ++i) {
-    Param* p = store->at(i);
-    p->value = loaded.at(p->name);
-  }
-  return util::Status::Ok();
+  return ParamSnapshot(std::move(values));
 }
 
 util::Status SaveCheckpoint(const ParamStore& store,
                             const std::string& path) {
-  std::ostringstream body;
-  HOSR_RETURN_IF_ERROR(WriteParams(store, &body));
-  return util::WriteFileAtomicWithCrc(path, body.str());
+  std::string body;
+  util::ByteWriter out(&body);
+  WriteParams(store, &out);
+  return util::WriteFileAtomicWithCrc(path, body);
 }
 
 util::Status LoadCheckpoint(const std::string& path, ParamStore* store) {
   HOSR_ASSIGN_OR_RETURN(std::string body, util::ReadFileVerifyCrc(path));
-  std::istringstream in(body);
-  return ReadParams(&in, store);
+  util::ByteReader in(body);
+  HOSR_ASSIGN_OR_RETURN(const ParamSnapshot values, ReadParams(&in, *store));
+  values.Restore(store);
+  return util::Status::Ok();
 }
 
 }  // namespace hosr::autograd

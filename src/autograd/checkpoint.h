@@ -1,21 +1,24 @@
 #ifndef HOSR_AUTOGRAD_CHECKPOINT_H_
 #define HOSR_AUTOGRAD_CHECKPOINT_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "autograd/param.h"
 #include "tensor/matrix.h"
+#include "util/bytes.h"
 #include "util/statusor.h"
 
 namespace hosr::autograd {
 
-// In-memory snapshot of every parameter's values (not gradients).
-// Used by early stopping to restore the best epoch's weights.
+// In-memory snapshot of every parameter's values (not gradients): what
+// early stopping keeps of its best epoch, and what ReadParams decodes.
 class ParamSnapshot {
  public:
   ParamSnapshot() = default;
+  // Values in a store's parameter order.
+  explicit ParamSnapshot(std::vector<tensor::Matrix> values)
+      : values_(std::move(values)) {}
 
   // Captures the current values of `store`.
   static ParamSnapshot Capture(const ParamStore& store);
@@ -31,12 +34,16 @@ class ParamSnapshot {
   std::vector<tensor::Matrix> values_;
 };
 
-// Stream-level body of a parameter checkpoint: magic, count, then named
-// matrices. Embedded verbatim inside trainer checkpoints; ReadParams
-// matches parameters by name and validates shapes before mutating the
-// store, so a checkpoint survives reordering but not renaming.
-util::Status WriteParams(const ParamStore& store, std::ostream* out);
-util::Status ReadParams(std::istream* in, ParamStore* store);
+// Body of a parameter checkpoint: u32 magic "HCPT", u64 count, then per
+// parameter a u64-length name and its tensor::WriteMatrix block. Embedded
+// verbatim in training states. ReadParams matches the body against `store`
+// by name and shape and returns its values in the store's order without
+// touching the store, so a checkpoint survives reordering but not renaming.
+// A missing parameter is NotFound, a bad magic or shape InvalidArgument, a
+// body that ends early DataLoss.
+void WriteParams(const ParamStore& store, util::ByteWriter* out);
+util::StatusOr<ParamSnapshot> ReadParams(util::ByteReader* in,
+                                         const ParamStore& store);
 
 // On-disk checkpoint of a ParamStore: the WriteParams body wrapped in a
 // CRC-32 file envelope and written atomically (temp file + rename), so a

@@ -69,10 +69,4 @@ double NdcgAtK(const std::vector<uint32_t>& ranked,
   return ideal > 0.0 ? dcg / ideal : 0.0;
 }
 
-std::vector<uint32_t> TopKExcluding(const float* scores, uint32_t num_items,
-                                    uint32_t k,
-                                    const std::vector<uint32_t>& excluded) {
-  return TopK(scores, num_items, k, excluded);
-}
-
 }  // namespace hosr::eval

@@ -29,13 +29,6 @@ double AveragePrecisionAtK(const std::vector<uint32_t>& ranked,
 double NdcgAtK(const std::vector<uint32_t>& ranked,
                const std::vector<uint32_t>& relevant, uint32_t k);
 
-// Indices of the K largest scores, excluding `excluded` (sorted ascending;
-// typically the user's training items). Ties broken by lower index.
-// Thin wrapper over eval::TopK (eval/topk.h), kept for existing callers.
-std::vector<uint32_t> TopKExcluding(const float* scores, uint32_t num_items,
-                                    uint32_t k,
-                                    const std::vector<uint32_t>& excluded);
-
 }  // namespace hosr::eval
 
 #endif  // HOSR_EVAL_METRICS_H_

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <iterator>
-#include <sstream>
 #include <string_view>
 
 #include "autograd/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/fileio.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -22,7 +22,6 @@ constexpr uint32_t kTrainStateMagic = 0x4854434b;     // "HTCK"
 // trainer runs with sparse_steps off — dense steps are what v1 recorded).
 constexpr uint32_t kTrainStateVersion = 2;
 constexpr uint32_t kTrainStateMinVersion = 1;
-constexpr uint32_t kEndianMarker = 0x01020304;
 constexpr uint32_t kTrainStateSentinel = 0x4b435448;  // magic reversed
 
 // Per-phase timeline counters: cumulative microseconds per training phase,
@@ -65,53 +64,21 @@ std::string PhaseUtilName(std::string_view counter_name) {
   return name;
 }
 
-template <typename T>
-void WritePod(std::ostream* out, const T& v) {
-  out->write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteRngState(util::ByteWriter* out, const util::RngState& state) {
+  for (const uint64_t word : state.s) out->Put(word);
+  out->Put<uint8_t>(state.has_spare_gaussian ? 1 : 0);
+  out->Put(state.spare_gaussian);
 }
 
-template <typename T>
-bool ReadPod(std::istream* in, T* v) {
-  in->read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(*in);
-}
-
-void WriteString(std::ostream* out, const std::string& s) {
-  WritePod<uint64_t>(out, s.size());
-  out->write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-util::StatusOr<std::string> ReadString(std::istream* in) {
-  uint64_t len = 0;
-  if (!ReadPod(in, &len) || len > 4096) {
-    return util::Status::DataLoss("bad string length in training state");
-  }
-  std::string s(len, '\0');
-  in->read(s.data(), static_cast<std::streamsize>(len));
-  if (!*in) return util::Status::DataLoss("truncated string in training state");
-  return s;
-}
-
-void WriteRngState(std::ostream* out, const util::RngState& state) {
-  for (const uint64_t word : state.s) WritePod(out, word);
-  WritePod<uint8_t>(out, state.has_spare_gaussian ? 1 : 0);
-  WritePod(out, state.spare_gaussian);
-}
-
-util::StatusOr<util::RngState> ReadRngState(std::istream* in) {
+util::StatusOr<util::RngState> ReadRngState(util::ByteReader* in) {
   util::RngState state;
-  for (uint64_t& word : state.s) {
-    if (!ReadPod(in, &word)) {
-      return util::Status::DataLoss("truncated RNG state");
-    }
-  }
   uint8_t has_spare = 0;
-  if (!ReadPod(in, &has_spare) || !ReadPod(in, &state.spare_gaussian)) {
-    return util::Status::DataLoss("truncated RNG state");
+  if (!in->Get(&state.s[0]) || !in->Get(&state.s[1]) ||
+      !in->Get(&state.s[2]) || !in->Get(&state.s[3]) ||
+      !in->Get(&has_spare) || !in->Get(&state.spare_gaussian)) {
+    return in->Truncated("RNG state");
   }
-  if (has_spare > 1) {
-    return util::Status::DataLoss("bad RNG spare flag");
-  }
+  if (has_spare > 1) return util::Status::DataLoss("bad RNG spare flag");
   state.has_spare_gaussian = has_spare == 1;
   if (state.s[0] == 0 && state.s[1] == 0 && state.s[2] == 0 &&
       state.s[3] == 0) {
@@ -125,36 +92,31 @@ util::StatusOr<util::RngState> ReadRngState(std::istream* in) {
 // compared verbatim on load. prefetch is deliberately ABSENT: it never
 // changes the trajectory (trainer_parallel_test). sparse_steps does (lazy
 // weight decay) and is part of the identity.
-void WriteConfig(std::ostream* out, const TrainConfig& config) {
-  WritePod(out, config.epochs);
-  WritePod(out, config.batch_size);
-  WritePod(out, config.learning_rate);
-  WritePod(out, config.weight_decay);
-  WritePod(out, config.seed);
-  WritePod<uint32_t>(out,
-                     static_cast<uint32_t>(config.negative_sampling));
-  WriteString(out, config.optimizer);
-  WritePod<uint8_t>(out, config.sparse_steps ? 1 : 0);
+void WriteConfig(util::ByteWriter* out, const TrainConfig& config) {
+  out->Put(config.epochs);
+  out->Put(config.batch_size);
+  out->Put(config.learning_rate);
+  out->Put(config.weight_decay);
+  out->Put(config.seed);
+  out->Put(static_cast<uint32_t>(config.negative_sampling));
+  out->PutString<uint64_t>(config.optimizer);
+  out->Put<uint8_t>(config.sparse_steps ? 1 : 0);
 }
 
-util::Status CheckConfig(std::istream* in, uint32_t version,
+util::Status CheckConfig(util::ByteReader* in, uint32_t version,
                          const TrainConfig& config) {
   TrainConfig saved;
   uint32_t negative_sampling = 0;
-  if (!ReadPod(in, &saved.epochs) || !ReadPod(in, &saved.batch_size) ||
-      !ReadPod(in, &saved.learning_rate) ||
-      !ReadPod(in, &saved.weight_decay) || !ReadPod(in, &saved.seed) ||
-      !ReadPod(in, &negative_sampling)) {
-    return util::Status::DataLoss("truncated training config");
-  }
-  HOSR_ASSIGN_OR_RETURN(saved.optimizer, ReadString(in));
   // v1 predates sparse steps: those checkpoints recorded dense-step runs.
   uint8_t sparse_steps = 0;
-  if (version >= 2) {
-    if (!ReadPod(in, &sparse_steps) || sparse_steps > 1) {
-      return util::Status::DataLoss("bad sparse_steps flag");
-    }
+  if (!in->Get(&saved.epochs) || !in->Get(&saved.batch_size) ||
+      !in->Get(&saved.learning_rate) || !in->Get(&saved.weight_decay) ||
+      !in->Get(&saved.seed) || !in->Get(&negative_sampling) ||
+      !in->GetString<uint64_t>(&saved.optimizer) ||
+      (version >= 2 && !in->Get(&sparse_steps))) {
+    return in->Truncated("training config");
   }
+  if (sparse_steps > 1) return util::Status::DataLoss("bad sparse_steps flag");
   if (saved.epochs != config.epochs ||
       saved.batch_size != config.batch_size ||
       saved.learning_rate != config.learning_rate ||
@@ -348,44 +310,35 @@ std::vector<EpochStats> BprTrainer::Train() {
 }
 
 util::Status BprTrainer::SaveTrainingState(const std::string& path) const {
-  std::ostringstream body;
-  WritePod(&body, kTrainStateMagic);
-  WritePod(&body, kTrainStateVersion);
-  WritePod(&body, kEndianMarker);
-  WritePod(&body, epoch_);
-  WriteConfig(&body, config_);
-  WriteString(&body, model_->name());
-  WriteRngState(&body, rng_.GetState());
-  WriteRngState(&body, sampler_.rng_state());
-  HOSR_RETURN_IF_ERROR(optimizer_->SaveState(&body));
-  HOSR_RETURN_IF_ERROR(autograd::WriteParams(*model_->params(), &body));
-  WritePod(&body, kTrainStateSentinel);
-  if (!body) return util::Status::IoError("training state serialization failed");
-  return util::WriteFileAtomicWithCrc(path, body.str());
+  std::string body;
+  util::ByteWriter out(&body);
+  out.PutHeader(kTrainStateMagic, kTrainStateVersion);
+  out.Put(epoch_);
+  WriteConfig(&out, config_);
+  out.PutString<uint64_t>(model_->name());
+  WriteRngState(&out, rng_.GetState());
+  WriteRngState(&out, sampler_.rng_state());
+  optimizer_->SaveState(&out);
+  autograd::WriteParams(*model_->params(), &out);
+  out.Put(kTrainStateSentinel);
+  return util::WriteFileAtomicWithCrc(path, body);
 }
 
 util::Status BprTrainer::RestoreTrainingState(const std::string& path) {
   HOSR_ASSIGN_OR_RETURN(std::string raw, util::ReadFileVerifyCrc(path));
-  std::istringstream in(raw);
-
-  uint32_t magic = 0, version = 0, endian = 0, epoch = 0;
-  if (!ReadPod(&in, &magic) || magic != kTrainStateMagic) {
-    return util::Status::InvalidArgument("not a HOSR training state: " + path);
-  }
-  if (!ReadPod(&in, &version) || version < kTrainStateMinVersion ||
-      version > kTrainStateVersion) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("unsupported training state version %u", version));
-  }
-  if (!ReadPod(&in, &endian) || endian != kEndianMarker) {
-    return util::Status::InvalidArgument(
-        "training state written on a foreign-endian machine");
-  }
-  if (!ReadPod(&in, &epoch) || epoch > config_.epochs) {
+  util::ByteReader in(raw);
+  HOSR_ASSIGN_OR_RETURN(
+      const uint32_t version,
+      in.GetHeader(kTrainStateMagic, kTrainStateMinVersion,
+                   kTrainStateVersion, "training state"));
+  uint32_t epoch = 0;
+  if (!in.Get(&epoch)) return in.Truncated("epoch counter");
+  if (epoch > config_.epochs) {
     return util::Status::DataLoss("implausible epoch counter");
   }
   HOSR_RETURN_IF_ERROR(CheckConfig(&in, version, config_));
-  HOSR_ASSIGN_OR_RETURN(std::string model_name, ReadString(&in));
+  std::string model_name;
+  if (!in.GetString<uint64_t>(&model_name)) return in.Truncated("model name");
   if (model_name != model_->name()) {
     return util::Status::FailedPrecondition(
         "training state is for model '" + model_name + "', trainer has '" +
@@ -393,17 +346,20 @@ util::Status BprTrainer::RestoreTrainingState(const std::string& path) {
   }
   HOSR_ASSIGN_OR_RETURN(util::RngState trainer_rng, ReadRngState(&in));
   HOSR_ASSIGN_OR_RETURN(util::RngState sampler_rng, ReadRngState(&in));
-
-  // Stage the mutable state: the optimizer and params restore in place
-  // only after every header check above has passed, and the stream is
-  // validated down to the sentinel before the cheap scalar state flips.
-  HOSR_RETURN_IF_ERROR(optimizer_->LoadState(&in));
-  HOSR_RETURN_IF_ERROR(autograd::ReadParams(&in, model_->params()));
+  // The optimizer state loads into a fresh optimizer, so the whole body
+  // decodes, down to the sentinel, before anything in the trainer changes.
+  std::unique_ptr<optim::Optimizer> optimizer = optim::MakeOptimizer(
+      config_.optimizer, config_.learning_rate, config_.weight_decay);
+  HOSR_RETURN_IF_ERROR(optimizer->LoadState(&in));
+  HOSR_ASSIGN_OR_RETURN(const autograd::ParamSnapshot params,
+                        autograd::ReadParams(&in, *model_->params()));
   uint32_t sentinel = 0;
-  if (!ReadPod(&in, &sentinel) || sentinel != kTrainStateSentinel) {
+  if (!in.Get(&sentinel) || sentinel != kTrainStateSentinel) {
     return util::Status::DataLoss("training state missing trailing sentinel");
   }
 
+  optimizer_ = std::move(optimizer);
+  params.Restore(model_->params());
   rng_.SetState(trainer_rng);
   sampler_.set_rng_state(sampler_rng);
   epoch_ = epoch;

@@ -80,10 +80,10 @@ class BprTrainer {
   // bit-identical parameters to one that trained straight through — the
   // resume contract robustness_test locks in.
   //
-  // RestoreTrainingState refuses checkpoints from a different model,
-  // optimizer, or training config (FailedPrecondition) and corrupted files
-  // (DataLoss, via the whole-file CRC gate); rejected checkpoints leave
-  // the trainer untouched.
+  // RestoreTrainingState: IoError only if the file cannot be read;
+  // FailedPrecondition for another model, optimizer or config; DataLoss
+  // for corruption (CRC, short body, sentinel). It decodes the whole body
+  // first, so a rejected state leaves the trainer untouched.
   util::Status SaveTrainingState(const std::string& path) const;
   util::Status RestoreTrainingState(const std::string& path);
 

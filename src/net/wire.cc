@@ -1,87 +1,13 @@
 #include "net/wire.h"
 
-#include <cstring>
-
 #include "net/socket.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
 
 namespace hosr::net {
 
 namespace {
-
-// Explicit little-endian packing so the wire format is identical across
-// host byte orders (the snapshot format is native-order with an endian
-// marker; a network protocol cannot assume both ends match).
-void AppendU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void AppendF32(std::string* out, float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU32(out, bits);
-}
-
-// Bounds-checked sequential reader over a payload. Every Read* returns
-// false once the payload is exhausted; callers turn that into a clean
-// InvalidArgument instead of reading past the buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  bool ReadU16(uint16_t* v) {
-    if (data_.size() - pos_ < 2) return false;
-    *v = static_cast<uint16_t>(Byte(0) | (Byte(1) << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (data_.size() - pos_ < 4) return false;
-    *v = Byte(0) | (Byte(1) << 8) | (Byte(2) << 16) | (Byte(3) << 24);
-    pos_ += 4;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0, hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-    return true;
-  }
-  bool ReadF32(float* v) {
-    uint32_t bits = 0;
-    if (!ReadU32(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string* out) {
-    if (data_.size() - pos_ < n) return false;
-    out->assign(data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  uint32_t Byte(size_t offset) const {
-    return static_cast<unsigned char>(data_[pos_ + offset]);
-  }
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 util::Status Malformed(const char* what) {
   return util::Status::InvalidArgument(
@@ -93,25 +19,24 @@ util::Status Malformed(const char* what) {
 std::string EncodeFrame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  AppendU32(&out, kWireMagic);
-  AppendU16(&out, kWireVersion);
-  AppendU16(&out, static_cast<uint16_t>(type));
-  AppendU32(&out, static_cast<uint32_t>(payload.size()));
-  AppendU32(&out, util::Crc32(payload));
-  out.append(payload);
+  util::ByteWriter writer(&out);
+  writer.Put(kWireMagic);
+  writer.Put(kWireVersion);
+  writer.Put(static_cast<uint16_t>(type));
+  writer.Put(static_cast<uint32_t>(payload.size()));
+  writer.Put(util::Crc32(payload));
+  writer.PutBytes(payload);
   return out;
 }
 
 util::StatusOr<size_t> TryDecodeFrame(std::string_view buffer, Frame* frame) {
-  if (buffer.size() < kFrameHeaderSize) return size_t{0};
-  Reader header(buffer.substr(0, kFrameHeaderSize));
+  util::ByteReader reader(buffer);
   uint32_t magic = 0, payload_size = 0, payload_crc = 0;
   uint16_t version = 0, type = 0;
-  header.ReadU32(&magic);
-  header.ReadU16(&version);
-  header.ReadU16(&type);
-  header.ReadU32(&payload_size);
-  header.ReadU32(&payload_crc);
+  if (!reader.Get(&magic) || !reader.Get(&version) || !reader.Get(&type) ||
+      !reader.Get(&payload_size) || !reader.Get(&payload_crc)) {
+    return size_t{0};
+  }
   if (magic != kWireMagic) {
     return util::Status::InvalidArgument(util::StrFormat(
         "bad frame magic 0x%08x (want 0x%08x) — not a hosr_net stream",
@@ -127,9 +52,8 @@ util::StatusOr<size_t> TryDecodeFrame(std::string_view buffer, Frame* frame) {
         "frame payload %u bytes exceeds the %u-byte limit", payload_size,
         kMaxPayload));
   }
-  if (buffer.size() - kFrameHeaderSize < payload_size) return size_t{0};
-  const std::string_view payload =
-      buffer.substr(kFrameHeaderSize, payload_size);
+  std::string_view payload;
+  if (!reader.GetBytes(payload_size, &payload)) return size_t{0};
   if (util::Crc32(payload) != payload_crc) {
     return util::Status::DataLoss(util::StrFormat(
         "frame payload CRC mismatch (got 0x%08x, want 0x%08x)",
@@ -143,20 +67,21 @@ util::StatusOr<size_t> TryDecodeFrame(std::string_view buffer, Frame* frame) {
 std::string EncodeQueryRequest(const QueryRequest& request) {
   std::string out;
   out.reserve(24);
-  AppendU64(&out, request.trace_id);
-  AppendU32(&out, request.user);
-  AppendU32(&out, request.k);
-  AppendU32(&out, request.deadline_ms);
-  AppendU32(&out, request.flags);
+  util::ByteWriter writer(&out);
+  writer.Put(request.trace_id);
+  writer.Put(request.user);
+  writer.Put(request.k);
+  writer.Put(request.deadline_ms);
+  writer.Put(request.flags);
   return out;
 }
 
 util::StatusOr<QueryRequest> DecodeQueryRequest(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   QueryRequest request;
-  if (!reader.ReadU64(&request.trace_id) || !reader.ReadU32(&request.user) ||
-      !reader.ReadU32(&request.k) || !reader.ReadU32(&request.deadline_ms) ||
-      !reader.ReadU32(&request.flags) || reader.remaining() != 0) {
+  if (!reader.Get(&request.trace_id) || !reader.Get(&request.user) ||
+      !reader.Get(&request.k) || !reader.Get(&request.deadline_ms) ||
+      !reader.Get(&request.flags) || reader.remaining() != 0) {
     return Malformed("QueryRequest");
   }
   return request;
@@ -165,23 +90,23 @@ util::StatusOr<QueryRequest> DecodeQueryRequest(std::string_view payload) {
 std::string EncodeQueryResponse(const QueryResponse& response) {
   std::string out;
   out.reserve(16 + response.items.size() * 8 + response.message.size());
-  AppendU32(&out, response.status_code);
-  AppendU32(&out, response.flags);
-  AppendU32(&out, static_cast<uint32_t>(response.items.size()));
-  AppendU32(&out, static_cast<uint32_t>(response.message.size()));
-  for (const uint32_t item : response.items) AppendU32(&out, item);
-  for (const float score : response.scores) AppendF32(&out, score);
-  out.append(response.message);
+  util::ByteWriter writer(&out);
+  writer.Put(response.status_code);
+  writer.Put(response.flags);
+  writer.Put(static_cast<uint32_t>(response.items.size()));
+  writer.Put(static_cast<uint32_t>(response.message.size()));
+  for (const uint32_t item : response.items) writer.Put(item);
+  writer.PutFloats(response.scores.data(), response.scores.size());
+  writer.PutBytes(response.message);
   return out;
 }
 
 util::StatusOr<QueryResponse> DecodeQueryResponse(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   QueryResponse response;
   uint32_t num_items = 0, msg_len = 0;
-  if (!reader.ReadU32(&response.status_code) ||
-      !reader.ReadU32(&response.flags) || !reader.ReadU32(&num_items) ||
-      !reader.ReadU32(&msg_len)) {
+  if (!reader.Get(&response.status_code) || !reader.Get(&response.flags) ||
+      !reader.Get(&num_items) || !reader.Get(&msg_len)) {
     return Malformed("QueryResponse");
   }
   // Cross-check the declared counts against the actual payload size before
@@ -195,37 +120,30 @@ util::StatusOr<QueryResponse> DecodeQueryResponse(std::string_view payload) {
         num_items, msg_len, reader.remaining()));
   }
   response.items.resize(num_items);
-  for (uint32_t& item : response.items) {
-    if (!reader.ReadU32(&item)) return Malformed("QueryResponse");
-  }
+  for (uint32_t& item : response.items) reader.Get(&item);
   response.scores.resize(num_items);
-  for (float& score : response.scores) {
-    if (!reader.ReadF32(&score)) return Malformed("QueryResponse");
-  }
-  if (!reader.ReadBytes(msg_len, &response.message)) {
-    return Malformed("QueryResponse");
-  }
+  reader.GetFloats(response.scores.data(), num_items);
+  response.message.assign(payload.substr(payload.size() - msg_len));
   return response;
 }
 
 std::string EncodeServerInfo(const ServerInfo& info) {
   std::string out;
-  AppendU32(&out, info.num_users);
-  AppendU32(&out, info.num_items);
-  AppendU32(&out, info.dim);
-  AppendU32(&out, static_cast<uint32_t>(info.model_name.size()));
-  out.append(info.model_name);
+  util::ByteWriter writer(&out);
+  writer.Put(info.num_users);
+  writer.Put(info.num_items);
+  writer.Put(info.dim);
+  writer.PutString<uint32_t>(info.model_name);
   return out;
 }
 
 util::StatusOr<ServerInfo> DecodeServerInfo(std::string_view payload) {
-  Reader reader(payload);
+  util::ByteReader reader(payload);
   ServerInfo info;
-  uint32_t name_len = 0;
-  if (!reader.ReadU32(&info.num_users) || !reader.ReadU32(&info.num_items) ||
-      !reader.ReadU32(&info.dim) || !reader.ReadU32(&name_len) ||
-      name_len != reader.remaining() ||
-      !reader.ReadBytes(name_len, &info.model_name)) {
+  if (!reader.Get(&info.num_users) || !reader.Get(&info.num_items) ||
+      !reader.Get(&info.dim) ||
+      !reader.GetString<uint32_t>(&info.model_name) ||
+      reader.remaining() != 0) {
     return Malformed("ServerInfo");
   }
   return info;
@@ -249,9 +167,8 @@ util::StatusOr<Frame> ReadFrame(int fd, bool* clean_eof) {
   if (!consumed.ok()) return consumed.status();
   if (consumed.value() == 0) {
     // Header is valid but a payload follows; read exactly that much.
-    Reader reader(std::string_view(buffer).substr(8, 4));
     uint32_t payload_size = 0;
-    reader.ReadU32(&payload_size);
+    util::ByteReader(std::string_view(buffer).substr(8, 4)).Get(&payload_size);
     buffer.resize(kFrameHeaderSize + payload_size);
     HOSR_RETURN_IF_ERROR(
         RecvExact(fd, buffer.data() + kFrameHeaderSize, payload_size));
@@ -261,26 +178,16 @@ util::StatusOr<Frame> ReadFrame(int fd, bool* clean_eof) {
 }
 
 util::Status ResponseStatus(const QueryResponse& response) {
+  // util::StatusCode runs without gaps from kOk to kDataLoss.
+  if (response.status_code >
+      static_cast<uint32_t>(util::StatusCode::kDataLoss)) {
+    return util::Status::Internal(util::StrFormat(
+        "server sent unknown status code %u: %s", response.status_code,
+        response.message.c_str()));
+  }
   const auto code = static_cast<util::StatusCode>(response.status_code);
   if (code == util::StatusCode::kOk) return util::Status::Ok();
-  switch (code) {
-    case util::StatusCode::kInvalidArgument:
-    case util::StatusCode::kNotFound:
-    case util::StatusCode::kOutOfRange:
-    case util::StatusCode::kFailedPrecondition:
-    case util::StatusCode::kIoError:
-    case util::StatusCode::kInternal:
-    case util::StatusCode::kUnimplemented:
-    case util::StatusCode::kUnavailable:
-    case util::StatusCode::kDeadlineExceeded:
-    case util::StatusCode::kResourceExhausted:
-    case util::StatusCode::kDataLoss:
-      return util::Status(code, response.message);
-    default:
-      return util::Status::Internal(util::StrFormat(
-          "server sent unknown status code %u: %s", response.status_code,
-          response.message.c_str()));
-  }
+  return util::Status(code, response.message);
 }
 
 }  // namespace hosr::net

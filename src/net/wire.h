@@ -22,10 +22,12 @@ namespace hosr::net {
 //       12     4  payload_crc  CRC-32 (util::Crc32) of the payload bytes
 //
 // followed by exactly payload_size payload bytes. All integers are
-// little-endian regardless of host order. Decoding is strict: a wrong
-// magic, unsupported version, payload_size above kMaxPayload, or CRC
-// mismatch is a clean Status error (never UB), and because the stream is
-// desynchronized after any of them the connection must be closed.
+// little-endian regardless of host order: frames and payloads go through
+// util::ByteWriter and util::ByteReader, the codec every binary artifact
+// shares. Decoding is strict: a wrong magic, unsupported version,
+// payload_size above kMaxPayload, or CRC mismatch is a clean Status error
+// (never UB), and because the stream is desynchronized after any of them
+// the connection must be closed.
 //
 // Requests and responses are order-matched per connection: the server
 // answers frames in arrival order, so a response needs no request id on

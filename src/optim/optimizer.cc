@@ -1,8 +1,6 @@
 #include "optim/optimizer.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "kernels/kernels.h"
 #include "tensor/serialize.h"
@@ -12,31 +10,18 @@ namespace hosr::optim {
 
 namespace {
 
-// Optimizer state matrices are framed as a count followed by the matrices
-// themselves (tensor::WriteMatrix format). Sane-count guard: a trainer
-// checkpoint never carries more slots than parameters, and no model in this
-// codebase has anywhere near this many.
-constexpr uint64_t kMaxStateSlots = 1u << 20;
-
-util::Status WriteStateVector(const std::vector<tensor::Matrix>& state,
-                              std::ostream* out) {
-  const uint64_t count = state.size();
-  out->write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const tensor::Matrix& m : state) {
-    HOSR_RETURN_IF_ERROR(tensor::WriteMatrix(m, out));
-  }
-  if (!*out) return util::Status::IoError("failed writing optimizer state");
-  return util::Status::Ok();
+void WriteStateVector(const std::vector<tensor::Matrix>& state,
+                      util::ByteWriter* out) {
+  out->Put<uint64_t>(state.size());
+  for (const tensor::Matrix& m : state) tensor::WriteMatrix(m, out);
 }
 
-util::Status ReadStateVector(std::istream* in,
+util::Status ReadStateVector(util::ByteReader* in,
                              std::vector<tensor::Matrix>* state) {
   uint64_t count = 0;
-  in->read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!*in) return util::Status::IoError("failed reading optimizer state");
-  if (count > kMaxStateSlots) {
-    return util::Status::DataLoss("implausible optimizer state slot count: " +
-                                  std::to_string(count));
+  // Every slot takes at least a matrix block's 20-byte header.
+  if (!in->Get(&count) || !in->Holds(count, 20)) {
+    return in->Truncated("optimizer state");
   }
   std::vector<tensor::Matrix> loaded;
   loaded.reserve(count);
@@ -250,32 +235,31 @@ void AdaGrad::StepRows(autograd::ParamStore* params,
             });
 }
 
-util::Status Sgd::SaveState(std::ostream* out) const {
-  return WriteStateVector(velocity_, out);
+void Sgd::SaveState(util::ByteWriter* out) const {
+  WriteStateVector(velocity_, out);
 }
 
-util::Status Sgd::LoadState(std::istream* in) {
+util::Status Sgd::LoadState(util::ByteReader* in) {
   return ReadStateVector(in, &velocity_);
 }
 
-util::Status RmsProp::SaveState(std::ostream* out) const {
-  return WriteStateVector(mean_square_, out);
+void RmsProp::SaveState(util::ByteWriter* out) const {
+  WriteStateVector(mean_square_, out);
 }
 
-util::Status RmsProp::LoadState(std::istream* in) {
+util::Status RmsProp::LoadState(util::ByteReader* in) {
   return ReadStateVector(in, &mean_square_);
 }
 
-util::Status Adam::SaveState(std::ostream* out) const {
-  out->write(reinterpret_cast<const char*>(&t_), sizeof(t_));
-  HOSR_RETURN_IF_ERROR(WriteStateVector(m_, out));
-  return WriteStateVector(v_, out);
+void Adam::SaveState(util::ByteWriter* out) const {
+  out->Put(t_);
+  WriteStateVector(m_, out);
+  WriteStateVector(v_, out);
 }
 
-util::Status Adam::LoadState(std::istream* in) {
+util::Status Adam::LoadState(util::ByteReader* in) {
   int64_t t = 0;
-  in->read(reinterpret_cast<char*>(&t), sizeof(t));
-  if (!*in) return util::Status::IoError("failed reading adam step counter");
+  if (!in->Get(&t)) return in->Truncated("adam step counter");
   if (t < 0) {
     return util::Status::DataLoss("negative adam step counter: " +
                                   std::to_string(t));
@@ -289,11 +273,11 @@ util::Status Adam::LoadState(std::istream* in) {
   return util::Status::Ok();
 }
 
-util::Status AdaGrad::SaveState(std::ostream* out) const {
-  return WriteStateVector(accum_, out);
+void AdaGrad::SaveState(util::ByteWriter* out) const {
+  WriteStateVector(accum_, out);
 }
 
-util::Status AdaGrad::LoadState(std::istream* in) {
+util::Status AdaGrad::LoadState(util::ByteReader* in) {
   return ReadStateVector(in, &accum_);
 }
 

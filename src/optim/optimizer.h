@@ -1,12 +1,12 @@
 #ifndef HOSR_OPTIM_OPTIMIZER_H_
 #define HOSR_OPTIM_OPTIMIZER_H_
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "autograd/param.h"
+#include "util/bytes.h"
 #include "util/statusor.h"
 
 namespace hosr::optim {
@@ -56,13 +56,15 @@ class Optimizer {
   virtual std::string name() const = 0;
 
   // Serializes the optimizer's internal state (momentum/moment accumulators,
-  // step counters) so training can resume bit-identically after a crash.
-  // The format is optimizer-specific; a checkpoint written by one optimizer
-  // must be restored by the same optimizer type (the trainer checkpoint
-  // records the name and enforces this). Saving before the first Step() is
-  // valid and round-trips the lazy-unallocated state.
-  virtual util::Status SaveState(std::ostream* out) const = 0;
-  virtual util::Status LoadState(std::istream* in) = 0;
+  // step counters) so training can resume bit-identically after a crash:
+  // a u64 slot count and one tensor::WriteMatrix block per slot, after an
+  // i64 step counter for Adam. A state written by one optimizer must be
+  // restored by the same optimizer type (the trainer checkpoint records the
+  // name and enforces this). Saving before the first Step() is valid and
+  // round-trips the lazy-unallocated state. LoadState changes nothing
+  // unless it returns OK; a state that ends early is DataLoss.
+  virtual void SaveState(util::ByteWriter* out) const = 0;
+  virtual util::Status LoadState(util::ByteReader* in) = 0;
 
   float learning_rate() const { return learning_rate_; }
   void set_learning_rate(float lr) { learning_rate_ = lr; }
@@ -83,8 +85,8 @@ class Sgd : public Optimizer {
   void StepRows(autograd::ParamStore* params,
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "sgd"; }
-  util::Status SaveState(std::ostream* out) const override;
-  util::Status LoadState(std::istream* in) override;
+  void SaveState(util::ByteWriter* out) const override;
+  util::Status LoadState(util::ByteReader* in) override;
 
  private:
   // rows == nullptr updates all num_rows rows in order (the dense path).
@@ -108,8 +110,8 @@ class RmsProp : public Optimizer {
   void StepRows(autograd::ParamStore* params,
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "rmsprop"; }
-  util::Status SaveState(std::ostream* out) const override;
-  util::Status LoadState(std::istream* in) override;
+  void SaveState(util::ByteWriter* out) const override;
+  util::Status LoadState(util::ByteReader* in) override;
 
  private:
   void UpdateRows(autograd::Param* p, tensor::Matrix* ms,
@@ -134,8 +136,8 @@ class Adam : public Optimizer {
   void StepRows(autograd::ParamStore* params,
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "adam"; }
-  util::Status SaveState(std::ostream* out) const override;
-  util::Status LoadState(std::istream* in) override;
+  void SaveState(util::ByteWriter* out) const override;
+  util::Status LoadState(util::ByteReader* in) override;
 
  private:
   // Bias correction uses the global step counter t_ (incremented once per
@@ -164,8 +166,8 @@ class AdaGrad : public Optimizer {
   void StepRows(autograd::ParamStore* params,
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "adagrad"; }
-  util::Status SaveState(std::ostream* out) const override;
-  util::Status LoadState(std::istream* in) override;
+  void SaveState(util::ByteWriter* out) const override;
+  util::Status LoadState(util::ByteReader* in) override;
 
  private:
   void UpdateRows(autograd::Param* p, tensor::Matrix* acc,

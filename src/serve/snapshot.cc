@@ -1,8 +1,6 @@
 #include "serve/snapshot.h"
 
-#include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "kernels/kernels.h"
 #include "tensor/serialize.h"
@@ -15,34 +13,37 @@ namespace {
 
 constexpr uint32_t kMagic = 0x48535256;  // "HSRV"
 constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianMarker = 0x01020304;
 constexpr uint32_t kFlagUserBias = 1u << 0;
 constexpr uint32_t kFlagItemBias = 1u << 1;
-constexpr uint32_t kMaxNameLen = 1u << 16;
 
-template <typename T>
-void WritePod(std::ostream* out, const T& value) {
-  out->write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-util::Status ReadPod(std::istream* in, T* value, const char* what) {
-  in->read(reinterpret_cast<char*>(value), sizeof(T));
-  if (!*in) {
-    return util::Status::IoError(std::string("snapshot truncated reading ") +
-                                 what);
-  }
-  return util::Status::Ok();
-}
-
-util::Status ReadBias(std::istream* in, size_t n, const char* what,
-                      std::vector<float>* bias) {
+// One bias per factor row, when the file carries it.
+bool ReadBias(util::ByteReader* in, bool present, size_t n,
+              std::vector<float>* bias) {
+  if (!present) return true;
+  if (!in->Holds(n, sizeof(float))) return false;
   bias->resize(n);
-  in->read(reinterpret_cast<char*>(bias->data()),
-           static_cast<std::streamsize>(n * sizeof(float)));
-  if (!*in) {
-    return util::Status::IoError(std::string("snapshot truncated reading ") +
-                                 what);
+  return in->GetFloats(bias->data(), n);
+}
+
+// What the writer refuses and the reader rejects alike.
+util::Status CheckFactors(const models::FrozenFactors& f) {
+  if (f.user_factors.empty() || f.item_factors.empty()) {
+    return util::Status::InvalidArgument("snapshot has empty factor matrices");
+  }
+  if (f.user_factors.cols() != f.item_factors.cols()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "snapshot factor dim mismatch: user %zu vs item %zu",
+        f.user_factors.cols(), f.item_factors.cols()));
+  }
+  if (f.user_factors.rows() > std::numeric_limits<uint32_t>::max() ||
+      f.item_factors.rows() > std::numeric_limits<uint32_t>::max()) {
+    return util::Status::InvalidArgument("snapshot dimensions overflow u32");
+  }
+  if (!f.user_bias.empty() && f.user_bias.size() != f.user_factors.rows()) {
+    return util::Status::InvalidArgument("user_bias length != num_users");
+  }
+  if (!f.item_bias.empty() && f.item_bias.size() != f.item_factors.rows()) {
+    return util::Status::InvalidArgument("item_bias length != num_items");
   }
   return util::Status::Ok();
 }
@@ -61,116 +62,53 @@ float ModelSnapshot::Score(uint32_t user, uint32_t item) const {
   return acc + factors.global_bias;
 }
 
-util::Status WriteSnapshot(const ModelSnapshot& snapshot, std::ostream* out) {
+util::Status WriteSnapshot(const ModelSnapshot& snapshot,
+                           util::ByteWriter* out) {
   const auto& f = snapshot.factors;
-  if (f.user_factors.empty() || f.item_factors.empty()) {
-    return util::Status::InvalidArgument("snapshot has empty factor matrices");
-  }
-  if (f.user_factors.cols() != f.item_factors.cols()) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "snapshot factor dim mismatch: user %zu vs item %zu",
-        f.user_factors.cols(), f.item_factors.cols()));
-  }
-  if (!f.user_bias.empty() && f.user_bias.size() != f.user_factors.rows()) {
-    return util::Status::InvalidArgument("user_bias length != num_users");
-  }
-  if (!f.item_bias.empty() && f.item_bias.size() != f.item_factors.rows()) {
-    return util::Status::InvalidArgument("item_bias length != num_items");
-  }
-  if (snapshot.model_name.size() >= kMaxNameLen) {
-    return util::Status::InvalidArgument("model name implausibly long");
-  }
+  HOSR_RETURN_IF_ERROR(CheckFactors(f));
 
-  WritePod(out, kMagic);
-  WritePod(out, kVersion);
-  WritePod(out, kEndianMarker);
+  out->PutHeader(kMagic, kVersion);
   uint32_t flags = 0;
   if (!f.user_bias.empty()) flags |= kFlagUserBias;
   if (!f.item_bias.empty()) flags |= kFlagItemBias;
-  WritePod(out, flags);
-  WritePod(out, f.global_bias);
-  const auto name_len = static_cast<uint32_t>(snapshot.model_name.size());
-  WritePod(out, name_len);
-  out->write(snapshot.model_name.data(), name_len);
-
-  HOSR_RETURN_IF_ERROR(tensor::WriteMatrix(f.user_factors, out));
-  HOSR_RETURN_IF_ERROR(tensor::WriteMatrix(f.item_factors, out));
-  if (!f.user_bias.empty()) {
-    out->write(reinterpret_cast<const char*>(f.user_bias.data()),
-               static_cast<std::streamsize>(f.user_bias.size() *
-                                            sizeof(float)));
-  }
-  if (!f.item_bias.empty()) {
-    out->write(reinterpret_cast<const char*>(f.item_bias.data()),
-               static_cast<std::streamsize>(f.item_bias.size() *
-                                            sizeof(float)));
-  }
-  WritePod(out, kMagic);
-  if (!*out) return util::Status::IoError("snapshot write failed");
+  out->Put(flags);
+  out->Put(f.global_bias);
+  out->PutString<uint32_t>(snapshot.model_name);
+  tensor::WriteMatrix(f.user_factors, out);
+  tensor::WriteMatrix(f.item_factors, out);
+  out->PutFloats(f.user_bias.data(), f.user_bias.size());
+  out->PutFloats(f.item_bias.data(), f.item_bias.size());
+  out->Put(kMagic);
   return util::Status::Ok();
 }
 
-util::StatusOr<ModelSnapshot> ReadSnapshot(std::istream* in) {
-  uint32_t magic = 0, version = 0, endian = 0, flags = 0, name_len = 0;
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &magic, "magic"));
-  if (magic != kMagic) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("bad snapshot magic 0x%08x", magic));
-  }
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &version, "version"));
-  if (version != kVersion) {
-    return util::Status::InvalidArgument(
-        util::StrFormat("unsupported snapshot version %u", version));
-  }
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &endian, "endian marker"));
-  if (endian != kEndianMarker) {
-    return util::Status::InvalidArgument(
-        "snapshot written on a foreign-endian host");
-  }
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &flags, "flags"));
+util::StatusOr<ModelSnapshot> ReadSnapshot(util::ByteReader* in) {
+  HOSR_RETURN_IF_ERROR(
+      in->GetHeader(kMagic, kVersion, kVersion, "snapshot").status());
+  uint32_t flags = 0;
+  if (!in->Get(&flags)) return in->Truncated("snapshot flags");
   if ((flags & ~(kFlagUserBias | kFlagItemBias)) != 0) {
     return util::Status::InvalidArgument(
         util::StrFormat("unknown snapshot flags 0x%x", flags));
   }
 
   ModelSnapshot snapshot;
-  HOSR_RETURN_IF_ERROR(
-      ReadPod(in, &snapshot.factors.global_bias, "global bias"));
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &name_len, "model name length"));
-  if (name_len >= kMaxNameLen) {
-    return util::Status::InvalidArgument("model name implausibly long");
+  auto& f = snapshot.factors;
+  if (!in->Get(&f.global_bias) ||
+      !in->GetString<uint32_t>(&snapshot.model_name)) {
+    return in->Truncated("snapshot model name");
   }
-  snapshot.model_name.resize(name_len);
-  in->read(snapshot.model_name.data(), name_len);
-  if (!*in) return util::Status::IoError("snapshot truncated reading name");
-
-  HOSR_ASSIGN_OR_RETURN(snapshot.factors.user_factors,
-                        tensor::ReadMatrix(in));
-  HOSR_ASSIGN_OR_RETURN(snapshot.factors.item_factors,
-                        tensor::ReadMatrix(in));
-  const auto& f = snapshot.factors;
-  if (f.user_factors.empty() || f.item_factors.empty()) {
-    return util::Status::InvalidArgument("snapshot has empty factor matrices");
-  }
-  if (f.user_factors.cols() != f.item_factors.cols()) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "snapshot factor dim mismatch: user %zu vs item %zu",
-        f.user_factors.cols(), f.item_factors.cols()));
-  }
-  if (f.user_factors.rows() > std::numeric_limits<uint32_t>::max() ||
-      f.item_factors.rows() > std::numeric_limits<uint32_t>::max()) {
-    return util::Status::InvalidArgument("snapshot dimensions overflow u32");
-  }
-  if ((flags & kFlagUserBias) != 0) {
-    HOSR_RETURN_IF_ERROR(ReadBias(in, f.user_factors.rows(), "user bias",
-                                  &snapshot.factors.user_bias));
-  }
-  if ((flags & kFlagItemBias) != 0) {
-    HOSR_RETURN_IF_ERROR(ReadBias(in, f.item_factors.rows(), "item bias",
-                                  &snapshot.factors.item_bias));
+  HOSR_ASSIGN_OR_RETURN(f.user_factors, tensor::ReadMatrix(in));
+  HOSR_ASSIGN_OR_RETURN(f.item_factors, tensor::ReadMatrix(in));
+  HOSR_RETURN_IF_ERROR(CheckFactors(f));
+  if (!ReadBias(in, (flags & kFlagUserBias) != 0, f.user_factors.rows(),
+                &f.user_bias) ||
+      !ReadBias(in, (flags & kFlagItemBias) != 0, f.item_factors.rows(),
+                &f.item_bias)) {
+    return in->Truncated("snapshot biases");
   }
   uint32_t sentinel = 0;
-  HOSR_RETURN_IF_ERROR(ReadPod(in, &sentinel, "trailing sentinel"));
+  if (!in->Get(&sentinel)) return in->Truncated("snapshot sentinel");
   if (sentinel != kMagic) {
     return util::Status::InvalidArgument(
         "snapshot trailing sentinel mismatch (file corrupt or truncated)");
@@ -180,17 +118,18 @@ util::StatusOr<ModelSnapshot> ReadSnapshot(std::istream* in) {
 
 util::Status SaveSnapshot(const ModelSnapshot& snapshot,
                           const std::string& path) {
-  std::ostringstream body;
-  HOSR_RETURN_IF_ERROR(WriteSnapshot(snapshot, &body));
+  std::string body;
+  util::ByteWriter out(&body);
+  HOSR_RETURN_IF_ERROR(WriteSnapshot(snapshot, &out));
   // Atomic temp-file + rename with a CRC-32 footer: a crash mid-export
   // never leaves a torn snapshot at `path`, and any flipped bit surfaces
   // as DataLoss on load instead of silently skewed scores.
-  return util::WriteFileAtomicWithCrc(path, body.str());
+  return util::WriteFileAtomicWithCrc(path, body);
 }
 
 util::StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
   HOSR_ASSIGN_OR_RETURN(std::string body, util::ReadFileVerifyCrc(path));
-  std::istringstream in(std::move(body));  // takes the buffer, no copy
+  util::ByteReader in(body);
   return ReadSnapshot(&in);
 }
 

@@ -2,11 +2,10 @@
 #define HOSR_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "models/model.h"
+#include "util/bytes.h"
 #include "util/statusor.h"
 
 namespace hosr::serve {
@@ -15,11 +14,11 @@ namespace hosr::serve {
 // ScoreAllItems bit for bit, plus enough metadata to sanity-check a request
 // stream against the artifact it is served from.
 //
-// On-disk format (version 1, native byte order with an endian marker):
+// On-disk format (version 1, little-endian through util::ByteWriter):
 //
 //   u32  magic 0x48535256 ("HSRV")
 //   u32  format version (1)
-//   u32  endian marker 0x01020304 (readers on a foreign-endian host reject)
+//   u32  endian marker 0x01020304 (a big-endian file reads it swapped)
 //   u32  flags (bit 0: user_bias present, bit 1: item_bias present)
 //   f32  global_bias
 //   u32  model name length, then that many bytes
@@ -31,7 +30,9 @@ namespace hosr::serve {
 //
 // Readers validate magic/version/endianness, cross-check matrix shapes and
 // bias lengths, and require the trailing sentinel, so corrupt or truncated
-// files surface as util::Status errors rather than crashes or garbage.
+// files surface as util::Status errors rather than crashes or garbage: a
+// bad header, flags, shape or sentinel is InvalidArgument, a body that
+// ends early DataLoss.
 struct ModelSnapshot {
   std::string model_name;
   models::FrozenFactors factors;
@@ -51,8 +52,9 @@ struct ModelSnapshot {
   float Score(uint32_t user, uint32_t item) const;
 };
 
-util::Status WriteSnapshot(const ModelSnapshot& snapshot, std::ostream* out);
-util::StatusOr<ModelSnapshot> ReadSnapshot(std::istream* in);
+util::Status WriteSnapshot(const ModelSnapshot& snapshot,
+                           util::ByteWriter* out);
+util::StatusOr<ModelSnapshot> ReadSnapshot(util::ByteReader* in);
 
 util::Status SaveSnapshot(const ModelSnapshot& snapshot,
                           const std::string& path);

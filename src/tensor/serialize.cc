@@ -1,7 +1,8 @@
 #include "tensor/serialize.h"
 
 #include <cstdint>
-#include <fstream>
+
+#include "util/fileio.h"
 
 namespace hosr::tensor {
 
@@ -9,52 +10,42 @@ namespace {
 constexpr uint32_t kMagic = 0x484f5352;  // "HOSR"
 }  // namespace
 
-util::Status WriteMatrix(const Matrix& m, std::ostream* out) {
-  const uint32_t magic = kMagic;
-  const uint64_t rows = m.rows();
-  const uint64_t cols = m.cols();
-  out->write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out->write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  out->write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  out->write(reinterpret_cast<const char*>(m.data()),
-             static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!*out) return util::Status::IoError("matrix write failed");
-  return util::Status::Ok();
+void WriteMatrix(const Matrix& m, util::ByteWriter* out) {
+  out->Put(kMagic);
+  out->Put<uint64_t>(m.rows());
+  out->Put<uint64_t>(m.cols());
+  out->PutFloats(m.data(), m.size());
 }
 
-util::StatusOr<Matrix> ReadMatrix(std::istream* in) {
+util::StatusOr<Matrix> ReadMatrix(util::ByteReader* in) {
   uint32_t magic = 0;
   uint64_t rows = 0;
   uint64_t cols = 0;
-  in->read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!*in) return util::Status::IoError("matrix header read failed");
+  if (!in->Get(&magic)) return in->Truncated("matrix header");
   if (magic != kMagic) {
     return util::Status::InvalidArgument("bad matrix magic");
   }
-  in->read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in->read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!*in) return util::Status::IoError("matrix dims read failed");
-  // Sanity bound: refuse absurd allocations from corrupt headers.
-  if (rows > (1ULL << 32) || cols > (1ULL << 32) ||
-      rows * cols > (1ULL << 34)) {
-    return util::Status::InvalidArgument("matrix dims implausibly large");
+  if (!in->Get(&rows) || !in->Get(&cols)) return in->Truncated("matrix dims");
+  // The rows * cols floats must be there before the block is allocated;
+  // dividing keeps the check from overflowing.
+  if (cols != 0 && rows > in->remaining() / sizeof(float) / cols) {
+    return in->Truncated("matrix payload");
   }
-  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  in->read(reinterpret_cast<char*>(m.data()),
-           static_cast<std::streamsize>(m.size() * sizeof(float)));
-  if (!*in) return util::Status::IoError("matrix payload read failed");
+  Matrix m = Matrix::Uninitialized(rows, cols);
+  in->GetFloats(m.data(), m.size());
   return m;
 }
 
 util::Status SaveMatrix(const Matrix& m, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::IoError("cannot open for writing: " + path);
-  return WriteMatrix(m, &out);
+  std::string bytes;
+  util::ByteWriter out(&bytes);
+  WriteMatrix(m, &out);
+  return util::WriteFileAtomic(path, bytes);
 }
 
 util::StatusOr<Matrix> LoadMatrix(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return util::Status::IoError("cannot open for reading: " + path);
+  HOSR_ASSIGN_OR_RETURN(std::string bytes, util::ReadFileToString(path));
+  util::ByteReader in(bytes);
   return ReadMatrix(&in);
 }
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 #endif
 
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace hosr::util {
@@ -74,17 +75,12 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents) {
 
 Status WriteFileAtomicWithCrc(const std::string& path,
                               std::string_view body) {
-  const uint32_t crc = Crc32(body);
-  unsigned char footer[4] = {
-      static_cast<unsigned char>(crc & 0xFFu),
-      static_cast<unsigned char>((crc >> 8) & 0xFFu),
-      static_cast<unsigned char>((crc >> 16) & 0xFFu),
-      static_cast<unsigned char>((crc >> 24) & 0xFFu),
-  };
+  std::string footer;
+  ByteWriter(&footer).Put(Crc32(body));
   AtomicWriteFile file(path);
   HOSR_RETURN_IF_ERROR(file.status());
   file.stream().write(body.data(), static_cast<std::streamsize>(body.size()));
-  file.stream().write(reinterpret_cast<const char*>(footer), 4);
+  file.stream().write(footer.data(), 4);
   return file.Commit();
 }
 
@@ -117,12 +113,8 @@ StatusOr<std::string> ReadFileVerifyCrc(const std::string& path) {
   if (bytes.size() < 4) {
     return Status::DataLoss("file too short for CRC footer: " + path);
   }
-  const auto* footer =
-      reinterpret_cast<const unsigned char*>(bytes.data() + bytes.size() - 4);
-  const uint32_t stored = static_cast<uint32_t>(footer[0]) |
-                          (static_cast<uint32_t>(footer[1]) << 8) |
-                          (static_cast<uint32_t>(footer[2]) << 16) |
-                          (static_cast<uint32_t>(footer[3]) << 24);
+  uint32_t stored = 0;
+  ByteReader(std::string_view(bytes).substr(bytes.size() - 4)).Get(&stored);
   bytes.resize(bytes.size() - 4);
   const uint32_t actual = Crc32(bytes);
   if (stored != actual) {

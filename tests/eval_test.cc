@@ -56,30 +56,6 @@ TEST(MetricsTest, NdcgDiscountsLateHits) {
   EXPECT_GT(late, 0.0);
 }
 
-TEST(MetricsTest, TopKExcludingOrdersByScore) {
-  const float scores[] = {0.1f, 0.9f, 0.5f, 0.7f, 0.3f};
-  const auto top = TopKExcluding(scores, 5, 3, /*excluded=*/{});
-  EXPECT_EQ(top, (std::vector<uint32_t>{1, 3, 2}));
-}
-
-TEST(MetricsTest, TopKExcludingMasksTrainingItems) {
-  const float scores[] = {0.1f, 0.9f, 0.5f, 0.7f, 0.3f};
-  const auto top = TopKExcluding(scores, 5, 3, /*excluded=*/{1, 3});
-  EXPECT_EQ(top, (std::vector<uint32_t>{2, 4, 0}));
-}
-
-TEST(MetricsTest, TopKHandlesKLargerThanCandidates) {
-  const float scores[] = {0.2f, 0.8f, 0.5f};
-  const auto top = TopKExcluding(scores, 3, 10, {1});
-  EXPECT_EQ(top, (std::vector<uint32_t>{2, 0}));
-}
-
-TEST(MetricsTest, TopKTieBreaksByIndex) {
-  const float scores[] = {0.5f, 0.5f, 0.5f};
-  const auto top = TopKExcluding(scores, 3, 2, {});
-  EXPECT_EQ(top, (std::vector<uint32_t>{0, 1}));
-}
-
 // --- TopKAccumulator block fast-reject ------------------------------------------
 
 TEST(TopKAccumulatorTest, FullOnlyAfterKCandidates) {
@@ -112,6 +88,20 @@ TEST(TopKAccumulatorTest, TieAtWorstScoreCanStillWinOnIndex) {
   ASSERT_TRUE(acc.WouldAccept(0.5f));
   acc.Consider(0.5f, 3);  // same score, lower index: displaces index 7
   EXPECT_EQ(acc.Take(), (std::vector<uint32_t>{9, 3}));
+}
+
+// --- TopK -----------------------------------------------------------------------
+
+TEST(TopKTest, MasksExcludedItems) {
+  const float scores[] = {0.1f, 0.9f, 0.5f, 0.7f, 0.3f};
+  const auto top = TopK(scores, 5, 3, /*excluded=*/{1, 3});
+  EXPECT_EQ(top, (std::vector<uint32_t>{2, 4, 0}));
+}
+
+TEST(TopKTest, TieBreaksByIndex) {
+  const float scores[] = {0.5f, 0.5f, 0.5f};
+  const auto top = TopK(scores, 3, 2, {});
+  EXPECT_EQ(top, (std::vector<uint32_t>{0, 1}));
 }
 
 TEST(TopKTest, BlockRejectScanMatchesBruteForce) {

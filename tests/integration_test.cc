@@ -66,7 +66,7 @@ TEST(IntegrationTest, TrainedModelsBeatRandomRanking) {
   // Random-ranking recall baseline: K / (num candidate items) on average.
   const double random_recall = 20.0 / p.dataset.num_items();
 
-  for (const std::string& name : {"BPR", "TrustSVD", "HOSR"}) {
+  for (const char* name : {"BPR", "TrustSVD", "HOSR"}) {
     core::ZooConfig zoo;
     zoo.embedding_dim = 8;
     auto model = core::MakeModel(name, p.split.train, zoo);

@@ -15,6 +15,7 @@
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "eval/topk.h"
 #include "graph/csr.h"
 #include "graph/laplacian.h"
 #include "graph/spmm.h"
@@ -311,7 +312,7 @@ TEST_P(TopKPropertyTest, AgreesWithStableSortReference) {
   }
   const uint32_t k = 1 + static_cast<uint32_t>(rng.UniformInt(25));
 
-  const auto fast = eval::TopKExcluding(scores.data(), n, k, excluded);
+  const auto fast = eval::TopK(scores.data(), n, k, excluded);
 
   std::vector<uint32_t> candidates;
   for (uint32_t j = 0; j < n; ++j) {

@@ -5,7 +5,9 @@
 #   2. train with --train_state and an injected crash (cli.train_crash:once=2)
 #      — the process must die with exit code 42 after epoch 2's state is on
 #      disk;
-#   3. resume with --resume and finish training + export a snapshot;
+#   3. resume a copy cut inside its parameters (valid CRC) and assert it
+#      exits 1 and leaves the file unchanged; then resume the real state
+#      with --resume and finish training + export a snapshot;
 #   4. train the same config straight through in a second directory and
 #      assert the resumed snapshot is BYTE-IDENTICAL to the uninterrupted
 #      one (the kill-and-resume contract, end to end);
@@ -44,6 +46,32 @@ if [ "$CRASH_EXIT" -ne 42 ]; then
   exit 1
 fi
 test -s "$WORK/state" || { echo "FAIL: no training state on disk" >&2; exit 1; }
+
+# A state that exists but does not restore must stop --resume (exit 1) and
+# stay on disk as it was; only an absent state starts fresh. The defect: the
+# 64 bytes before the 4-byte sentinel removed, re-wrapped with a valid CRC
+# (zlib.crc32 is util::Crc32), so only the decoder can refuse it.
+python3 - "$WORK/state" "$WORK/cut_state" <<'EOF'
+import struct, sys, zlib
+body = open(sys.argv[1], "rb").read()[:-4]
+body = body[:-68] + body[-4:]
+with open(sys.argv[2], "wb") as f:
+    f.write(body + struct.pack("<I", zlib.crc32(body)))
+EOF
+cp "$WORK/cut_state" "$WORK/cut_state.orig"
+set +e
+"$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
+  --train_state="$WORK/cut_state" --resume > "$WORK/cut_run.log" 2>&1
+CUT_EXIT=$?
+set -e
+if [ "$CUT_EXIT" -ne 1 ]; then
+  echo "FAIL: resuming a cut training state should exit 1, got $CUT_EXIT" >&2
+  cat "$WORK/cut_run.log" >&2
+  exit 1
+fi
+cmp "$WORK/cut_state" "$WORK/cut_state.orig" \
+  || { echo "FAIL: a refused training state was overwritten" >&2; exit 1; }
+echo "resume refusal OK: cut state exits 1 and stays on disk unchanged"
 
 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
   --train_state="$WORK/state" --resume --snapshot_out="$WORK/snap_resumed" \

@@ -1,6 +1,7 @@
 // Robustness suite (docs/ROBUSTNESS.md): crash-safe file primitives,
 // retry/degraded/deadline serving behavior under deterministic fault
-// injection, bit-flip corruption sweeps over every binary artifact, and the
+// injection, bit-flip corruption sweeps over every binary artifact, one
+// table-driven test over the decoders of all six binary formats, and the
 // kill-and-resume contract — training restored from a checkpoint finishes
 // bit-identical to a run that never died.
 #include <gtest/gtest.h>
@@ -10,9 +11,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "autograd/checkpoint.h"
@@ -20,12 +22,15 @@
 #include "data/synthetic.h"
 #include "fault/fault.h"
 #include "models/trainer.h"
+#include "net/wire.h"
 #include "optim/optimizer.h"
 #include "serve/degraded.h"
 #include "serve/engine.h"
 #include "serve/hardened.h"
 #include "serve/retry.h"
 #include "serve/snapshot.h"
+#include "tensor/serialize.h"
+#include "util/bytes.h"
 #include "util/fileio.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -388,11 +393,13 @@ TEST_P(OptimizerStateTest, SaveLoadContinuesBitIdentically) {
   }
 
   // Serialize the warm optimizer, load into a FRESH one.
-  std::ostringstream saved;
-  ASSERT_TRUE(warm_opt->SaveState(&saved).ok());
+  std::string saved;
+  util::ByteWriter writer(&saved);
+  warm_opt->SaveState(&writer);
   auto resumed_opt = optim::MakeOptimizer(GetParam(), 0.05f, 0.001f);
-  std::istringstream loaded(saved.str());
+  util::ByteReader loaded(saved);
   ASSERT_TRUE(resumed_opt->LoadState(&loaded).ok());
+  EXPECT_EQ(loaded.remaining(), 0u);
 
   // Second phase: reference continues, resumed picks up from the state.
   for (int step = 0; step < 3; ++step) {
@@ -557,6 +564,339 @@ TEST(CorruptionSweepTest, SnapshotBitFlipsAreDataLoss) {
         << "byte " << byte;
   }
   std::remove(path.c_str());
+}
+
+
+// --- decoders of every binary format -----------------------------------------
+//
+// The matrix block, the parameter checkpoint, the optimizer and training
+// states, the snapshot and the wire all decode through util::ByteReader.
+// Each file case holds a valid body (what sits below the CRC footer) and a
+// decoder that sees it exactly as written, so the format's own checks run.
+
+template <typename Fn>
+std::string Encode(Fn&& write) {
+  std::string bytes;
+  util::ByteWriter out(&bytes);
+  write(&out);
+  return bytes;
+}
+
+std::string BodyOf(const std::string& path) {
+  auto body = util::ReadFileVerifyCrc(path);
+  HOSR_CHECK(body.ok()) << body.status();
+  return std::move(body).value();
+}
+
+struct FileCase {
+  std::string name;
+  std::string body;
+  std::function<util::Status(std::string_view)> decode;
+};
+
+const std::vector<FileCase>& FileCases() {
+  static const std::vector<FileCase>* cases = [] {
+    auto* out = new std::vector<FileCase>;
+    util::Rng rng(41);
+    tensor::Matrix matrix(13, 7);
+    for (size_t i = 0; i < matrix.size(); ++i) {
+      matrix.data()[i] = rng.Gaussian();
+    }
+    out->push_back({"matrix",
+                    Encode([&](auto* w) { tensor::WriteMatrix(matrix, w); }),
+                    [](std::string_view body) {
+                      util::ByteReader in(body);
+                      return tensor::ReadMatrix(&in).status();
+                    }});
+
+    static auto checkpoint_model = MakeTestModel("BPR");
+    const autograd::ParamStore& store = *checkpoint_model->params();
+    out->push_back({"checkpoint",
+                    Encode([&](auto* w) { autograd::WriteParams(store, w); }),
+                    [&store](std::string_view body) {
+                      util::ByteReader in(body);
+                      return autograd::ReadParams(&in, store).status();
+                    }});
+
+    // A BPR state after one epoch holds RMSprop slots. Restores go through
+    // the file, re-wrapped with a valid CRC, into one trainer: a rejected
+    // restore leaves it as it was.
+    static auto state_model = MakeTestModel("BPR");
+    static models::BprTrainer trainer(
+        state_model.get(), &TestDataset().interactions, ResumeTrainConfig());
+    const std::string path = TempPath("hosr_decoder_case.state");
+    trainer.RunEpoch();
+    HOSR_CHECK(trainer.SaveTrainingState(path).ok());
+    out->push_back({"training state", BodyOf(path),
+                    [path](std::string_view body) {
+                      HOSR_CHECK(util::WriteFileAtomicWithCrc(path, body).ok());
+                      const util::Status status =
+                          trainer.RestoreTrainingState(path);
+                      std::remove(path.c_str());
+                      return status;
+                    }});
+
+    serve::ModelSnapshot snapshot;
+    snapshot.model_name = "biased";
+    snapshot.factors.user_factors = tensor::Matrix(3, 2, 0.25f);
+    snapshot.factors.item_factors = tensor::Matrix(4, 2, -0.5f);
+    snapshot.factors.user_bias = {0.1f, 0.2f, 0.3f};
+    snapshot.factors.item_bias = {1.0f, -1.0f, 0.0f, 2.0f};
+    snapshot.factors.global_bias = 7.5f;
+    out->push_back({"snapshot", Encode([&](auto* w) {
+                      HOSR_CHECK(serve::WriteSnapshot(snapshot, w).ok());
+                    }),
+                    [](std::string_view body) {
+                      util::ByteReader in(body);
+                      return serve::ReadSnapshot(&in).status();
+                    }});
+    return out;
+  }();
+  return *cases;
+}
+
+net::QueryRequest GoldenRequest() {
+  net::QueryRequest request;
+  request.trace_id = 0x0123456789abcdefULL;
+  request.user = 7;
+  request.k = 20;
+  request.deadline_ms = 250;
+  return request;
+}
+
+net::QueryResponse GoldenResponse() {
+  net::QueryResponse response;
+  response.flags = net::kResponseFromCache;
+  response.items = {3, 1, 4};
+  response.scores = {1.5f, -0.25f, 0.0f};
+  response.message = "ok";
+  return response;
+}
+
+net::ServerInfo GoldenInfo() {
+  net::ServerInfo info;
+  info.num_users = 211;
+  info.num_items = 285;
+  info.dim = 10;
+  info.model_name = "HOSR";
+  return info;
+}
+
+// Each wire payload with its decoder.
+std::vector<std::pair<std::string, std::function<util::Status(
+                                       std::string_view)>>>
+WirePayloads() {
+  return {
+      {net::EncodeQueryRequest(GoldenRequest()),
+       [](std::string_view p) {
+         return net::DecodeQueryRequest(p).status();
+       }},
+      {net::EncodeQueryResponse(GoldenResponse()),
+       [](std::string_view p) {
+         return net::DecodeQueryResponse(p).status();
+       }},
+      {net::EncodeServerInfo(GoldenInfo()),
+       [](std::string_view p) { return net::DecodeServerInfo(p).status(); }},
+  };
+}
+
+TEST(DecoderTest, EveryStrictPrefixOfAFileBodyIsRefused) {
+  for (const FileCase& c : FileCases()) {
+    ASSERT_TRUE(c.decode(c.body).ok()) << c.name;
+    for (size_t len = 0; len < c.body.size(); ++len) {
+      const util::Status status =
+          c.decode(std::string_view(c.body).substr(0, len));
+      ASSERT_FALSE(status.ok()) << c.name << " prefix " << len;
+      ASSERT_TRUE(status.code() == util::StatusCode::kDataLoss ||
+                  status.code() == util::StatusCode::kInvalidArgument)
+          << c.name << " prefix " << len << ": " << status;
+    }
+  }
+}
+
+TEST(DecoderTest, EveryStrictPrefixOfAFrameWaitsForMore) {
+  const std::string frame = net::EncodeFrame(
+      net::FrameType::kQueryReply, net::EncodeQueryResponse(GoldenResponse()));
+  net::Frame decoded;
+  for (size_t len = 0; len < frame.size(); ++len) {
+    const auto used =
+        net::TryDecodeFrame(std::string_view(frame).substr(0, len), &decoded);
+    ASSERT_TRUE(used.ok()) << "prefix " << len << ": " << used.status();
+    EXPECT_EQ(*used, 0u) << "prefix " << len;
+  }
+  ASSERT_EQ(net::TryDecodeFrame(frame, &decoded).value(), frame.size());
+  for (const auto& [payload, decode] : WirePayloads()) {
+    ASSERT_TRUE(decode(payload).ok());
+    for (size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_EQ(decode(payload.substr(0, len)).code(),
+                util::StatusCode::kInvalidArgument)
+          << "prefix " << len;
+    }
+  }
+}
+
+// A change may touch only the low byte of a matrix block's rows and cols
+// and of the u64 before the block (an optimizer slot count), so no changed
+// body declares more than 1 MiB, even to a decoder that allocates first.
+bool MayChange(const std::string& body, size_t at) {
+  const std::string_view magic("RSOH", 4);  // "HOSR", little-endian
+  for (size_t o = body.find(magic); o != std::string::npos;
+       o = body.find(magic, o + 1)) {
+    for (const size_t field : {o - 8, o + 4, o + 12}) {
+      if (at > field && at < field + 8) return false;
+    }
+  }
+  return true;
+}
+
+// Fixed-seed single-byte changes: any status may come back, but no decoder
+// may crash or read outside its input (the suite also runs under ASan).
+TEST(DecoderTest, SingleByteChangesNeverCrash) {
+  util::Rng rng(2024);
+  auto mutate = [&rng](std::string bytes) {
+    size_t at = 0;
+    do {
+      at = rng.UniformInt(bytes.size());
+    } while (!MayChange(bytes, at));
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 + rng.UniformInt(255)));
+    return bytes;
+  };
+  for (const FileCase& c : FileCases()) {
+    for (int i = 0; i < 300; ++i) {
+      const util::Status status = c.decode(mutate(c.body));
+      EXPECT_NE(status.code(), util::StatusCode::kIoError) << c.name;
+    }
+  }
+  const std::string frame = net::EncodeFrame(
+      net::FrameType::kQuery, net::EncodeQueryRequest(GoldenRequest()));
+  net::Frame decoded;
+  for (int i = 0; i < 300; ++i) {
+    const auto used = net::TryDecodeFrame(mutate(frame), &decoded);
+    if (used.ok() && *used > 0) {
+      (void)net::DecodeQueryRequest(decoded.payload);
+    }
+  }
+  for (const auto& [payload, decode] : WirePayloads()) {
+    for (int i = 0; i < 300; ++i) (void)decode(mutate(payload));
+  }
+}
+
+TEST(DecoderTest, MatrixHeaderWithoutItsPayloadIsDataLoss) {
+  auto header = [](uint64_t rows) {
+    return Encode([rows](util::ByteWriter* w) {
+      w->Put<uint32_t>(0x484f5352);  // "HOSR"
+      w->Put<uint64_t>(rows);
+      w->Put<uint64_t>(64);
+    });
+  };
+  const std::string declared = header(1024);
+  util::ByteReader in(declared);
+  EXPECT_EQ(tensor::ReadMatrix(&in).status().code(),
+            util::StatusCode::kDataLoss);
+  // A block with no rows has no payload to miss.
+  const std::string empty = header(0);
+  util::ByteReader empty_in(empty);
+  const auto loaded = tensor::ReadMatrix(&empty_in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->rows(), 0u);
+  EXPECT_EQ(loaded->cols(), 64u);
+}
+
+// The bytes every encoder wrote before the codec was shared.
+TEST(DecoderTest, EncodersKeepTheirGoldenBytes) {
+  using namespace std::string_view_literals;
+  EXPECT_EQ(net::EncodeQueryRequest(GoldenRequest()),
+            "\xef\xcd\xab\x89\x67\x45\x23\x01\x07\x00\x00\x00\x14\x00\x00\x00"
+            "\xfa\x00\x00\x00\x00\x00\x00\x00"sv);
+  EXPECT_EQ(net::EncodeQueryResponse(GoldenResponse()),
+            "\x00\x00\x00\x00\x01\x00\x00\x00\x03\x00\x00\x00\x02\x00\x00\x00"
+            "\x03\x00\x00\x00\x01\x00\x00\x00\x04\x00\x00\x00\x00\x00\xc0\x3f"
+            "\x00\x00\x80\xbe\x00\x00\x00\x00\x6f\x6b"sv);
+  EXPECT_EQ(net::EncodeServerInfo(GoldenInfo()),
+            "\xd3\x00\x00\x00\x1d\x01\x00\x00\x0a\x00\x00\x00\x04\x00\x00\x00"
+            "\x48\x4f\x53\x52"sv);
+  EXPECT_EQ(net::EncodeFrame(net::FrameType::kQuery,
+                             net::EncodeQueryRequest(GoldenRequest())),
+            "\x31\x4e\x53\x48\x01\x00\x01\x00\x18\x00\x00\x00\x03\xe3\x95\x9e"
+            "\xef\xcd\xab\x89\x67\x45\x23\x01\x07\x00\x00\x00\x14\x00\x00\x00"
+            "\xfa\x00\x00\x00\x00\x00\x00\x00"sv);
+  tensor::Matrix m(2, 3);
+  const float values[] = {1.0f, -2.0f, 0.5f, 3.25f, 0.0f, -0.125f};
+  std::copy(values, values + 6, m.data());
+  EXPECT_EQ(Encode([&](auto* w) { tensor::WriteMatrix(m, w); }),
+            "\x52\x53\x4f\x48\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00"
+            "\x00\x00\x00\x00\x00\x00\x80\x3f\x00\x00\x00\xc0\x00\x00\x00\x3f"
+            "\x00\x00\x50\x40\x00\x00\x00\x00\x00\x00\x00\xbe"sv);
+
+  // And they decode back to what was encoded.
+  const auto response =
+      net::DecodeQueryResponse(net::EncodeQueryResponse(GoldenResponse()));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->items, GoldenResponse().items);
+  EXPECT_EQ(response->scores, GoldenResponse().scores);
+  EXPECT_EQ(response->message, "ok");
+  const auto info = net::DecodeServerInfo(net::EncodeServerInfo(GoldenInfo()));
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->model_name, "HOSR");
+  EXPECT_EQ(info->num_items, 285u);
+}
+
+// A CRC-valid training state with exactly one defect is DataLoss, and the
+// trainer it was offered to goes on as if it had never seen it: one more
+// epoch saves the state of a trainer that never tried the restore.
+TEST(DecoderTest, DefectiveTrainingStateLeavesTheTrainerUntouched) {
+  const auto config = ResumeTrainConfig();
+  const auto& train = TestDataset().interactions;
+  const std::string path = TempPath("hosr_defect.state");
+  const std::string ref_path = TempPath("hosr_defect_ref.state");
+
+  auto reference = MakeTestModel("BPR");
+  models::BprTrainer straight(reference.get(), &train, config);
+  straight.RunEpoch();
+  ASSERT_TRUE(straight.SaveTrainingState(path).ok());
+  const std::string body = BodyOf(path);
+  straight.RunEpoch();
+  straight.RunEpoch();
+  ASSERT_TRUE(straight.SaveTrainingState(ref_path).ok());
+
+  // The body ends with the RMSprop slots (a u64 count, then one matrix
+  // block per parameter), the parameters and the 4-byte sentinel.
+  const autograd::ParamStore& params = *reference->params();
+  const size_t params_size =
+      Encode([&](auto* w) { autograd::WriteParams(params, w); }).size();
+  size_t optimizer_size = sizeof(uint64_t);
+  for (size_t i = 0; i < params.size(); ++i) {
+    optimizer_size +=
+        Encode([&](auto* w) { tensor::WriteMatrix(params.at(i)->value, w); })
+            .size();
+  }
+  const size_t params_begin = body.size() - 4 - params_size;
+  const size_t optimizer_begin = params_begin - optimizer_size;
+  std::string bad_sentinel = body;
+  bad_sentinel.back() ^= 0x01;
+  const std::vector<std::pair<std::string, std::string>> defects = {
+      {"bad sentinel", bad_sentinel},
+      {"cut inside the parameters",
+       body.substr(0, params_begin + params_size / 2)},
+      {"cut inside the optimizer section",
+       body.substr(0, optimizer_begin + optimizer_size / 2)},
+  };
+  for (const auto& [name, defective] : defects) {
+    auto model = MakeTestModel("BPR");
+    models::BprTrainer trainer(model.get(), &train, config);
+    trainer.RunEpoch();
+    trainer.RunEpoch();
+    ASSERT_TRUE(util::WriteFileAtomicWithCrc(path, defective).ok());
+    EXPECT_EQ(trainer.RestoreTrainingState(path).code(),
+              util::StatusCode::kDataLoss)
+        << name;
+    EXPECT_EQ(trainer.epoch(), 2u) << name;
+    trainer.RunEpoch();
+    ASSERT_TRUE(trainer.SaveTrainingState(path).ok());
+    EXPECT_EQ(ReadRaw(path), ReadRaw(ref_path)) << name;
+  }
+  std::remove(path.c_str());
+  std::remove(ref_path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <string>
 
 #include "tensor/init.h"
 #include "tensor/matrix.h"
@@ -261,15 +261,18 @@ TEST(InitTest, UniformRange) {
 
 // --- Serialize ---------------------------------------------------------------
 
-TEST(SerializeTest, StreamRoundTrip) {
+TEST(SerializeTest, BufferRoundTrip) {
   util::Rng rng(9);
   Matrix m(13, 7);
   GaussianInit(&m, 1.0f, &rng);
-  std::stringstream ss;
-  ASSERT_TRUE(WriteMatrix(m, &ss).ok());
-  const auto loaded = ReadMatrix(&ss);
+  std::string bytes;
+  util::ByteWriter out(&bytes);
+  WriteMatrix(m, &out);
+  util::ByteReader in(bytes);
+  const auto loaded = ReadMatrix(&in);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(AllClose(*loaded, m, 0.0));
+  EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(SerializeTest, FileRoundTrip) {
@@ -282,19 +285,22 @@ TEST(SerializeTest, FileRoundTrip) {
 }
 
 TEST(SerializeTest, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "not a matrix at all, just text";
-  EXPECT_FALSE(ReadMatrix(&ss).ok());
+  util::ByteReader in("not a matrix at all, just text");
+  const auto loaded = ReadMatrix(&in);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(SerializeTest, RejectsTruncatedPayload) {
   Matrix m(4, 4, 1.0f);
-  std::stringstream ss;
-  ASSERT_TRUE(WriteMatrix(m, &ss).ok());
-  std::string bytes = ss.str();
+  std::string bytes;
+  util::ByteWriter out(&bytes);
+  WriteMatrix(m, &out);
   bytes.resize(bytes.size() - 8);
-  std::stringstream truncated(bytes);
-  EXPECT_FALSE(ReadMatrix(&truncated).ok());
+  util::ByteReader truncated(bytes);
+  const auto loaded = ReadMatrix(&truncated);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST(SerializeTest, LoadMissingFileFails) {

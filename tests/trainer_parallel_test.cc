@@ -15,8 +15,8 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,6 +32,7 @@
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
 #include "tensor/serialize.h"
+#include "util/bytes.h"
 #include "util/fileio.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -305,19 +306,22 @@ class RecordingModel : public models::RankingModel {
 std::vector<tensor::Matrix> SavedMeanSquares(
     const std::string& path, const autograd::ParamStore& params) {
   const std::string body = StateBody(path);
-  std::ostringstream param_bytes;
-  HOSR_CHECK(autograd::WriteParams(params, &param_bytes).ok());
+  std::string param_bytes;
+  util::ByteWriter param_writer(&param_bytes);
+  autograd::WriteParams(params, &param_writer);
   size_t optimizer_bytes = sizeof(uint64_t);
   for (size_t i = 0; i < params.size(); ++i) {
-    std::ostringstream matrix_bytes;
-    HOSR_CHECK(tensor::WriteMatrix(params.at(i)->value, &matrix_bytes).ok());
-    optimizer_bytes += matrix_bytes.str().size();
+    std::string matrix_bytes;
+    util::ByteWriter matrix_writer(&matrix_bytes);
+    tensor::WriteMatrix(params.at(i)->value, &matrix_writer);
+    optimizer_bytes += matrix_bytes.size();
   }
-  const size_t end = body.size() - sizeof(uint32_t) - param_bytes.str().size();
+  const size_t end = body.size() - sizeof(uint32_t) - param_bytes.size();
   HOSR_CHECK(end >= optimizer_bytes);
-  std::istringstream in(body.substr(end - optimizer_bytes, optimizer_bytes));
+  util::ByteReader in(
+      std::string_view(body).substr(end - optimizer_bytes, optimizer_bytes));
   uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  HOSR_CHECK(in.Get(&count));
   HOSR_CHECK(count == params.size());
   std::vector<tensor::Matrix> mean_squares;
   for (uint64_t i = 0; i < count; ++i) {

@@ -18,8 +18,8 @@
 //       serving snapshot for hosr_serve (docs/SERVING.md).
 //       --train_state saves a crash-safe full training checkpoint (params,
 //       optimizer state, RNG streams, epoch) after every epoch; --resume
-//       restores it and continues, bit-identical to an uninterrupted run
-//       (docs/ROBUSTNESS.md). --early-stop refuses both.
+//       restores it, bit-identical to an uninterrupted run, or starts fresh
+//       if the file is absent (docs/ROBUSTNESS.md). --early-stop refuses both.
 //   evaluate  --data=DIR --checkpoint=FILE [--model=HOSR] [--dim=N] [--k=N]
 //       Reload a checkpoint and report Recall/MAP/NDCG/Precision@K.
 //   recommend --data=DIR --checkpoint=FILE --user=N [--model=HOSR]
@@ -47,6 +47,7 @@
 // capture a model: evaluation is reproducible across processes.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
 #include <limits>
 #include <memory>
@@ -57,7 +58,7 @@
 #include "data/io.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
-#include "eval/metrics.h"
+#include "eval/topk.h"
 #include "fault/fault.h"
 #include "kernels/kernels.h"
 #include "models/early_stopping.h"
@@ -263,17 +264,18 @@ int RunTrain(const util::Flags& flags) {
     models::BprTrainer trainer(session->model.get(), &train, config);
     const std::string train_state = flags.GetString("train_state", "");
     if (flags.GetBool("resume", false)) {
-      auto restored = trainer.RestoreTrainingState(train_state);
-      if (restored.ok()) {
-        std::printf("resumed from %s at epoch %u/%u\n", train_state.c_str(),
-                    trainer.epoch(), config.epochs);
-      } else if (restored.code() == util::StatusCode::kIoError) {
-        // No checkpoint yet (first run of a --resume-always launcher):
-        // start from scratch. Corruption or config drift still aborts.
+      // Only an absent state (first run of a --resume-always launcher)
+      // starts fresh; a state that does not restore aborts, left as it was.
+      std::error_code absent;
+      if (!std::filesystem::exists(train_state, absent) && !absent) {
         std::printf("no training state at %s, starting fresh\n",
                     train_state.c_str());
-      } else {
+      } else if (auto restored = trainer.RestoreTrainingState(train_state);
+                 !restored.ok()) {
         return Fail(restored);
+      } else {
+        std::printf("resumed from %s at epoch %u/%u\n", train_state.c_str(),
+                    trainer.epoch(), config.epochs);
       }
     }
     // Epoch-cadence reporting: rewrite --metrics_out after every epoch so a
@@ -383,9 +385,9 @@ int RunRecommend(const util::Flags& flags) {
   const auto k = static_cast<uint32_t>(flags.GetInt("k", 10));
   const auto u = static_cast<uint32_t>(user);
   const tensor::Matrix scores = session->model->ScoreAllItems({u});
-  const auto top = eval::TopKExcluding(
-      scores.row(0), session->dataset.num_items(), k,
-      session->split.train.interactions.ItemsOf(u));
+  const auto top =
+      eval::TopK(scores.row(0), session->dataset.num_items(), k,
+                 session->split.train.interactions.ItemsOf(u));
   std::printf("top-%u items for user %u:", k, u);
   for (const uint32_t item : top) std::printf(" %u", item);
   std::printf("\n");
