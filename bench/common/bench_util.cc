@@ -70,24 +70,6 @@ float ModelLearningRate(const std::string& model_name) {
   return 0.002f;
 }
 
-double TrainModel(models::RankingModel* model, const BenchDataset& dataset,
-                  const BenchOptions& options) {
-  models::TrainConfig config;
-  config.epochs = options.epochs;
-  // The paper fixes batch size 512; shrink proportionally for small scales
-  // so one epoch still makes ~|Y|/batch steps.
-  config.batch_size = static_cast<uint32_t>(std::clamp<size_t>(
-      dataset.split.train.interactions.nnz() / 40, 64, 512));
-  config.learning_rate = ModelLearningRate(model->name());
-  config.weight_decay = 1e-5f;
-  config.optimizer = "rmsprop";
-  config.seed = options.seed;
-  models::BprTrainer trainer(model, &dataset.split.train.interactions,
-                             config);
-  const auto history = trainer.Train();
-  return history.empty() ? 0.0 : history.back().avg_loss;
-}
-
 eval::EvalResult EvaluateModel(models::RankingModel* model,
                                const BenchDataset& dataset, uint32_t k) {
   eval::Evaluator evaluator(&dataset.split.train.interactions,
@@ -101,25 +83,23 @@ eval::EvalResult TrainModelBest(models::RankingModel* model,
                                 const BenchDataset& dataset,
                                 const BenchOptions& options) {
   models::TrainConfig config;
-  config.epochs = 1;  // stepped manually below
+  config.epochs = options.epochs;
+  // The paper fixes batch size 512; shrink proportionally for small scales
+  // so one epoch still makes ~|Y|/batch steps.
   config.batch_size = static_cast<uint32_t>(std::clamp<size_t>(
       dataset.split.train.interactions.nnz() / 40, 64, 512));
   config.learning_rate = ModelLearningRate(model->name());
   config.weight_decay = 1e-5f;
   config.optimizer = "rmsprop";
   config.seed = options.seed;
+  config.eval_every = std::max<uint32_t>(1, options.eval_stride);
   models::BprTrainer trainer(model, &dataset.split.train.interactions,
                              config);
-  const uint32_t stride = std::max<uint32_t>(1, options.eval_stride);
-  eval::EvalResult best;
-  for (uint32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    trainer.RunEpoch();
-    if ((epoch + 1) % stride == 0 || epoch + 1 == options.epochs) {
-      eval::EvalResult snapshot = EvaluateModel(model, dataset);
-      if (snapshot.recall >= best.recall) best = std::move(snapshot);
-    }
-  }
-  return best;
+  auto trained = trainer.Train([&](models::RankingModel* m) {
+    return EvaluateModel(m, dataset);
+  });
+  HOSR_CHECK(trained.ok()) << trained.status();
+  return trained->evaluations[trained->best].result;
 }
 
 TrainedModel TrainAndEvaluate(const std::string& model_name,

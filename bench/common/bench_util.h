@@ -55,24 +55,21 @@ std::vector<BenchDataset> MakeBothDatasets(const BenchOptions& options);
 // Per-model tuned learning rate (the paper grid-searches lr per model).
 float ModelLearningRate(const std::string& model_name);
 
-// Trains `model` on the split's training interactions with the paper's
-// protocol (RMSprop at the model's tuned rate, batch 512 scaled down for
-// small data). Returns final average loss.
-double TrainModel(models::RankingModel* model, const BenchDataset& dataset,
-                  const BenchOptions& options);
-
 // Evaluates Recall@20 / MAP@20 over all test users.
 eval::EvalResult EvaluateModel(models::RankingModel* model,
                                const BenchDataset& dataset, uint32_t k = 20);
 
-// Trains for options.epochs, evaluating every options.eval_stride epochs,
-// and returns the best snapshot's result (by Recall@20). The model is left
-// in its final (not necessarily best) state.
+// Trains `model` on the split's training interactions with the paper's
+// protocol (RMSprop at the model's tuned rate, batch 512 scaled down for
+// small data) for options.epochs through BprTrainer::Train, evaluating
+// every options.eval_stride epochs, and returns the best evaluation's
+// result (by Recall@20). The model is left with that evaluation's
+// parameters.
 eval::EvalResult TrainModelBest(models::RankingModel* model,
                                 const BenchDataset& dataset,
                                 const BenchOptions& options);
 
-// Convenience: MakeModel + TrainModel + EvaluateModel.
+// Convenience: MakeModel + TrainModelBest.
 struct TrainedModel {
   std::unique_ptr<models::RankingModel> model;
   eval::EvalResult result;

@@ -1,6 +1,7 @@
 // Reproduces Fig. 7: the learned attention weight of each GCN layer as a
 // function of (a) the user's number of social neighbors and (b) the user's
-// number of interactions, for a trained HOSR-3.
+// number of interactions, for HOSR-3 at its best evaluation (as Table 3
+// reports every model).
 //
 // Reproduction target (shape): the first layer's weight is small; for
 // socially sparse users the deepest layer dominates; as degree grows the
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
     config.graph_dropout = 0.2f;
     config.seed = options.seed;
     core::Hosr model(dataset.split.train, config);
-    bench::TrainModel(&model, dataset, options);
+    bench::TrainModelBest(&model, dataset, options);
     const tensor::Matrix weights = model.AttentionWeights();
 
     for (size_t l = 0; l < 3; ++l) {

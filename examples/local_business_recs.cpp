@@ -12,7 +12,6 @@
 #include "core/model_zoo.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
-#include "models/early_stopping.h"
 #include "models/trainer.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -56,30 +55,27 @@ int main() {
     // the models converge at different speeds, and this keeps the test
     // split untouched during model selection.
     util::Rng carve_rng(11);
-    auto carved =
-        models::CarveValidation(split.train.interactions, 0.15, &carve_rng);
+    auto carved = data::SplitDataset(split.train, 0.15, &carve_rng);
     if (!carved.ok()) return 1;
-    eval::Evaluator validation(&carved->train_remainder, &carved->validation,
+    eval::Evaluator validation(&carved->train.interactions, &carved->test,
                                20);
     models::TrainConfig config;
+    config.epochs = 120;
     config.batch_size = 256;
     config.learning_rate = name == "HOSR" ? 0.001f
                            : name == "TrustSVD" ? 0.001f
                                                 : 0.002f;
     config.weight_decay = 1e-5f;
-    models::EarlyStoppingConfig es;
-    es.max_epochs = 120;
-    es.eval_stride = 10;
-    es.patience = 3;
-    models::TrainWithEarlyStopping(
-        model.get(), &carved->train_remainder, config, es,
-        [&](models::RankingModel* m) {
-          return validation
-              .Evaluate([&](const std::vector<uint32_t>& users) {
-                return m->ScoreAllItems(users);
-              })
-              .recall;
-        });
+    config.eval_every = 10;
+    config.patience = 3;
+    models::BprTrainer trainer(model.get(), &carved->train.interactions,
+                               config);
+    auto trained = trainer.Train([&](models::RankingModel* m) {
+      return validation.Evaluate([&](const std::vector<uint32_t>& users) {
+        return m->ScoreAllItems(users);
+      });
+    });
+    if (!trained.ok()) return 1;
 
     auto scorer = [&](const std::vector<uint32_t>& users) {
       return model->ScoreAllItems(users);

@@ -59,8 +59,8 @@ int main() {
   models::BprTrainer trainer(&model, &split.train.interactions,
                              train_config);
   std::printf("training %u epochs...\n", train_config.epochs);
-  const auto history = trainer.Train();
-  std::printf("final BPR loss: %.4f\n", history.back().avg_loss);
+  const auto trained = trainer.Train();
+  std::printf("final BPR loss: %.4f\n", trained->epochs.back().avg_loss);
 
   // 4. Evaluate.
   eval::Evaluator evaluator(&split.train.interactions, &split.test, 20);

@@ -12,7 +12,7 @@
 namespace hosr::autograd {
 
 // In-memory snapshot of every parameter's values (not gradients): what
-// early stopping keeps of its best epoch, and what ReadParams decodes.
+// BprTrainer::Train keeps of its best evaluation, and what ReadParams decodes.
 class ParamSnapshot {
  public:
   ParamSnapshot() = default;

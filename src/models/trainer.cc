@@ -299,14 +299,39 @@ EpochStats BprTrainer::RunEpoch() {
   return stats;
 }
 
-std::vector<EpochStats> BprTrainer::Train() {
-  std::vector<EpochStats> history;
-  if (epoch_ >= config_.epochs) return history;
-  history.reserve(config_.epochs - epoch_);
+util::StatusOr<TrainResult> BprTrainer::Train(const EvaluateFn& evaluate,
+                                              const EpochCallback& on_epoch) {
+  TrainResult result;
+  autograd::ParamSnapshot best_params;
+  uint32_t evals_without_gain = 0;
+  double cpu_seconds = 0.0;
+  double wall_seconds = 0.0;
   while (epoch_ < config_.epochs) {
-    history.push_back(RunEpoch());
+    const double cpu_before = util::ProcessCpuSeconds();
+    result.epochs.push_back(RunEpoch());
+    cpu_seconds += util::ProcessCpuSeconds() - cpu_before;
+    wall_seconds += result.epochs.back().seconds;
+    if (evaluate &&
+        ((config_.eval_every > 0 && epoch_ % config_.eval_every == 0) ||
+         epoch_ == config_.epochs)) {
+      result.evaluations.push_back(
+          {epoch_, cpu_seconds, wall_seconds, evaluate(model_)});
+      const double recall = result.evaluations.back().result.recall;
+      HOSR_GAUGE("trainer/eval_recall").Set(recall);
+      if (result.evaluations.size() == 1 ||
+          recall > result.evaluations[result.best].result.recall) {
+        result.best = result.evaluations.size() - 1;
+        best_params = autograd::ParamSnapshot::Capture(*model_->params());
+        evals_without_gain = 0;
+      } else {
+        ++evals_without_gain;
+      }
+    }
+    if (on_epoch) HOSR_RETURN_IF_ERROR(on_epoch(result.epochs.back()));
+    if (config_.patience > 0 && evals_without_gain >= config_.patience) break;
   }
-  return history;
+  if (!best_params.empty()) best_params.Restore(model_->params());
+  return result;
 }
 
 util::Status BprTrainer::SaveTrainingState(const std::string& path) const {
@@ -350,7 +375,7 @@ util::Status BprTrainer::RestoreTrainingState(const std::string& path) {
   // decodes, down to the sentinel, before anything in the trainer changes.
   std::unique_ptr<optim::Optimizer> optimizer = optim::MakeOptimizer(
       config_.optimizer, config_.learning_rate, config_.weight_decay);
-  HOSR_RETURN_IF_ERROR(optimizer->LoadState(&in));
+  HOSR_RETURN_IF_ERROR(optimizer->LoadState(&in, *model_->params()));
   HOSR_ASSIGN_OR_RETURN(const autograd::ParamSnapshot params,
                         autograd::ReadParams(&in, *model_->params()));
   uint32_t sentinel = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "data/interactions.h"
+#include "eval/evaluator.h"
 #include "models/model.h"
 #include "optim/optimizer.h"
 #include "util/statusor.h"
@@ -36,6 +37,12 @@ struct TrainConfig {
   // across an epoch boundary), so this never affects the trajectory.
   bool prefetch = true;
 
+  // Train's schedule, not part of the training state: neither changes any
+  // epoch's arithmetic. Evaluate every `eval_every` epochs (0 = after the
+  // last only); stop after `patience` evaluations without a gain (0 = never).
+  uint32_t eval_every = 0;
+  uint32_t patience = 0;
+
   util::Status Validate() const;
 };
 
@@ -51,6 +58,24 @@ struct EpochStats {
   double samples_per_sec = 0.0;
 };
 
+// One evaluation during Train: epochs trained so far, the process CPU- and
+// wall-seconds they took (evaluations excluded), and the evaluator's result.
+struct Evaluation {
+  uint32_t epoch = 0;
+  double train_cpu_seconds = 0.0;
+  double train_wall_seconds = 0.0;
+  eval::EvalResult result;
+};
+
+struct TrainResult {
+  std::vector<EpochStats> epochs;
+  std::vector<Evaluation> evaluations;
+  size_t best = 0;  // index into evaluations
+};
+
+using EvaluateFn = std::function<eval::EvalResult(RankingModel*)>;
+using EpochCallback = std::function<util::Status(const EpochStats&)>;
+
 // Generic mini-batch trainer: samples BPR triples from the training matrix,
 // asks the model for its loss, backpropagates, and steps the optimizer.
 // Works unchanged for HOSR and all six baselines.
@@ -60,13 +85,17 @@ class BprTrainer {
   BprTrainer(RankingModel* model, const data::InteractionMatrix* train,
              const TrainConfig& config);
 
-  // Runs the remaining epochs (epoch() .. config.epochs); returns their
-  // stats. On a fresh trainer that is all `config.epochs` epochs; after
-  // RestoreTrainingState it continues where the checkpoint left off.
-  std::vector<EpochStats> Train();
+  // The one loop that trains toward a best epoch. Runs the remaining
+  // epochs (epoch() .. config.epochs), each followed by `evaluate` on the
+  // config's schedule, then `on_epoch`, whose non-OK status ends training
+  // and is returned. A gain is a Recall strictly above the best so far, so
+  // the earliest of equal bests wins; each evaluation sets the
+  // `trainer/eval_recall` gauge; the model returns with the best
+  // evaluation's parameters.
+  util::StatusOr<TrainResult> Train(const EvaluateFn& evaluate = nullptr,
+                                    const EpochCallback& on_epoch = nullptr);
 
-  // Runs a single epoch (one pass worth of sampled batches); exposed so
-  // benches can interleave training with evaluation snapshots.
+  // Runs a single epoch (one pass worth of sampled batches).
   EpochStats RunEpoch();
 
   const TrainConfig& config() const { return config_; }
@@ -82,8 +111,9 @@ class BprTrainer {
   //
   // RestoreTrainingState: IoError only if the file cannot be read;
   // FailedPrecondition for another model, optimizer or config; DataLoss
-  // for corruption (CRC, short body, sentinel). It decodes the whole body
-  // first, so a rejected state leaves the trainer untouched.
+  // for corruption (CRC, short body, sentinel, optimizer slots that do not
+  // fit the model's parameters). It decodes the whole body first, so a
+  // rejected state leaves the trainer untouched.
   util::Status SaveTrainingState(const std::string& path) const;
   util::Status RestoreTrainingState(const std::string& path);
 

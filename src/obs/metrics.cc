@@ -220,8 +220,8 @@ void AppendJsonString(std::string_view text, std::string* out) {
   out->push_back('"');
 }
 
-// Strict-JSON number: non-finite values (which %g would print as inf/nan)
-// are emitted as null.
+}  // namespace
+
 void AppendJsonNumber(double value, std::string* out) {
   if (!std::isfinite(value)) {
     out->append("null");
@@ -229,8 +229,6 @@ void AppendJsonNumber(double value, std::string* out) {
   }
   out->append(util::StrFormat("%.17g", value));
 }
-
-}  // namespace
 
 std::string Registry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);

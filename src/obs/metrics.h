@@ -117,6 +117,10 @@ bool IsValidMetricName(std::string_view name);
 // quotes not included). Shared by every obs JSON emitter.
 std::string JsonEscapeString(std::string_view text);
 
+// Appends `value` as a strict-JSON number: non-finite values (which %g
+// would print as inf/nan) become null.
+void AppendJsonNumber(double value, std::string* out);
+
 // Quantile estimate over log-scale bucket counts (`buckets` indexed like
 // Histogram::BucketSnapshot()): nearest-rank walk with linear interpolation
 // inside the winning bucket. `q` in [0, 1]; returns 0 when the counts sum

@@ -28,8 +28,9 @@ StatsReporter::StatsReporter(Options options) : options_(std::move(options)) {
 StatsReporter::~StatsReporter() { Stop(); }
 
 void StatsReporter::Snapshot() {
-  // WriteFileAtomic's temp name is path+pid, so two in-process snapshots of
-  // the same path would collide mid-rename without this lock.
+  // Every write has its own temp file, so writers of one path never tear
+  // it; the lock keeps this reporter's own snapshots in order, so an older
+  // registry dump never lands after a newer one.
   std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
   if (!options_.metrics_path.empty()) {
     if (auto status = WriteMetricsJson(options_.metrics_path); !status.ok()) {

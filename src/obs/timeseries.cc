@@ -1,7 +1,6 @@
 #include "obs/timeseries.h"
 
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -69,14 +68,6 @@ struct RecorderState {
 RecorderState& State() {
   static RecorderState* state = new RecorderState;  // leaked; atexit-safe
   return *state;
-}
-
-void AppendJsonNumber(double value, std::string* out) {
-  if (!std::isfinite(value)) {
-    out->append("null");
-    return;
-  }
-  out->append(util::StrFormat("%.17g", value));
 }
 
 // One snapshot pass: visit the registry, compute per-metric window points,

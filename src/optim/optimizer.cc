@@ -16,17 +16,24 @@ void WriteStateVector(const std::vector<tensor::Matrix>& state,
   for (const tensor::Matrix& m : state) tensor::WriteMatrix(m, out);
 }
 
+// A state saved before the first step has no slots; any other has one per
+// parameter, shaped like it, since every step reads and writes it whole.
 util::Status ReadStateVector(util::ByteReader* in,
+                             const autograd::ParamStore& params,
                              std::vector<tensor::Matrix>* state) {
   uint64_t count = 0;
   // Every slot takes at least a matrix block's 20-byte header.
   if (!in->Get(&count) || !in->Holds(count, 20)) {
     return in->Truncated("optimizer state");
   }
+  const util::Status misfit =
+      util::Status::DataLoss("optimizer state does not fit the parameters");
+  if (count != 0 && count != params.size()) return misfit;
   std::vector<tensor::Matrix> loaded;
   loaded.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     HOSR_ASSIGN_OR_RETURN(tensor::Matrix m, tensor::ReadMatrix(in));
+    if (!m.SameShape(params.at(i)->value)) return misfit;
     loaded.push_back(std::move(m));
   }
   *state = std::move(loaded);
@@ -239,16 +246,18 @@ void Sgd::SaveState(util::ByteWriter* out) const {
   WriteStateVector(velocity_, out);
 }
 
-util::Status Sgd::LoadState(util::ByteReader* in) {
-  return ReadStateVector(in, &velocity_);
+util::Status Sgd::LoadState(util::ByteReader* in,
+                            const autograd::ParamStore& params) {
+  return ReadStateVector(in, params, &velocity_);
 }
 
 void RmsProp::SaveState(util::ByteWriter* out) const {
   WriteStateVector(mean_square_, out);
 }
 
-util::Status RmsProp::LoadState(util::ByteReader* in) {
-  return ReadStateVector(in, &mean_square_);
+util::Status RmsProp::LoadState(util::ByteReader* in,
+                                const autograd::ParamStore& params) {
+  return ReadStateVector(in, params, &mean_square_);
 }
 
 void Adam::SaveState(util::ByteWriter* out) const {
@@ -257,7 +266,8 @@ void Adam::SaveState(util::ByteWriter* out) const {
   WriteStateVector(v_, out);
 }
 
-util::Status Adam::LoadState(util::ByteReader* in) {
+util::Status Adam::LoadState(util::ByteReader* in,
+                             const autograd::ParamStore& params) {
   int64_t t = 0;
   if (!in->Get(&t)) return in->Truncated("adam step counter");
   if (t < 0) {
@@ -265,8 +275,8 @@ util::Status Adam::LoadState(util::ByteReader* in) {
                                   std::to_string(t));
   }
   std::vector<tensor::Matrix> m, v;
-  HOSR_RETURN_IF_ERROR(ReadStateVector(in, &m));
-  HOSR_RETURN_IF_ERROR(ReadStateVector(in, &v));
+  HOSR_RETURN_IF_ERROR(ReadStateVector(in, params, &m));
+  HOSR_RETURN_IF_ERROR(ReadStateVector(in, params, &v));
   t_ = t;
   m_ = std::move(m);
   v_ = std::move(v);
@@ -277,8 +287,9 @@ void AdaGrad::SaveState(util::ByteWriter* out) const {
   WriteStateVector(accum_, out);
 }
 
-util::Status AdaGrad::LoadState(util::ByteReader* in) {
-  return ReadStateVector(in, &accum_);
+util::Status AdaGrad::LoadState(util::ByteReader* in,
+                                const autograd::ParamStore& params) {
+  return ReadStateVector(in, params, &accum_);
 }
 
 std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name,

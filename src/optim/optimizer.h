@@ -62,9 +62,11 @@ class Optimizer {
   // restored by the same optimizer type (the trainer checkpoint records the
   // name and enforces this). Saving before the first Step() is valid and
   // round-trips the lazy-unallocated state. LoadState changes nothing
-  // unless it returns OK; a state that ends early is DataLoss.
+  // unless it returns OK; a state that ends early, or whose slots are not
+  // one per parameter of `params` shaped like it, is DataLoss.
   virtual void SaveState(util::ByteWriter* out) const = 0;
-  virtual util::Status LoadState(util::ByteReader* in) = 0;
+  virtual util::Status LoadState(util::ByteReader* in,
+                                 const autograd::ParamStore& params) = 0;
 
   float learning_rate() const { return learning_rate_; }
   void set_learning_rate(float lr) { learning_rate_ = lr; }
@@ -86,7 +88,8 @@ class Sgd : public Optimizer {
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "sgd"; }
   void SaveState(util::ByteWriter* out) const override;
-  util::Status LoadState(util::ByteReader* in) override;
+  util::Status LoadState(util::ByteReader* in,
+                         const autograd::ParamStore& params) override;
 
  private:
   // rows == nullptr updates all num_rows rows in order (the dense path).
@@ -111,7 +114,8 @@ class RmsProp : public Optimizer {
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "rmsprop"; }
   void SaveState(util::ByteWriter* out) const override;
-  util::Status LoadState(util::ByteReader* in) override;
+  util::Status LoadState(util::ByteReader* in,
+                         const autograd::ParamStore& params) override;
 
  private:
   void UpdateRows(autograd::Param* p, tensor::Matrix* ms,
@@ -137,7 +141,8 @@ class Adam : public Optimizer {
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "adam"; }
   void SaveState(util::ByteWriter* out) const override;
-  util::Status LoadState(util::ByteReader* in) override;
+  util::Status LoadState(util::ByteReader* in,
+                         const autograd::ParamStore& params) override;
 
  private:
   // Bias correction uses the global step counter t_ (incremented once per
@@ -167,7 +172,8 @@ class AdaGrad : public Optimizer {
                 const std::vector<RowSet>& plan) override;
   std::string name() const override { return "adagrad"; }
   void SaveState(util::ByteWriter* out) const override;
-  util::Status LoadState(util::ByteReader* in) override;
+  util::Status LoadState(util::ByteReader* in,
+                         const autograd::ParamStore& params) override;
 
  private:
   void UpdateRows(autograd::Param* p, tensor::Matrix* acc,

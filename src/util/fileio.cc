@@ -1,5 +1,6 @@
 #include "util/fileio.h"
 
+#include <atomic>
 #include <cstdio>
 #include <sstream>
 
@@ -24,11 +25,16 @@ int ProcessId() {
 #endif
 }
 
+// Numbers every write in the process, so two writers of one path never
+// share a temp file and each rename publishes a whole one.
+std::atomic<uint64_t> next_write{0};
+
 }  // namespace
 
 AtomicWriteFile::AtomicWriteFile(std::string path, std::ios::openmode mode)
     : path_(std::move(path)),
-      tmp_path_(path_ + ".tmp." + std::to_string(ProcessId())) {
+      tmp_path_(path_ + ".tmp." + std::to_string(ProcessId()) + "." +
+                std::to_string(next_write.fetch_add(1))) {
   out_.open(tmp_path_, mode | std::ios::trunc);
   if (!out_) {
     status_ = Status::IoError("cannot open for writing: " + tmp_path_);

@@ -9,9 +9,10 @@
 
 namespace hosr::util {
 
-// Crash-safe file writer: streams into `<path>.tmp.<pid>` and renames onto
-// `path` only in Commit(), so readers never observe a torn file — they see
-// either the previous complete artifact or the new one. A destructor without
+// Crash-safe file writer: streams into `<path>.tmp.<pid>.<n>`, n unique to
+// the write, and renames onto `path` only in Commit(), so readers never
+// observe a torn file — they see either the previous complete artifact or
+// the new one, even with several writers of one path. A destructor without
 // Commit() (early return, exception, injected fault) removes the temp file.
 //
 //   AtomicWriteFile file(path);

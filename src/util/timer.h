@@ -2,6 +2,7 @@
 #define HOSR_UTIL_TIMER_H_
 
 #include <chrono>
+#include <ctime>
 
 namespace hosr::util {
 
@@ -22,6 +23,11 @@ class WallTimer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+// CPU-seconds the whole process (every thread) has used so far.
+inline double ProcessCpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
 
 }  // namespace hosr::util
 

@@ -107,7 +107,7 @@ double TrainBriefly(Model* model, const data::Dataset& dataset,
   config.weight_decay = 1e-5f;
   config.seed = 5;
   models::BprTrainer trainer(model, &dataset.interactions, config);
-  const auto history = trainer.Train();
+  const auto history = trainer.Train()->epochs;
   return history.back().avg_loss / history.front().avg_loss;
 }
 

@@ -1,5 +1,5 @@
 // Tests for the adoption-oriented features: parameter checkpointing,
-// early stopping with best-epoch restore, validation carving, and
+// BprTrainer::Train's evaluation schedule with best-epoch restore, and
 // popularity-biased negative sampling.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "models/bpr_mf.h"
-#include "models/early_stopping.h"
 #include "models/trainer.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -116,7 +115,7 @@ TEST(CheckpointTest, LoadRejectsGarbageFile) {
   EXPECT_FALSE(autograd::LoadCheckpoint(path, &store).ok());
 }
 
-// --- Early stopping --------------------------------------------------------------
+// --- BprTrainer::Train: evaluation schedule, best epoch, callback ------------
 
 const data::Dataset& FeatureDataset() {
   static const data::Dataset* dataset = [] {
@@ -133,54 +132,50 @@ const data::Dataset& FeatureDataset() {
   return *dataset;
 }
 
-TEST(EarlyStoppingTest, ConfigValidation) {
-  models::EarlyStoppingConfig config;
-  EXPECT_TRUE(config.Validate().ok());
-  config.patience = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = models::EarlyStoppingConfig();
-  config.eval_stride = 0;
-  EXPECT_FALSE(config.Validate().ok());
+// An evaluator whose Recall@20 is the next value of `script`; it copies the
+// first parameter into `seen` at the `capture_at`-th evaluation (1-based).
+models::EvaluateFn ScriptedRecall(std::vector<double> script,
+                                  int capture_at, tensor::Matrix* seen) {
+  return [script, capture_at, seen,
+          count = 0](models::RankingModel* m) mutable {
+    eval::EvalResult result;
+    result.recall = script.at(count++);
+    if (count == capture_at) *seen = m->params()->at(0)->value;
+    return result;
+  };
 }
 
-TEST(EarlyStoppingTest, StopsWhenMetricPlateausAndRestoresBest) {
+TEST(TrainTest, StopsWhenMetricPlateausAndRestoresBest) {
   const data::Dataset& dataset = FeatureDataset();
   models::BprMf model(dataset.num_users(), dataset.num_items(),
                       {.embedding_dim = 6, .seed = 4});
 
   // Scripted metric: rises for 3 evaluations, then falls — training must
   // stop after `patience` non-improving evals and restore eval-3 params.
-  int eval_count = 0;
   tensor::Matrix best_seen;
-  auto metric = [&](models::RankingModel* m) -> double {
-    ++eval_count;
-    if (eval_count == 3) {
-      best_seen = m->params()->at(0)->value;
-    }
-    return eval_count <= 3 ? eval_count : 3.0 - eval_count;
-  };
-
   models::TrainConfig train_config;
+  train_config.epochs = 100;
   train_config.batch_size = 64;
   train_config.learning_rate = 0.01f;
   train_config.seed = 4;
-  models::EarlyStoppingConfig config;
-  config.max_epochs = 100;
-  config.eval_stride = 2;
-  config.patience = 2;
-  const auto result = models::TrainWithEarlyStopping(
-      &model, &dataset.interactions, train_config, config, metric);
+  train_config.eval_every = 2;
+  train_config.patience = 2;
+  models::BprTrainer trainer(&model, &dataset.interactions, train_config);
+  const auto result =
+      trainer.Train(ScriptedRecall({1, 2, 3, -1, -2}, 3, &best_seen));
+  ASSERT_TRUE(result.ok()) << result.status();
 
-  EXPECT_TRUE(result.stopped_early);
-  EXPECT_EQ(result.best_epoch, 6u);  // third evaluation at epoch 6
-  EXPECT_DOUBLE_EQ(result.best_metric, 3.0);
-  EXPECT_EQ(result.epochs_run, 10u);  // 2 more evals after the best
+  EXPECT_LT(trainer.epoch(), train_config.epochs);  // stopped early
+  const models::Evaluation& best = result->evaluations[result->best];
+  EXPECT_EQ(best.epoch, 6u);  // third evaluation at epoch 6
+  EXPECT_DOUBLE_EQ(best.result.recall, 3.0);
+  EXPECT_EQ(result->epochs.size(), 10u);  // 2 more evals after the best
   // Parameters restored to the best evaluation's snapshot.
   EXPECT_TRUE(
       tensor::AllClose(model.params()->at(0)->value, best_seen, 0.0));
 }
 
-TEST(EarlyStoppingTest, RealMetricImprovesOverUntrained) {
+TEST(TrainTest, RealMetricImprovesOverUntrained) {
   const data::Dataset& dataset = FeatureDataset();
   util::Rng rng(5);
   const auto split = data::SplitDataset(dataset, 0.2, &rng);
@@ -189,57 +184,84 @@ TEST(EarlyStoppingTest, RealMetricImprovesOverUntrained) {
                       {.embedding_dim = 6, .seed = 5});
   eval::Evaluator evaluator(&split->train.interactions, &split->test, 20);
   auto metric = [&](models::RankingModel* m) {
-    return evaluator
-        .Evaluate([&](const std::vector<uint32_t>& users) {
-          return m->ScoreAllItems(users);
-        })
-        .recall;
+    return evaluator.Evaluate([&](const std::vector<uint32_t>& users) {
+      return m->ScoreAllItems(users);
+    });
   };
-  const double before = metric(&model);
+  const double before = metric(&model).recall;
 
   models::TrainConfig train_config;
+  train_config.epochs = 60;
   train_config.batch_size = 128;
   train_config.learning_rate = 0.005f;
   train_config.weight_decay = 1e-5f;
   train_config.seed = 5;
-  models::EarlyStoppingConfig config;
-  config.max_epochs = 60;
-  config.eval_stride = 5;
-  config.patience = 3;
-  const auto result = models::TrainWithEarlyStopping(
-      &model, &split->train.interactions, train_config, config, metric);
+  train_config.eval_every = 5;
+  train_config.patience = 3;
+  models::BprTrainer trainer(&model, &split->train.interactions,
+                             train_config);
+  const auto result = trainer.Train(metric);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const double best_metric = result->evaluations[result->best].result.recall;
 
-  EXPECT_GT(result.best_metric, before);
+  EXPECT_GT(best_metric, before);
   // Model holds the best parameters: re-evaluating reproduces best_metric.
-  EXPECT_NEAR(metric(&model), result.best_metric, 1e-9);
+  EXPECT_NEAR(metric(&model).recall, best_metric, 1e-9);
 }
 
-// --- CarveValidation -----------------------------------------------------------
-
-TEST(CarveValidationTest, PartitionsPerUser) {
+// The paper-figure benches' schedule: evaluate every few epochs and after
+// the last, never stop early, keep the earliest of equal bests.
+TEST(TrainTest, EvaluatesEveryNthAndLastEpochAndTheEarliestBestWins) {
   const data::Dataset& dataset = FeatureDataset();
-  util::Rng rng(6);
-  const auto carved =
-      models::CarveValidation(dataset.interactions, 0.3, &rng);
-  ASSERT_TRUE(carved.ok());
-  EXPECT_EQ(carved->train_remainder.nnz() + carved->validation.nnz(),
-            dataset.interactions.nnz());
-  for (uint32_t u = 0; u < dataset.num_users(); ++u) {
-    if (!dataset.interactions.ItemsOf(u).empty()) {
-      EXPECT_FALSE(carved->train_remainder.ItemsOf(u).empty());
-    }
-    for (const uint32_t item : carved->validation.ItemsOf(u)) {
-      EXPECT_FALSE(carved->train_remainder.Contains(u, item));
-      EXPECT_TRUE(dataset.interactions.Contains(u, item));
-    }
+  models::BprMf model(dataset.num_users(), dataset.num_items(),
+                      {.embedding_dim = 6, .seed = 4});
+  tensor::Matrix best_seen;
+  models::TrainConfig train_config;
+  train_config.epochs = 10;
+  train_config.batch_size = 64;
+  train_config.learning_rate = 0.01f;
+  train_config.seed = 4;
+  train_config.eval_every = 3;
+  models::BprTrainer trainer(&model, &dataset.interactions, train_config);
+  const auto result =
+      trainer.Train(ScriptedRecall({1, 2, 2, 1}, 2, &best_seen));
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  EXPECT_EQ(result->epochs.size(), 10u);
+  ASSERT_EQ(result->evaluations.size(), 4u);
+  const uint32_t expected_epochs[] = {3, 6, 9, 10};
+  double cpu_seconds = 0.0;
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result->evaluations[i].epoch, expected_epochs[i]);
+    EXPECT_GE(result->evaluations[i].train_cpu_seconds, cpu_seconds);
+    cpu_seconds = result->evaluations[i].train_cpu_seconds;
   }
+  EXPECT_EQ(result->best, 1u);
+  EXPECT_TRUE(
+      tensor::AllClose(model.params()->at(0)->value, best_seen, 0.0));
 }
 
-TEST(CarveValidationTest, RejectsBadFraction) {
+TEST(TrainTest, FailingCallbackEndsTrainingWithItsStatus) {
   const data::Dataset& dataset = FeatureDataset();
-  util::Rng rng(7);
-  EXPECT_FALSE(models::CarveValidation(dataset.interactions, 0.0, &rng).ok());
-  EXPECT_FALSE(models::CarveValidation(dataset.interactions, 1.0, &rng).ok());
+  models::BprMf model(dataset.num_users(), dataset.num_items(),
+                      {.embedding_dim = 6, .seed = 4});
+  models::TrainConfig train_config;
+  train_config.epochs = 10;
+  train_config.batch_size = 64;
+  train_config.seed = 4;
+  models::BprTrainer trainer(&model, &dataset.interactions, train_config);
+  int calls = 0;
+  const auto result =
+      trainer.Train(nullptr, [&](const models::EpochStats& stats) {
+        ++calls;
+        return stats.epoch == 1 ? util::Status::IoError("disk full")
+                                : util::Status::Ok();
+      });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(result.status().message(), "disk full");
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(trainer.epoch(), 2u);
 }
 
 // --- Popularity-biased negative sampling ------------------------------------------

@@ -483,7 +483,7 @@ TEST(HosrTrainingTest, LossDecreasesAndBeatsInitialRanking) {
   train_config.seed = 16;
   models::BprTrainer trainer(&model, &split->train.interactions,
                              train_config);
-  const auto history = trainer.Train();
+  const auto history = trainer.Train()->epochs;
   EXPECT_LT(history.back().avg_loss, history.front().avg_loss);
 
   const double recall_after = evaluator.Evaluate(scorer).recall;

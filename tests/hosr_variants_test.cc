@@ -149,7 +149,7 @@ TEST(HosrVariantsTest, AllVariantCombinationsTrainOneEpoch) {
           tc.learning_rate = 0.01f;
           tc.seed = 44;
           models::BprTrainer trainer(&model, &d.interactions, tc);
-          const auto stats = trainer.Train();
+          const auto stats = trainer.Train()->epochs;
           EXPECT_TRUE(std::isfinite(stats[0].avg_loss));
           const auto scores = model.ScoreAllItems({0});
           EXPECT_EQ(scores.cols(), d.num_items());

@@ -83,7 +83,7 @@ TEST_P(ModelConsistencyTest, TrainingReducesLoss) {
   config.weight_decay = 1e-5f;
   config.seed = 3;
   BprTrainer trainer(&model, &split->train.interactions, config);
-  const auto history = trainer.Train();
+  const auto history = trainer.Train()->epochs;
   ASSERT_EQ(history.size(), 25u);
   // Note: absolute loss levels differ across objectives (IF-BPR sums two
   // ranking terms), so assert relative improvement only.
@@ -353,7 +353,7 @@ TEST(TrainerTest, EpochStatsProgress) {
   config.batch_size = 64;
   config.seed = 5;
   BprTrainer trainer(&model, &dataset.interactions, config);
-  const auto stats = trainer.Train();
+  const auto stats = trainer.Train()->epochs;
   ASSERT_EQ(stats.size(), 3u);
   EXPECT_EQ(stats[0].epoch, 0u);
   EXPECT_EQ(stats[2].epoch, 2u);
@@ -373,7 +373,7 @@ TEST(TrainerTest, DeterministicGivenSeed) {
     config.batch_size = 64;
     config.seed = 5;
     BprTrainer trainer(&model, &dataset.interactions, config);
-    return trainer.Train().back().avg_loss;
+    return trainer.Train()->epochs.back().avg_loss;
   };
   EXPECT_DOUBLE_EQ(run(), run());
 }

@@ -5,9 +5,11 @@
 #   2. train with --train_state and an injected crash (cli.train_crash:once=2)
 #      — the process must die with exit code 42 after epoch 2's state is on
 #      disk;
-#   3. resume a copy cut inside its parameters (valid CRC) and assert it
-#      exits 1 and leaves the file unchanged; then resume the real state
-#      with --resume and finish training + export a snapshot;
+#   3. resume a copy cut inside its parameters, one whose second optimizer
+#      slot has one row and one with a single slot (each with a valid CRC),
+#      and assert each exits 1 and leaves the file unchanged; then resume
+#      the real state with --resume and finish training + export a
+#      snapshot;
 #   4. train the same config straight through in a second directory and
 #      assert the resumed snapshot is BYTE-IDENTICAL to the uninterrupted
 #      one (the kill-and-resume contract, end to end);
@@ -48,30 +50,51 @@ fi
 test -s "$WORK/state" || { echo "FAIL: no training state on disk" >&2; exit 1; }
 
 # A state that exists but does not restore must stop --resume (exit 1) and
-# stay on disk as it was; only an absent state starts fresh. The defect: the
-# 64 bytes before the 4-byte sentinel removed, re-wrapped with a valid CRC
-# (zlib.crc32 is util::Crc32), so only the decoder can refuse it.
-python3 - "$WORK/state" "$WORK/cut_state" <<'EOF'
+# stay on disk as it was; only an absent state starts fresh. Each defect is
+# re-wrapped with a valid CRC (zlib.crc32 is util::Crc32), so only the
+# decoder can refuse it: the 64 bytes before the 4-byte sentinel removed;
+# the second RMSprop slot declared 1 row, its payload cut to match; the
+# slot count 1, the second slot removed.
+python3 - "$WORK/state" "$WORK" <<'EOF'
 import struct, sys, zlib
 body = open(sys.argv[1], "rb").read()[:-4]
-body = body[:-68] + body[-4:]
-with open(sys.argv[2], "wb") as f:
-    f.write(body + struct.pack("<I", zlib.crc32(body)))
+def wrap(name, new):
+    with open(sys.argv[2] + "/" + name, "wb") as f:
+        f.write(new + struct.pack("<I", zlib.crc32(new)))
+wrap("cut_state", body[:-68] + body[-4:])
+# The slots follow the RNG states: a u64 count, then per parameter a matrix
+# block (u32 "HOSR", u64 rows, u64 cols, the floats).
+first = body.index(struct.pack("<I", 0x484F5352))
+assert struct.unpack_from("<Q", body, first - 8)[0] == 2
+def block_end(at):
+    rows, cols = struct.unpack_from("<QQ", body, at + 4)
+    return at + 20 + rows * cols * 4
+second = block_end(first)
+end = block_end(second)
+cols = struct.unpack_from("<Q", body, second + 12)[0]
+wrap("short_slot_state",
+     body[:second] + struct.pack("<IQQ", 0x484F5352, 1, cols) +
+     body[second + 20:second + 20 + cols * 4] + body[end:])
+wrap("one_slot_state",
+     body[:first - 8] + struct.pack("<Q", 1) + body[first:second] + body[end:])
 EOF
-cp "$WORK/cut_state" "$WORK/cut_state.orig"
-set +e
-"$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
-  --train_state="$WORK/cut_state" --resume > "$WORK/cut_run.log" 2>&1
-CUT_EXIT=$?
-set -e
-if [ "$CUT_EXIT" -ne 1 ]; then
-  echo "FAIL: resuming a cut training state should exit 1, got $CUT_EXIT" >&2
-  cat "$WORK/cut_run.log" >&2
-  exit 1
-fi
-cmp "$WORK/cut_state" "$WORK/cut_state.orig" \
-  || { echo "FAIL: a refused training state was overwritten" >&2; exit 1; }
-echo "resume refusal OK: cut state exits 1 and stays on disk unchanged"
+for defect in cut_state short_slot_state one_slot_state; do
+  cp "$WORK/$defect" "$WORK/$defect.orig"
+  set +e
+  "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR \
+    --epochs=4 --train_state="$WORK/$defect" --resume \
+    > "$WORK/$defect.log" 2>&1
+  DEFECT_EXIT=$?
+  set -e
+  if [ "$DEFECT_EXIT" -ne 1 ]; then
+    echo "FAIL: resuming $defect should exit 1, got $DEFECT_EXIT" >&2
+    cat "$WORK/$defect.log" >&2
+    exit 1
+  fi
+  cmp "$WORK/$defect" "$WORK/$defect.orig" \
+    || { echo "FAIL: a refused $defect was overwritten" >&2; exit 1; }
+done
+echo "resume refusal OK: cut and misfitting states exit 1 and stay unchanged"
 
 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR --epochs=4 \
   --train_state="$WORK/state" --resume --snapshot_out="$WORK/snap_resumed" \

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "autograd/checkpoint.h"
@@ -129,6 +131,38 @@ TEST(AtomicWriteFileTest, AbortRemovesTempAndKeepsTarget) {
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     EXPECT_EQ(entry.path().string().find(path + ".tmp."), std::string::npos);
   }
+  std::remove(path.c_str());
+}
+
+// Two in-process writers of one path (like an interval metrics reporter and
+// an epoch one) each publish whole files, and a reader never sees a torn one.
+TEST(AtomicWriteFileTest, ConcurrentWritersOfOnePathPublishWholeFiles) {
+  const std::string path = TempPath("hosr_atomic_concurrent.txt");
+  const std::string payloads[] = {std::string(200 << 10, 'a'),
+                                  std::string(100 << 10, 'b')};
+  ASSERT_TRUE(util::WriteFileAtomic(path, payloads[0]).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> torn_reads{0};
+  std::vector<std::thread> writers;
+  for (const std::string& payload : payloads) {
+    writers.emplace_back([&path, &payload, &failed_writes] {
+      for (int i = 0; i < 200; ++i) {
+        if (!util::WriteFileAtomic(path, payload).ok()) ++failed_writes;
+      }
+    });
+  }
+  std::thread reader([&] {
+    while (!done) {
+      const std::string read = ReadRaw(path);
+      if (read != payloads[0] && read != payloads[1]) ++torn_reads;
+    }
+  });
+  for (std::thread& writer : writers) writer.join();
+  done = true;
+  reader.join();
+  EXPECT_EQ(failed_writes, 0);
+  EXPECT_EQ(torn_reads, 0);
   std::remove(path.c_str());
 }
 
@@ -398,7 +432,7 @@ TEST_P(OptimizerStateTest, SaveLoadContinuesBitIdentically) {
   warm_opt->SaveState(&writer);
   auto resumed_opt = optim::MakeOptimizer(GetParam(), 0.05f, 0.001f);
   util::ByteReader loaded(saved);
-  ASSERT_TRUE(resumed_opt->LoadState(&loaded).ok());
+  ASSERT_TRUE(resumed_opt->LoadState(&loaded, *resumed_store).ok());
   EXPECT_EQ(loaded.remaining(), 0u);
 
   // Second phase: reference continues, resumed picks up from the state.
@@ -470,8 +504,7 @@ TEST_P(ResumeTest, ResumedTrainingIsBitIdenticalToUninterrupted) {
   models::BprTrainer trainer(resumed.get(), &train, config);
   ASSERT_TRUE(trainer.RestoreTrainingState(path).ok());
   EXPECT_EQ(trainer.epoch(), 2u);
-  const auto history = trainer.Train();
-  EXPECT_EQ(history.size(), 2u);
+  EXPECT_EQ(trainer.Train()->epochs.size(), 2u);
 
   ExpectParamsBitIdentical(*reference->params(), *resumed->params());
   std::remove(path.c_str());
@@ -874,12 +907,38 @@ TEST(DecoderTest, DefectiveTrainingStateLeavesTheTrainerUntouched) {
   const size_t optimizer_begin = params_begin - optimizer_size;
   std::string bad_sentinel = body;
   bad_sentinel.back() ^= 0x01;
+  // Slots that decode but do not fit the model: the second one declared a
+  // single row (its payload cut to match), or the second one left out and
+  // the count saying 1. Restored, the next step would run past the short
+  // slot or abort on the count.
+  ASSERT_EQ(params.size(), 2u);
+  const size_t first_slot_end =
+      optimizer_begin + sizeof(uint64_t) +
+      Encode([&](auto* w) { tensor::WriteMatrix(params.at(0)->value, w); })
+          .size();
+  const size_t cols = params.at(1)->value.cols();
+  const std::string one_row_slot =
+      body.substr(0, first_slot_end) + Encode([cols](util::ByteWriter* w) {
+        w->Put<uint32_t>(0x484f5352);  // "HOSR"
+        w->Put<uint64_t>(1);
+        w->Put<uint64_t>(cols);
+      }) +
+      body.substr(first_slot_end + 20, cols * sizeof(float)) +
+      body.substr(params_begin);
+  const std::string one_slot =
+      body.substr(0, optimizer_begin) +
+      Encode([](util::ByteWriter* w) { w->Put<uint64_t>(1); }) +
+      body.substr(optimizer_begin + sizeof(uint64_t),
+                  first_slot_end - optimizer_begin - sizeof(uint64_t)) +
+      body.substr(params_begin);
   const std::vector<std::pair<std::string, std::string>> defects = {
       {"bad sentinel", bad_sentinel},
       {"cut inside the parameters",
        body.substr(0, params_begin + params_size / 2)},
       {"cut inside the optimizer section",
        body.substr(0, optimizer_begin + optimizer_size / 2)},
+      {"second slot one row", one_row_slot},
+      {"one slot for two parameters", one_slot},
   };
   for (const auto& [name, defective] : defects) {
     auto model = MakeTestModel("BPR");

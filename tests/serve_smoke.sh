@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serving smoke test (wired as the `serve_smoke` ctest):
 #   1. generate a tiny synthetic YelpLike dataset,
-#   2. train BPR for 2 epochs and export a serving snapshot,
+#   2. train BPR for 2 epochs and export a serving snapshot, and for 10
+#      with --early-stop, which must print its validation line,
 #   3. replay 1k skewed requests through hosr_serve,
 #   4. assert nonzero cache hits and valid JSON metrics + summary output,
 #   5. assert that each out-of-range flag of hosr_serve and of
@@ -21,6 +22,13 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" train --data="$WORK/data" --checkpoint="$WORK/ckpt" --model=BPR \
   --epochs=2 --snapshot_out="$WORK/snap"
 test -s "$WORK/snap" || { echo "FAIL: snapshot not written" >&2; exit 1; }
+
+# --early-stop selects its epoch on a validation slice of the training split.
+"$CLI" train --data="$WORK/data" --checkpoint="$WORK/es.ckpt" --model=BPR \
+  --epochs=10 --early-stop > "$WORK/early_stop.log"
+grep "^early stopping: best validation Recall@20 " "$WORK/early_stop.log" \
+  || { echo "FAIL: --early-stop printed no validation line" >&2;
+       cat "$WORK/early_stop.log" >&2; exit 1; }
 
 "$SERVE" --snapshot="$WORK/snap" --data="$WORK/data" \
   --num_requests=1000 --k=10 --zipf=0.9 --seed=5 \

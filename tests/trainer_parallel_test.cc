@@ -247,7 +247,8 @@ TEST(UninitializedStorageTest, TwoBatchesIgnorePoisonedStorage) {
         auto model = factory();
         models::BprTrainer trainer(model.get(), &dataset.interactions,
                                    config);
-        const std::vector<models::EpochStats> history = trainer.Train();
+        const std::vector<models::EpochStats> history =
+            trainer.Train()->epochs;
         tensor::SetPoisonUninitializedForTesting(false);
         ASSERT_EQ(history.size(), 1u);
         ASSERT_EQ(history[0].batches, 2u) << name;

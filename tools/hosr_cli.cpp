@@ -20,6 +20,9 @@
 //       optimizer state, RNG streams, epoch) after every epoch; --resume
 //       restores it, bit-identical to an uninterrupted run, or starts fresh
 //       if the file is absent (docs/ROBUSTNESS.md). --early-stop refuses both.
+//       --early-stop trains on 85% of the training split and keeps the
+//       epoch with the best Recall@20 on the rest (README "Command-line
+//       tool"); the test split is read only for the final line.
 //   evaluate  --data=DIR --checkpoint=FILE [--model=HOSR] [--dim=N] [--k=N]
 //       Reload a checkpoint and report Recall/MAP/NDCG/Precision@K.
 //   recommend --data=DIR --checkpoint=FILE --user=N [--model=HOSR]
@@ -61,7 +64,6 @@
 #include "eval/topk.h"
 #include "fault/fault.h"
 #include "kernels/kernels.h"
-#include "models/early_stopping.h"
 #include "models/trainer.h"
 #include "obs/admin_server.h"
 #include "obs/reporter.h"
@@ -127,14 +129,19 @@ int RunGenerate(const util::Flags& flags) {
   return 0;
 }
 
+// The share of the training split `train --early-stop` selects its epoch on.
+constexpr double kValidationFraction = 0.15;
+
 // Loads the dataset, splits deterministically, and builds the model.
 struct Session {
   data::Dataset dataset;
   data::Split split;
+  data::Split carve;  // split.train split again for --early-stop
   std::unique_ptr<models::RankingModel> model;
 };
 
-util::StatusOr<Session> OpenSession(const util::Flags& flags) {
+util::StatusOr<Session> OpenSession(const util::Flags& flags,
+                                    bool carve_validation = false) {
   HOSR_RETURN_IF_ERROR(CheckCountFlags(flags, {"dim", "layers", "k"}));
   const std::string data_dir = flags.GetString("data", "");
   if (data_dir.empty()) {
@@ -145,13 +152,24 @@ util::StatusOr<Session> OpenSession(const util::Flags& flags) {
   util::Rng split_rng(static_cast<uint64_t>(flags.GetInt("split-seed", 99)));
   HOSR_ASSIGN_OR_RETURN(session.split,
                         data::SplitDataset(session.dataset, 0.2, &split_rng));
+  // HOSR's Eq. 11 item term reads the interactions it is built with, so a
+  // model selected on the carve is built on the carve's train part.
+  if (carve_validation) {
+    HOSR_ASSIGN_OR_RETURN(
+        session.carve,
+        data::SplitDataset(session.split.train, kValidationFraction,
+                           &split_rng));
+  }
   core::ZooConfig zoo;
   zoo.embedding_dim = static_cast<uint32_t>(flags.GetInt("dim", 10));
   zoo.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   zoo.hosr_layers = static_cast<uint32_t>(flags.GetInt("layers", 3));
-  HOSR_ASSIGN_OR_RETURN(session.model,
-                        core::MakeModel(flags.GetString("model", "HOSR"),
-                                        session.split.train, zoo));
+  HOSR_ASSIGN_OR_RETURN(
+      session.model,
+      core::MakeModel(flags.GetString("model", "HOSR"),
+                      carve_validation ? session.carve.train
+                                       : session.split.train,
+                      zoo));
   return session;
 }
 
@@ -192,7 +210,8 @@ util::Status CheckTrainFlags(const util::Flags& flags) {
 
 int RunTrain(const util::Flags& flags) {
   if (auto status = CheckTrainFlags(flags); !status.ok()) return Fail(status);
-  auto session = OpenSession(flags);
+  const bool early_stop = flags.GetBool("early-stop", false);
+  auto session = OpenSession(flags, early_stop);
   if (!session.ok()) return Fail(session.status());
   const std::string checkpoint = flags.GetString("checkpoint", "");
   if (checkpoint.empty()) {
@@ -239,68 +258,67 @@ int RunTrain(const util::Flags& flags) {
   config.verbose = flags.GetBool("verbose", false);
   config.sparse_steps = flags.GetBool("sparse_steps", false);
   config.prefetch = flags.GetBool("train_prefetch", true);
+  config.eval_every = early_stop ? 5 : 0;
+  config.patience = early_stop ? 3 : 0;
 
-  const auto& train = session->split.train.interactions;
-  if (flags.GetBool("early-stop", false)) {
-    eval::Evaluator evaluator(&train, &session->split.test, 20);
-    models::EarlyStoppingConfig es;
-    es.max_epochs = config.epochs;
-    es.eval_stride = 5;
-    es.patience = 3;
-    const auto result = models::TrainWithEarlyStopping(
-        session->model.get(), &train, config, es,
-        [&](models::RankingModel* m) {
-          return evaluator
-              .Evaluate([&](const std::vector<uint32_t>& users) {
-                return m->ScoreAllItems(users);
-              })
-              .recall;
-        });
-    std::printf("early stopping: best Recall@20 %.4f at epoch %u "
-                "(%u epochs run%s)\n", result.best_metric, result.best_epoch,
-                result.epochs_run, result.stopped_early ? ", stopped early"
-                                                        : "");
-  } else {
-    models::BprTrainer trainer(session->model.get(), &train, config);
-    const std::string train_state = flags.GetString("train_state", "");
-    if (flags.GetBool("resume", false)) {
-      // Only an absent state (first run of a --resume-always launcher)
-      // starts fresh; a state that does not restore aborts, left as it was.
-      std::error_code absent;
-      if (!std::filesystem::exists(train_state, absent) && !absent) {
-        std::printf("no training state at %s, starting fresh\n",
-                    train_state.c_str());
-      } else if (auto restored = trainer.RestoreTrainingState(train_state);
-                 !restored.ok()) {
-        return Fail(restored);
-      } else {
-        std::printf("resumed from %s at epoch %u/%u\n", train_state.c_str(),
-                    trainer.epoch(), config.epochs);
-      }
+  const auto& train = early_stop ? session->carve.train.interactions
+                                 : session->split.train.interactions;
+  models::BprTrainer trainer(session->model.get(), &train, config);
+  const std::string train_state = flags.GetString("train_state", "");
+  if (flags.GetBool("resume", false)) {
+    // Only an absent state (first run of a --resume-always launcher)
+    // starts fresh; a state that does not restore aborts, left as it was.
+    std::error_code absent;
+    if (!std::filesystem::exists(train_state, absent) && !absent) {
+      std::printf("no training state at %s, starting fresh\n",
+                  train_state.c_str());
+    } else if (auto restored = trainer.RestoreTrainingState(train_state);
+               !restored.ok()) {
+      return Fail(restored);
+    } else {
+      std::printf("resumed from %s at epoch %u/%u\n", train_state.c_str(),
+                  trainer.epoch(), config.epochs);
     }
-    // Epoch-cadence reporting: rewrite --metrics_out after every epoch so a
-    // long run always has a current artifact on disk.
-    obs::StatsReporter reporter(
-        {.interval_seconds = 0.0,
-         .metrics_path = flags.GetString("metrics_out", "")});
-    models::EpochStats last;
-    while (trainer.epoch() < config.epochs) {
-      last = trainer.RunEpoch();
-      reporter.Snapshot();
-      if (!train_state.empty()) {
-        if (auto status = trainer.SaveTrainingState(train_state);
-            !status.ok()) {
-          return Fail(status);
+  }
+  models::EvaluateFn validate;
+  if (early_stop) {
+    validate = [validation = eval::Evaluator(&train, &session->carve.test,
+                                             20)](models::RankingModel* m) {
+      return validation.Evaluate([m](const std::vector<uint32_t>& users) {
+        return m->ScoreAllItems(users);
+      });
+    };
+  }
+  // Epoch-cadence reporting: rewrite --metrics_out after every epoch so a
+  // long run always has a current artifact on disk.
+  obs::StatsReporter reporter(
+      {.interval_seconds = 0.0,
+       .metrics_path = flags.GetString("metrics_out", "")});
+  auto trained = trainer.Train(
+      validate, [&](const models::EpochStats& stats) -> util::Status {
+        reporter.Snapshot();
+        if (!train_state.empty()) {
+          HOSR_RETURN_IF_ERROR(trainer.SaveTrainingState(train_state));
         }
-      }
-      // Simulated crash for resume testing: the epoch's state is on disk,
-      // the process dies without running atexit flushes.
-      if (auto crash = fault::Inject("cli.train_crash"); !crash.ok()) {
-        std::fprintf(stderr, "injected crash after epoch %u: %s\n",
-                     trainer.epoch() - 1, crash.ToString().c_str());
-        std::_Exit(42);
-      }
-    }
+        // Simulated crash for resume testing: the epoch's state is on
+        // disk, the process dies without running atexit flushes.
+        if (auto crash = fault::Inject("cli.train_crash"); !crash.ok()) {
+          std::fprintf(stderr, "injected crash after epoch %u: %s\n",
+                       stats.epoch, crash.ToString().c_str());
+          std::_Exit(42);
+        }
+        return util::Status::Ok();
+      });
+  if (!trained.ok()) return Fail(trained.status());
+  if (early_stop) {
+    const models::Evaluation& best = trained->evaluations[trained->best];
+    std::printf("early stopping: best validation Recall@20 %.4f at epoch %u "
+                "(%u epochs run%s)\n", best.result.recall, best.epoch,
+                trainer.epoch(),
+                trainer.epoch() < config.epochs ? ", stopped early" : "");
+  } else {
+    const models::EpochStats last =
+        trained->epochs.empty() ? models::EpochStats() : trained->epochs.back();
     std::printf("trained %u epochs, final loss %.4f (%.1f samples/s)\n",
                 config.epochs, last.avg_loss, last.samples_per_sec);
   }
@@ -308,7 +326,8 @@ int RunTrain(const util::Flags& flags) {
   // Post-training evaluation: reports ranking quality and exercises the
   // eval path so latency metrics land in --metrics_out.
   const auto k = static_cast<uint32_t>(flags.GetInt("k", 20));
-  eval::Evaluator evaluator(&train, &session->split.test, k);
+  eval::Evaluator evaluator(&session->split.train.interactions,
+                            &session->split.test, k);
   const auto result =
       evaluator.Evaluate([&](const std::vector<uint32_t>& users) {
         return session->model->ScoreAllItems(users);
