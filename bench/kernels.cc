@@ -4,12 +4,18 @@
 // models actually use.
 // Besides the google benchmark report, the headline scalar-vs-SIMD speedups
 // at d=64 are published as gauges so `run_benches.sh` captures them in
-// bench_metrics/kernels.json — the perf-trajectory artifact.
+// bench_metrics/kernels.json — the perf-trajectory artifact — together
+// with gemm_tile's GFLOP/s at the HOSR training shapes for the 8- and
+// 16-lane tiles, and the CPU and wall time of an empty util::ParallelFor
+// fork while the pool's workers sleep.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -18,6 +24,7 @@
 #include "util/flags.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -253,6 +260,118 @@ void PublishSpeedupGauges() {
       .Set(pair_chain_best / 1e9);
 }
 
+// C = A * B at 2116 x 64 x 64, the HOSR propagation GEMM at YelpLike 0.2
+// and batch 512 (NN), and A^T * G at 64 x 2116 x 64, its weight gradient
+// (TN), tiled by `kern`'s gemm_tile on one thread as tensor::Gemm tiles
+// them: the best GFLOP/s of 9 runs of about 30 ms, since other load on
+// the host only ever slows a run.
+double GemmTileGflops(const kernels::KernelTable& kern, bool weight_grad) {
+  constexpr size_t kRows = 2116;
+  constexpr size_t kDim = 64;
+  const size_t m = weight_grad ? kDim : kRows;
+  const size_t k = weight_grad ? kRows : kDim;
+  const size_t n = kDim;
+  const auto a = RandomVec(m * k, 16);  // A^T is k x m, read in place
+  const auto b = RandomVec(k * n, 17);
+  std::vector<float> c(m * n);
+  const size_t a_row_stride = weight_grad ? 1 : k;
+  const size_t a_k_stride = weight_grad ? m : 1;
+  const auto gemm = [&] {
+    for (size_t i0 = 0; i0 < m; i0 += kern.gemm_tile_rows) {
+      for (size_t j0 = 0; j0 < n; j0 += kern.gemm_tile_cols) {
+        kern.gemm_tile(std::min(kern.gemm_tile_rows, m - i0),
+                       std::min(kern.gemm_tile_cols, n - j0), k, 1.0f,
+                       a.data() + i0 * a_row_stride, a_row_stride, a_k_stride,
+                       b.data() + j0, n, 0.0f, c.data() + i0 * n + j0, n);
+      }
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  };
+  for (int i = 0; i < 20; ++i) gemm();  // warmup
+  std::vector<double> gflops;
+  for (int run = 0; run < 9; ++run) {
+    size_t calls = 0;
+    const util::WallTimer timer;
+    do {
+      for (int i = 0; i < 20; ++i) gemm();
+      calls += 20;
+    } while (timer.ElapsedMillis() < 30.0);
+    gflops.push_back(2.0 * static_cast<double>(m * n * k * calls) /
+                     timer.ElapsedSeconds() / 1e9);
+  }
+  return *std::max_element(gflops.begin(), gflops.end());
+}
+
+struct ForkCost {
+  double cpu_us = 0.0;   // process CPU, every thread
+  double wall_us = 0.0;  // the caller's wall time in the call
+};
+
+// One empty util::ParallelFor of `chunks` one-item chunks after a 2 ms
+// sleep, which leaves the pool's workers asleep, 200 times; minus the same
+// loop without the call. The least of 7 such differences, and the wall
+// time of that run.
+ForkCost MeasureFork(size_t chunks) {
+  constexpr int kCalls = 200;
+  const auto loop = [&](bool fork, double* wall_us) {
+    const double cpu_before = util::ProcessCpuSeconds();
+    for (int i = 0; i < kCalls; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!fork) continue;
+      const util::WallTimer timer;
+      util::ParallelFor(0, chunks, [](size_t, size_t) {}, /*min_chunk=*/1);
+      *wall_us += timer.ElapsedSeconds() * 1e6;
+    }
+    return util::ProcessCpuSeconds() - cpu_before;
+  };
+  ForkCost best;
+  for (int run = 0; run < 7; ++run) {
+    double wall = 0.0;
+    const double with_fork = loop(true, &wall);
+    const double without = loop(false, &wall);
+    const ForkCost cost{(with_fork - without) / kCalls * 1e6, wall / kCalls};
+    if (run == 0 || cost.cpu_us < best.cpu_us) best = cost;
+  }
+  return best;
+}
+
+void PublishGemmAndForkGauges() {
+  struct Tile {
+    const kernels::KernelTable* table;
+    const char* lanes;
+  };
+  std::vector<Tile> tiles;
+  if (const kernels::KernelTable* eight = kernels::EightLaneTable()) {
+    tiles.push_back({eight, "8lane"});
+    if (&kernels::Best() != eight) tiles.push_back({&kernels::Best(), "16lane"});
+  }
+  auto& registry = obs::Registry::Global();
+  for (const Tile& tile : tiles) {
+    for (const bool weight_grad : {false, true}) {
+      registry
+          .GetGauge(util::StrFormat("kernels/bench/gemm_%s_%s_gflops",
+                                    weight_grad ? "tn_wgrad" : "nn_fwd",
+                                    tile.lanes))
+          ->Set(GemmTileGflops(*tile.table, weight_grad));
+    }
+  }
+  // Only the 16-chunk fork's CPU repeated within 10% back to back on a
+  // 4-vCPU guest, so only it carries bench_diff's `_us` direction suffix;
+  // the 2-chunk CPU moved 26% and the wall times more. `_gflops` above is
+  // not a direction suffix either: those gauges are reported, not gated.
+  const ForkCost two = MeasureFork(2);
+  const ForkCost sixteen = MeasureFork(16);
+  registry.GetGauge("kernels/bench/parallel_for_2_chunks_cpu_micros")
+      ->Set(two.cpu_us);
+  registry.GetGauge("kernels/bench/parallel_for_2_chunks_wall_micros")
+      ->Set(two.wall_us);
+  registry.GetGauge("kernels/bench/parallel_for_16_chunks_cpu_us")
+      ->Set(sixteen.cpu_us);
+  registry.GetGauge("kernels/bench/parallel_for_16_chunks_wall_micros")
+      ->Set(sixteen.wall_us);
+}
+
 }  // namespace
 
 // Same flag split as micro_complexity: non---benchmark_* flags go to the
@@ -280,6 +399,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   PublishSpeedupGauges();
+  PublishGemmAndForkGauges();
   benchmark::Shutdown();
   return 0;
 }

@@ -54,20 +54,13 @@ std::vector<OrderStats> KOrderStats(const SocialGraph& graph,
   const CsrMatrix& adj = graph.adjacency();
   const uint32_t n = graph.num_users();
 
-  // Partition users into chunks; each chunk accumulates its own counters.
-  const size_t num_chunks =
-      std::min<size_t>(std::max<uint32_t>(1, n / 64),
-                       util::ThreadPool::Global().num_threads() * 4);
-  const size_t chunk_size = (n + num_chunks - 1) / std::max<size_t>(1, num_chunks);
-  std::vector<std::vector<uint64_t>> partials(
-      num_chunks, std::vector<uint64_t>(max_order, 0));
-
+  // Each chunk counts into its own vector and adds it into the totals, so
+  // the sums do not depend on how ParallelFor splits the users.
+  std::vector<std::atomic<uint64_t>> totals(max_order);
   util::ParallelFor(
       0, n,
       [&](size_t begin, size_t end) {
-        const size_t chunk = begin / std::max<size_t>(1, chunk_size);
-        std::vector<uint64_t>& counts =
-            partials[std::min(chunk, partials.size() - 1)];
+        std::vector<uint64_t> counts(max_order, 0);
         std::vector<uint32_t> visited_epoch(n, 0);
         std::vector<uint32_t> frontier, next_frontier;
         uint32_t epoch = 0;
@@ -77,13 +70,11 @@ std::vector<OrderStats> KOrderStats(const SocialGraph& graph,
                          &visited_epoch, epoch, &frontier, &next_frontier,
                          &counts);
         }
+        for (uint32_t k = 0; k < max_order; ++k) {
+          totals[k].fetch_add(counts[k]);
+        }
       },
-      chunk_size);
-
-  std::vector<uint64_t> totals(max_order, 0);
-  for (const auto& partial : partials) {
-    for (uint32_t k = 0; k < max_order; ++k) totals[k] += partial[k];
-  }
+      /*min_chunk=*/64);
 
   std::vector<OrderStats> stats(max_order);
   const double pairs = static_cast<double>(n) * (n > 0 ? n - 1 : 0);

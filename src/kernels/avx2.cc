@@ -377,6 +377,10 @@ using GemmTileFn = void (*)(size_t, size_t, float, const float*, size_t,
                            size_t, const float*, size_t, float, float*,
                            size_t);
 
+// The 8-lane tile's size.
+constexpr size_t kGemmTileRows = 6;
+constexpr size_t kGemmTileCols = 16;
+
 template <bool kFull>
 constexpr GemmTileFn kGemmTileByRows[kGemmTileRows] = {
     GemmTileAvx2Impl<1, kFull>, GemmTileAvx2Impl<2, kFull>,
@@ -449,7 +453,8 @@ constexpr KernelTable kAvx2Table = {
     "avx2",        kLevelAvx2,    AxpyAvx2,
     Axpy2Avx2,     SpmmRowAvx2,   DotAvx2,
     ScaleAvx2,     ReduceMaxAvx2, ScoreHalfAvx2,
-    GemmTileAvx2,  TanhAvx2,      RmsPropAvx2,
+    kGemmTileRows, kGemmTileCols, GemmTileAvx2,
+    TanhAvx2,      RmsPropAvx2,
 };
 
 }  // namespace

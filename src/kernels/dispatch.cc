@@ -11,9 +11,10 @@
 namespace hosr::kernels {
 
 #ifdef HOSR_KERNELS_HAVE_AVX2
-// Defined in avx2.cc (the only TU built with -mavx2 -mfma -mf16c). Safe to
-// *call* only after a CPUID check.
+// Defined in avx2.cc (built with -mavx2 -mfma -mf16c) and avx512.cc (built
+// with -mavx512f as well). Safe to *call* only after a CPUID check.
 const KernelTable& Avx2Table();
+const KernelTable& Avx2WideTileTable();
 #endif
 
 namespace {
@@ -39,9 +40,19 @@ void PublishLevel(const KernelTable& table) {
 
 const KernelTable& Best() {
 #ifdef HOSR_KERNELS_HAVE_AVX2
-  if (CpuSupportsAvx2()) return Avx2Table();
+  if (CpuSupportsAvx2()) {
+    return __builtin_cpu_supports("avx512f") ? Avx2WideTileTable()
+                                             : Avx2Table();
+  }
 #endif
   return Scalar();
+}
+
+const KernelTable* EightLaneTable() {
+#ifdef HOSR_KERNELS_HAVE_AVX2
+  if (CpuSupportsAvx2()) return &Avx2Table();
+#endif
+  return nullptr;
 }
 
 bool ForcedScalar() {

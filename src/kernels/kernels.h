@@ -25,12 +25,6 @@ namespace hosr::kernels {
 inline constexpr int kLevelScalar = 0;
 inline constexpr int kLevelAvx2 = 2;  // AVX2 + FMA + F16C
 
-// Largest block of C one gemm_tile call computes: 6 rows x 16 columns, the
-// AVX2 register blocking (12 ymm accumulators, two B vectors and one
-// broadcast A value fill 15 of the 16 ymm registers).
-inline constexpr size_t kGemmTileRows = 6;
-inline constexpr size_t kGemmTileCols = 16;
-
 // Rows per block of score_half's half-precision table: one ymm register of
 // floats, so the SIMD table scores a block's rows in its lanes.
 inline constexpr size_t kHalfBlockRows = 8;
@@ -98,15 +92,24 @@ struct KernelTable {
                      const float* radius, float scale, float bias_radius,
                      float* lower, float* upper);
 
+  // The largest block of C one gemm_tile call computes. tensor::Gemm tiles
+  // C by it. The scalar table and the AVX2 8-lane tile take 6 x 16 (12 ymm
+  // accumulators, two B vectors and one broadcast A value fill 15 of the
+  // 16 ymm registers); the 16-lane tile, which the AVX2 table carries on
+  // CPUs with AVX-512F, takes 6 x 64 (24 zmm accumulators).
+  size_t gemm_tile_rows;
+  size_t gemm_tile_cols;
+
   // One register-blocked tile of C = alpha * A * B + beta * C, the
-  // microkernel under tensor::Gemm. The tile has rows <= kGemmTileRows and
-  // cols <= kGemmTileCols; for i < rows, j < cols:
+  // microkernel under tensor::Gemm. The tile has rows <= gemm_tile_rows
+  // and cols <= gemm_tile_cols; for i < rows, j < cols:
   //   c[i*ldc + j] = alpha * acc(i, j) + beta * c[i*ldc + j]
   //   acc(i, j)    = sum for p = 0, 1, ..., k-1 of
   //                  a[i*a_row_stride + p*a_k_stride] * b[p*ldb + j]
   // Each acc(i, j) is one chain from zero in ascending p (fused
   // multiply-adds in the SIMD tables), so an element's value does not depend
-  // on where its tile sits or which thread runs it. A is read through two
+  // on where its tile sits, which thread runs it or how wide the tile is:
+  // the 8- and 16-lane tiles return the same bits. A is read through two
   // strides, so a row-major A (a_k_stride == 1) and a transposed view of
   // one (a_row_stride == 1) need no copy. When beta == 0, c is written
   // without being read.
@@ -191,8 +194,14 @@ const KernelTable& Active();
 const KernelTable& Scalar();
 
 // The best table this CPU supports, ignoring HOSR_FORCE_SCALAR. Tests
-// compare Best() against Scalar() for numerical agreement.
+// compare Best() against Scalar() for numerical agreement. On a CPU with
+// AVX-512F it is the AVX2 table with the 16-lane gemm_tile.
 const KernelTable& Best();
+
+// The AVX2 table with the 8-lane gemm_tile, or null without AVX2. Equal to
+// Best() except on CPUs with AVX-512F; tests check that the two tiles
+// return the same bits.
+const KernelTable* EightLaneTable();
 
 // True when HOSR_FORCE_SCALAR pinned dispatch to the scalar table.
 bool ForcedScalar();

@@ -110,6 +110,9 @@ void ScoreHalfScalar(size_t blocks, size_t d, const float* u,
   }
 }
 
+constexpr size_t kGemmTileRows = 6;
+constexpr size_t kGemmTileCols = 16;
+
 void GemmTileScalar(size_t rows, size_t cols, size_t k, float alpha,
                     const float* a, size_t a_row_stride, size_t a_k_stride,
                     const float* b, size_t ldb, float beta, float* c,
@@ -149,7 +152,8 @@ constexpr KernelTable kScalarTable = {
     "scalar",        kLevelScalar,    AxpyScalar,
     Axpy2Scalar,     SpmmRowScalar,   DotScalar,
     ScaleScalar,     ReduceMaxScalar, ScoreHalfScalar,
-    GemmTileScalar,  TanhScalar,      RmsPropScalar,
+    kGemmTileRows,   kGemmTileCols,   GemmTileScalar,
+    TanhScalar,      RmsPropScalar,
 };
 
 }  // namespace

@@ -21,17 +21,12 @@ void CheckSameShape(const Matrix& a, const Matrix& b) {
 template <typename Fn>
 Matrix Map(const Matrix& a, Fn fn) {
   Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
-  // One captured reference keeps the body inside std::function's local
-  // storage, so ParallelFor allocates only its chunk tasks.
-  const struct {
-    const float* src;
-    float* dst;
-    Fn fn;
-  } map{a.data(), out.data(), fn};
+  const float* src = a.data();
+  float* dst = out.data();
   util::ParallelFor(
       0, a.size(),
-      [&map](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) map.dst[i] = map.fn(map.src[i]);
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) dst[i] = fn(src[i]);
       },
       util::GrainFor(1));
   return out;
@@ -78,37 +73,36 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
     return;
   }
 
-  // NN, TN and TT: 6x16 register-blocked tiles of C, in parallel over
-  // tiles. A is read in place through its strides and B in place, except
-  // for TT (which no library path runs), where B^T is packed once. There
-  // is no k-split: each element is one gemm_tile chain owned by one
-  // thread, so the result is bit-identical for any pool size.
+  // NN, TN and TT: register-blocked tiles of C at the table's tile size,
+  // in parallel over tiles. A is read in place through its strides and B
+  // in place, except for TT (which no library path runs), where B^T is
+  // packed once. There is no k-split: each element is one gemm_tile chain
+  // owned by one thread, so the result is bit-identical for any pool size.
   Matrix packed_b;
   if (transpose_b) packed_b = Transpose(b);
   const Matrix& b_rows = transpose_b ? packed_b : b;
   const size_t a_row_stride = transpose_a ? 1 : a.cols();
   const size_t a_k_stride = transpose_a ? a.cols() : 1;
-  const size_t row_tiles =
-      (m + kernels::kGemmTileRows - 1) / kernels::kGemmTileRows;
-  const size_t col_tiles =
-      (n + kernels::kGemmTileCols - 1) / kernels::kGemmTileCols;
+  const size_t tile_rows = kern.gemm_tile_rows;
+  const size_t tile_cols = kern.gemm_tile_cols;
+  const size_t row_tiles = (m + tile_rows - 1) / tile_rows;
+  const size_t col_tiles = (n + tile_cols - 1) / tile_cols;
   util::ParallelFor(
       0, row_tiles * col_tiles,
       [&](size_t tile_begin, size_t tile_end) {
         for (size_t t = tile_begin; t < tile_end; ++t) {
-          const size_t i0 = (t / col_tiles) * kernels::kGemmTileRows;
-          const size_t j0 = (t % col_tiles) * kernels::kGemmTileCols;
-          kern.gemm_tile(std::min(kernels::kGemmTileRows, m - i0),
-                         std::min(kernels::kGemmTileCols, n - j0), k, alpha,
+          const size_t i0 = (t / col_tiles) * tile_rows;
+          const size_t j0 = (t % col_tiles) * tile_cols;
+          kern.gemm_tile(std::min(tile_rows, m - i0),
+                         std::min(tile_cols, n - j0), k, alpha,
                          a.data() + i0 * a_row_stride, a_row_stride,
                          a_k_stride, b_rows.data() + j0, n, beta,
                          out->data() + i0 * n + j0, n);
         }
       },
       // Each tile does rows x cols x k useful multiply-adds; a narrow output
-      // (n < 16) counts only its real columns.
-      util::GrainFor(kernels::kGemmTileRows *
-                     std::min(kernels::kGemmTileCols, n) * k));
+      // (n below the tile width) counts only its real columns.
+      util::GrainFor(tile_rows * std::min(tile_cols, n) * k));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -160,7 +154,6 @@ void Axpy(float alpha, const Matrix& b, Matrix* a) {
 
 Matrix Tanh(const Matrix& a) {
   Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
-  // Two pointer captures fit std::function's local storage (see Map).
   util::ParallelFor(
       0, out.size(),
       [src = a.data(), dst = out.data()](size_t begin, size_t end) {

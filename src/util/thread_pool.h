@@ -3,16 +3,38 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace hosr::util {
 
-// Fixed-size worker pool with a simple FIFO queue. Destruction drains the
-// queue, then joins workers.
+// A non-owning reference to a `void(size_t begin, size_t end)` callable:
+// what ParallelFor runs on each chunk. It must not outlive the callable,
+// which a lambda passed straight to ParallelFor never does.
+class ChunkBody {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ChunkBody>)
+  ChunkBody(const F& body)  // implicit, so lambdas convert
+      : body_(&body), call_([](const void* b, size_t begin, size_t end) {
+          (*static_cast<const F*>(b))(begin, end);
+        }) {}
+
+  void operator()(size_t begin, size_t end) const { call_(body_, begin, end); }
+
+ private:
+  const void* body_;
+  void (*call_)(const void*, size_t, size_t);
+};
+
+// Fork-join workers for ParallelFor. The calling thread is one of the
+// pool's num_threads(): it wakes at most chunks - 1 of the sleeping
+// num_threads() - 1 workers, runs chunk 0 and claims further chunks
+// through an atomic index alongside them, then waits for its own job
+// only. Destruction joins the workers; no ParallelFor may be running on
+// the pool then.
 class ThreadPool {
  public:
   // num_threads == 0 picks std::thread::hardware_concurrency() (min 1).
@@ -22,40 +44,51 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return workers_.size() + 1; }
 
-  // Enqueues a task for execution on a worker thread.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished executing.
-  void Wait();
+  // util::ParallelFor on this pool.
+  void ParallelFor(size_t begin, size_t end, ChunkBody body,
+                   size_t min_chunk = 1024);
 
   // Process-wide shared pool, sized to the hardware.
   static ThreadPool& Global();
 
  private:
+  struct Job;
+
   void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  size_t in_flight_ = 0;
+  Job* jobs_ = nullptr;  // open jobs, an intrusive list of callers' stacks
+  size_t sleeping_ = 0;
   bool shutting_down_ = false;
+  std::vector<std::thread> workers_;
 };
 
 // Splits [begin, end) into contiguous chunks and runs
-// `body(chunk_begin, chunk_end)` across the pool, blocking until all chunks
-// finish. Runs inline when the range is small or the pool has one thread.
-// `body` must be safe to invoke concurrently on disjoint ranges.
-void ParallelFor(size_t begin, size_t end,
-                 const std::function<void(size_t, size_t)>& body,
-                 size_t min_chunk = 1024);
+// `body(chunk_begin, chunk_end)` for each on the global pool, returning
+// once all of them have finished. There are min(4 per pool thread,
+// ceil(count / min_chunk)) chunks of equal size, the last one shorter, so
+// the boundaries are a function of the range, `min_chunk` and the pool
+// size alone. The calling thread runs chunk 0 itself. Runs inline as one
+// chunk when the range is no larger than `min_chunk`, the pool has one
+// thread, or the caller is already inside a ParallelFor body (nested calls
+// never fork). Allocates nothing. `body` must be safe to invoke
+// concurrently on disjoint ranges, and must not throw.
+inline void ParallelFor(size_t begin, size_t end, ChunkBody body,
+                        size_t min_chunk = 1024) {
+  ThreadPool::Global().ParallelFor(begin, end, body, min_chunk);
+}
 
-// Roughly how much work one ParallelFor chunk should carry before the
-// pool's dispatch overhead is amortized, in scalar-op units.
-inline constexpr size_t kGrainTargetWork = 16 * 1024;
+// How much work, in scalar-op units, a ParallelFor chunk should carry. A
+// fork costs about 22 us of CPU for the first worker it wakes and 10 us
+// for each further one on a 4-vCPU AVX2 guest (bench/kernels
+// `parallel_for_*_chunks_cpu_*`); at this grain a chunk carries 40-50 us
+// of SpMM gather or 0.6 ms of element-wise work, so a call forks only
+// when its chunks pay for that (docs/PERFORMANCE.md "Fork-join
+// ParallelFor and the 16-lane GEMM tile").
+inline constexpr size_t kGrainTargetWork = 768 * 1024;
 
 // The one grain-sizing heuristic for ParallelFor `min_chunk` arguments:
 // items per chunk so each chunk carries about kGrainTargetWork ops, where

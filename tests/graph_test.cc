@@ -13,6 +13,7 @@
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace hosr::graph {
 namespace {
@@ -356,6 +357,37 @@ TEST(KOrderStatsTest, PathGraphCountsEachOrder) {
     EXPECT_EQ(stats[k].order, k + 1);
     EXPECT_DOUBLE_EQ(stats[k].avg_neighbors_per_user, totals[k] / 5);
     EXPECT_DOUBLE_EQ(stats[k].density, totals[k] / 20);
+  }
+}
+
+// 3000 users fork into many ParallelFor chunks, several per pool thread;
+// the counts must equal those of one thread running every source.
+TEST(KOrderStatsTest, ForkedCountsEqualOneThreadRun) {
+  util::Rng build_rng(13);
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  const uint32_t n = 3000;
+  for (uint32_t i = 1; i < n; ++i) {
+    for (int e = 0; e < 3; ++e) {
+      edges.emplace_back(i, static_cast<uint32_t>(build_rng.UniformInt(i)));
+    }
+  }
+  const auto g = SocialGraph::FromEdges(n, edges);
+  ASSERT_TRUE(g.ok());
+  const auto forked = KOrderStats(*g, 3);
+  std::vector<OrderStats> one_thread;
+  // A ParallelFor body runs nested calls inline on its thread.
+  util::ParallelFor(
+      0, 2,
+      [&](size_t begin, size_t) {
+        if (begin == 0) one_thread = KOrderStats(*g, 3);
+      },
+      /*min_chunk=*/1);
+  ASSERT_EQ(forked.size(), one_thread.size());
+  for (size_t k = 0; k < forked.size(); ++k) {
+    EXPECT_EQ(forked[k].avg_neighbors_per_user,
+              one_thread[k].avg_neighbors_per_user)
+        << "order " << k + 1;
+    EXPECT_EQ(forked[k].density, one_thread[k].density) << "order " << k + 1;
   }
 }
 

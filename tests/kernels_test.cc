@@ -9,8 +9,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/hosr.h"
@@ -50,6 +52,8 @@ bool SimdAvailable() { return Best().level != kLevelScalar; }
 TEST(KernelDispatchTest, TablesAreComplete) {
   for (const KernelTable* t : {&Scalar(), &Best(), &Active()}) {
     EXPECT_NE(t->name, nullptr);
+    EXPECT_GT(t->gemm_tile_rows, 0u);
+    EXPECT_GT(t->gemm_tile_cols, 0u);
     EXPECT_NE(t->axpy, nullptr);
     EXPECT_NE(t->axpy2, nullptr);
     EXPECT_NE(t->spmm_row, nullptr);
@@ -63,6 +67,14 @@ TEST(KernelDispatchTest, TablesAreComplete) {
   }
   EXPECT_EQ(Scalar().level, kLevelScalar);
   EXPECT_STREQ(Scalar().name, "scalar");
+  // The 8-lane table differs from Best() in its GEMM tile alone.
+  if (const KernelTable* narrow = EightLaneTable()) {
+    EXPECT_EQ(narrow->level, Best().level);
+    EXPECT_EQ(narrow->axpy, Best().axpy);
+    EXPECT_EQ(narrow->rmsprop, Best().rmsprop);
+    EXPECT_EQ(narrow->gemm_tile_rows, 6u);
+    EXPECT_EQ(narrow->gemm_tile_cols, 16u);
+  }
 }
 
 TEST(KernelDispatchTest, ActiveHonorsForceScalar) {
@@ -272,30 +284,48 @@ TEST(KernelHalfTest, ScoreHalfBoundsAndUnboundedRows) {
   }
 }
 
-// Every (rows, cols) tile shape, full and partial, through both A layouts
-// gemm_tile serves: row-major (NN) and a transposed view (TN).
+// rows x cols of C = alpha * A * B + beta * C through `t`'s own tiles, so
+// a table can serve as the reference for a larger tile of another.
+void TiledGemm(const KernelTable& t, size_t rows, size_t cols, size_t k,
+               float alpha, const float* a, size_t a_row_stride,
+               size_t a_k_stride, const float* b, size_t ldb, float beta,
+               float* c, size_t ldc) {
+  for (size_t i0 = 0; i0 < rows; i0 += t.gemm_tile_rows) {
+    for (size_t j0 = 0; j0 < cols; j0 += t.gemm_tile_cols) {
+      t.gemm_tile(std::min(t.gemm_tile_rows, rows - i0),
+                  std::min(t.gemm_tile_cols, cols - j0), k, alpha,
+                  a + i0 * a_row_stride, a_row_stride, a_k_stride, b + j0,
+                  ldb, beta, c + i0 * ldc + j0, ldc);
+    }
+  }
+}
+
+// Every (rows, cols) shape of Best()'s tile, full and partial, through
+// both A layouts gemm_tile serves: row-major (NN) and a transposed view
+// (TN), against the scalar table's tiles.
 TEST(KernelEquivalenceTest, GemmTile) {
   if (!SimdAvailable()) GTEST_SKIP() << "no SIMD table on this CPU";
+  const size_t max_rows = Best().gemm_tile_rows;
+  const size_t max_cols = Best().gemm_tile_cols;
   util::Rng rng(108);
-  const size_t ldb = kGemmTileCols + 3;
-  const size_t ldc = kGemmTileCols + 5;
+  const size_t ldb = max_cols + 3;
+  const size_t ldc = max_cols + 5;
   for (const size_t k : {1u, 7u, 64u}) {
-    const auto a = RandomVec(kGemmTileRows * k, &rng);
+    const auto a = RandomVec(max_rows * k, &rng);
     const auto b = RandomVec(k * ldb, &rng);
-    const auto c0 = RandomVec(kGemmTileRows * ldc, &rng);
+    const auto c0 = RandomVec((max_rows + 1) * ldc, &rng);
     for (const bool transposed_a : {false, true}) {
       const size_t a_row_stride = transposed_a ? 1 : k;
-      const size_t a_k_stride = transposed_a ? kGemmTileRows : 1;
-      for (size_t rows = 1; rows <= kGemmTileRows; ++rows) {
-        for (size_t cols = 1; cols <= kGemmTileCols; ++cols) {
+      const size_t a_k_stride = transposed_a ? max_rows : 1;
+      for (size_t rows = 1; rows <= max_rows; ++rows) {
+        for (size_t cols = 1; cols <= max_cols; ++cols) {
           for (const float beta : {0.0f, 1.0f, 2.0f}) {
             auto cs = c0, cb = c0;
-            Scalar().gemm_tile(rows, cols, k, -0.5f, a.data(), a_row_stride,
-                               a_k_stride, b.data(), ldb, beta, cs.data(),
-                               ldc);
+            TiledGemm(Scalar(), rows, cols, k, -0.5f, a.data(), a_row_stride,
+                      a_k_stride, b.data(), ldb, beta, cs.data(), ldc);
             Best().gemm_tile(rows, cols, k, -0.5f, a.data(), a_row_stride,
                              a_k_stride, b.data(), ldb, beta, cb.data(), ldc);
-            for (size_t i = 0; i < kGemmTileRows; ++i) {
+            for (size_t i = 0; i <= max_rows; ++i) {
               for (size_t j = 0; j < ldc; ++j) {
                 const size_t at = i * ldc + j;
                 if (i < rows && j < cols) {
@@ -323,18 +353,77 @@ TEST(KernelEquivalenceTest, GemmTileBetaZeroIgnoresOldC) {
   // buffer cannot leak into the product.
   util::Rng rng(109);
   const size_t k = 9;
-  const auto a = RandomVec(kGemmTileRows * k, &rng);
-  const auto b = RandomVec(k * kGemmTileCols, &rng);
   for (const KernelTable* t : {&Scalar(), &Best()}) {
-    for (const size_t cols : {kGemmTileCols, size_t{5}}) {
-      std::vector<float> c(kGemmTileRows * kGemmTileCols,
+    const size_t rows = t->gemm_tile_rows;
+    const size_t full = t->gemm_tile_cols;
+    const auto a = RandomVec(rows * k, &rng);
+    const auto b = RandomVec(k * full, &rng);
+    for (const size_t cols : {full, size_t{5}}) {
+      std::vector<float> c(rows * full,
                            std::numeric_limits<float>::quiet_NaN());
-      t->gemm_tile(kGemmTileRows, cols, k, 1.0f, a.data(), k, 1, b.data(),
-                   kGemmTileCols, 0.0f, c.data(), kGemmTileCols);
-      for (size_t i = 0; i < kGemmTileRows; ++i) {
+      t->gemm_tile(rows, cols, k, 1.0f, a.data(), k, 1, b.data(), full, 0.0f,
+                   c.data(), full);
+      for (size_t i = 0; i < rows; ++i) {
         for (size_t j = 0; j < cols; ++j) {
-          EXPECT_TRUE(std::isfinite(c[i * kGemmTileCols + j]))
+          EXPECT_TRUE(std::isfinite(c[i * full + j]))
               << t->name << " (" << i << "," << j << ") cols=" << cols;
+        }
+      }
+    }
+  }
+}
+
+// The 16-lane tile returns the 8-lane tile's bits: every shape up to its
+// size, both A layouts, k from empty to the weight-gradient depth of
+// paper-scale training, and beta 0, 1 and 2. alpha = -0.5 and those betas
+// scale exactly, so alpha = 0.7 with beta = 1.3 also runs: it rounds
+// alpha * acc and would tell fma(beta, c, alpha * acc) from any other
+// order of the epilogue.
+TEST(KernelWideTileTest, BitEqualToEightLaneTile) {
+  const KernelTable* narrow = EightLaneTable();
+  if (narrow == nullptr || narrow == &Best()) {
+    GTEST_SKIP() << "no AVX-512F tile on this CPU";
+  }
+  const KernelTable& wide = Best();
+  ASSERT_GT(wide.gemm_tile_cols, narrow->gemm_tile_cols);
+  const size_t max_rows = wide.gemm_tile_rows;
+  const size_t max_cols = wide.gemm_tile_cols;
+  const size_t ldb = max_cols + 3;
+  const size_t ldc = max_cols + 5;
+  util::Rng rng(111);
+  for (const size_t k : {0u, 1u, 7u, 64u, 455u, 2116u}) {
+    const auto a = RandomVec(std::max<size_t>(1, max_rows * k), &rng);
+    const auto b = RandomVec(std::max<size_t>(1, k * ldb), &rng);
+    const auto c0 = RandomVec((max_rows + 1) * ldc, &rng);
+    for (const bool transposed_a : {false, true}) {
+      const size_t a_row_stride = transposed_a ? 1 : k;
+      const size_t a_k_stride = transposed_a ? max_rows : 1;
+      for (size_t rows = 1; rows <= max_rows; ++rows) {
+        for (size_t cols = 1; cols <= max_cols; ++cols) {
+          for (const auto& [alpha, beta] :
+               {std::pair{-0.5f, 0.0f}, std::pair{-0.5f, 1.0f},
+                std::pair{-0.5f, 2.0f}, std::pair{0.7f, 1.3f}}) {
+            auto cn = c0, cw = c0;
+            TiledGemm(*narrow, rows, cols, k, alpha, a.data(), a_row_stride,
+                      a_k_stride, b.data(), ldb, beta, cn.data(), ldc);
+            wide.gemm_tile(rows, cols, k, alpha, a.data(), a_row_stride,
+                           a_k_stride, b.data(), ldb, beta, cw.data(), ldc);
+            // Outside the tile both keep c0, so one memcmp covers it too.
+            ASSERT_EQ(0, std::memcmp(cn.data(), cw.data(),
+                                     cn.size() * sizeof(float)))
+                << rows << "x" << cols << " tile, k=" << k
+                << " transposed_a=" << transposed_a << " alpha=" << alpha
+                << " beta=" << beta;
+            for (size_t i = 0; i <= max_rows; ++i) {
+              for (size_t j = 0; j < ldc; ++j) {
+                if (i >= rows || j >= cols) {
+                  ASSERT_EQ(cw[i * ldc + j], c0[i * ldc + j])
+                      << "wrote (" << i << "," << j << ") of a " << rows
+                      << "x" << cols << " tile";
+                }
+              }
+            }
+          }
         }
       }
     }

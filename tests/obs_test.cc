@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cctype>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/trace.h"
 #include "json_validator_test_util.h"
-#include "util/thread_pool.h"
 
 namespace hosr::obs {
 namespace {
@@ -107,15 +107,15 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsSumExactly) {
   constexpr size_t kThreads = 8;
   constexpr size_t kIncrementsPerThread = 10000;
   Counter* counter = Registry::Global().GetCounter("test/concurrent");
-  util::ThreadPool pool(kThreads);
+  std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    pool.Submit([counter] {
+    threads.emplace_back([counter] {
       for (size_t i = 0; i < kIncrementsPerThread; ++i) {
         counter->Increment();
       }
     });
   }
-  pool.Wait();
+  for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter->Get(), kThreads * kIncrementsPerThread);
 }
 
@@ -123,15 +123,15 @@ TEST_F(ObsTest, ConcurrentHistogramObservationsAllCounted) {
   constexpr size_t kThreads = 8;
   constexpr size_t kObservationsPerThread = 10000;
   Histogram* h = Registry::Global().GetHistogram("test/concurrent_hist");
-  util::ThreadPool pool(kThreads);
+  std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    pool.Submit([h] {
+    threads.emplace_back([h] {
       for (size_t i = 0; i < kObservationsPerThread; ++i) {
         h->Observe(1.0);
       }
     });
   }
-  pool.Wait();
+  for (auto& thread : threads) thread.join();
   EXPECT_EQ(h->Count(), kThreads * kObservationsPerThread);
   EXPECT_DOUBLE_EQ(h->Sum(),
                    static_cast<double>(kThreads * kObservationsPerThread));
@@ -144,15 +144,15 @@ TEST_F(ObsTest, ConcurrentSpansFromPoolWorkersAllRecorded) {
   SetEnabled(true);
   constexpr size_t kThreads = 4;
   constexpr size_t kSpansPerThread = 100;
-  util::ThreadPool pool(kThreads);
+  std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    pool.Submit([] {
+    threads.emplace_back([] {
       for (size_t i = 0; i < kSpansPerThread; ++i) {
         HOSR_TRACE_SPAN("test/worker_span");
       }
     });
   }
-  pool.Wait();
+  for (auto& thread : threads) thread.join();
   const auto spans = SnapshotSpans();
   const size_t matching = static_cast<size_t>(
       std::count_if(spans.begin(), spans.end(), [](const SpanRecord& s) {

@@ -89,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Tiles are owned by one thread and never split over k, so Gemm is
 // bit-identical whether its ParallelFor fans out over the pool (main
-// thread) or runs inline on one thread (nested inside a pool task).
+// thread) or runs inline on one thread (nested in a ParallelFor body).
 TEST(GemmDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
   struct Shape {
     size_t m, n, k;
@@ -111,7 +111,7 @@ TEST(GemmDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
         Matrix pooled = c0;
         tensor::Gemm(a, transpose_a, b, transpose_b, 0.75f, 1.0f, &pooled);
         Matrix inline_run = c0;
-        // Two one-item chunks put the first on a pool worker, where the
+        // Chunk 0 of two one-item chunks runs on this thread, where the
         // nested ParallelFor inside Gemm runs inline.
         util::ParallelFor(
             0, 2,

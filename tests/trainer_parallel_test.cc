@@ -27,6 +27,7 @@
 #include "core/model_zoo.h"
 #include "data/sampler.h"
 #include "data/synthetic.h"
+#include "kernels/kernels.h"
 #include "models/bpr_mf.h"
 #include "models/trainer.h"
 #include "optim/optimizer.h"
@@ -73,7 +74,7 @@ const data::Dataset& TestDataset() {
 // Big enough that Gemm and Spmm split into several ParallelFor chunks.
 const data::Dataset& PoolSizedDataset() {
   static const data::Dataset* dataset =
-      new data::Dataset(MakeDataset("trainer-pool-test", 2048, 1024, 3));
+      new data::Dataset(MakeDataset("trainer-pool-test", 6144, 1024, 3));
   return *dataset;
 }
 
@@ -121,9 +122,9 @@ std::string TrainedStateBytes(const ModelFactory& factory,
   return bytes;
 }
 
-// Runs `fn` on a pool worker: two one-item ParallelFor chunks put the first
-// on a worker thread, where every nested ParallelFor (Gemm, Spmm, ...) runs
-// inline instead of fanning out.
+// Runs `fn` inside a ParallelFor body: of two one-item chunks, chunk 0 runs
+// on the calling thread, where every nested ParallelFor (Gemm, Spmm, ...)
+// runs inline instead of fanning out.
 std::string InsidePoolTask(const std::function<std::string()>& fn) {
   std::string result;
   util::ParallelFor(
@@ -173,6 +174,29 @@ TEST(TrainerDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
                     "diverged";
     }
   }
+}
+
+// The AVX2 table carries a 16-lane GEMM tile on CPUs with AVX-512F; it
+// returns the 8-lane tile's bits, so a HOSR training state is the same
+// with either table. Both runs force their table, so the comparison holds
+// under HOSR_FORCE_SCALAR too.
+TEST(TrainerDeterminismTest, EightLaneGemmTileGivesTheSameState) {
+  const kernels::KernelTable* narrow = kernels::EightLaneTable();
+  if (narrow == nullptr) GTEST_SKIP() << "no AVX2 table on this CPU";
+  const data::Dataset& dataset = PoolSizedDataset();
+  const ModelFactory factory = ZooFactory("HOSR", dataset, /*dim=*/64);
+  models::TrainConfig config = BaseConfig();
+  config.epochs = 1;
+  config.batch_size = 512;
+  kernels::SetActiveForTesting(&kernels::Best());
+  const std::string best = TrainedStateBytes(factory, config, "best", dataset);
+  kernels::SetActiveForTesting(narrow);
+  const std::string eight_lane =
+      TrainedStateBytes(factory, config, "eight_lane", dataset);
+  kernels::SetActiveForTesting(nullptr);
+  EXPECT_TRUE(best == eight_lane)
+      << kernels::Best().gemm_tile_cols << "-column tiles and "
+      << narrow->gemm_tile_cols << "-column tiles trained different states";
 }
 
 TEST(TrainerDeterminismTest, PrefetchDoesNotChangeTrajectory) {
@@ -601,8 +625,8 @@ TEST(TrainerResumeTest, ResumeInsidePoolTaskStaysBitIdentical) {
     const std::string straight =
         TrainedStateBytes(factory, config, "straight");
 
-    // Interrupted run: one epoch on the calling thread, checkpoint, then
-    // resume inside a pool task, where the kernels run inline.
+    // Interrupted run: one epoch on the pool, checkpoint, then resume
+    // inside a ParallelFor body, where the kernels run inline.
     const std::string state_path = TempPath("hosr_ptrain_resume_state");
     {
       auto model = factory();

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <limits>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -16,6 +20,40 @@
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+
+namespace hosr::util {
+namespace {
+// Allocations made anywhere in the process while counting is on (set by
+// ParallelForTest.SteadyStateCallAllocatesNothing).
+std::atomic<bool> g_count_allocations{false};
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+}  // namespace hosr::util
+
+// GCC's flow analysis pairs the replaced operator new with the library
+// default and flags the free() below as mismatched; both sides funnel
+// through malloc/free here, so the pairing is correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  if (hosr::util::g_count_allocations.load()) {
+    hosr::util::g_allocations.fetch_add(1);
+  }
+  if (void* ptr = std::malloc(size)) return ptr;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return operator new(size); }
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { operator delete(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { operator delete(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept {
+  operator delete(ptr);
+}
+
+#pragma GCC diagnostic pop
 
 namespace hosr::util {
 namespace {
@@ -391,20 +429,133 @@ TEST(TableTest, Counts) {
 
 // --- ThreadPool / ParallelFor ------------------------------------------------
 
+// Four std::threads fork on one pool at once; every item of every call
+// runs exactly once.
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  std::atomic<size_t> items{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < 25; ++call) {
+        pool.ParallelFor(
+            0, 64,
+            [&](size_t begin, size_t end) { items.fetch_add(end - begin); },
+            1);
+      }
+    });
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(items.load(), 4u * 25 * 64);
 }
 
-TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
+TEST(ThreadPoolTest, IdlePoolDestructs) {
+  ThreadPool pool(2);  // the destructor must wake and join sleeping workers
+  EXPECT_EQ(pool.num_threads(), 2u);
+}
+
+// A caller waits for its own chunks only: while one std::thread's body is
+// blocked, another thread's call on the same pool still returns.
+TEST(ParallelForTest, CallerDoesNotWaitForAnotherCallersChunks) {
+  ThreadPool pool(4);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> blocked;
+  std::atomic<bool> signalled{false};
+  std::thread slow([&] {
+    pool.ParallelFor(
+        0, 2,
+        [&](size_t, size_t) {
+          if (!signalled.exchange(true)) blocked.set_value();
+          released.wait();
+        },
+        1);
+  });
+  blocked.get_future().wait();
+  std::promise<void> fast_done;
+  std::thread fast([&] {
+    std::atomic<size_t> items{0};
+    pool.ParallelFor(
+        0, 64, [&](size_t begin, size_t end) { items.fetch_add(end - begin); },
+        1);
+    EXPECT_EQ(items.load(), 64u);
+    fast_done.set_value();
+  });
+  const bool returned = fast_done.get_future().wait_for(
+                            std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  release.set_value();
+  fast.join();
+  slow.join();
+  EXPECT_TRUE(returned) << "a ParallelFor waited for another caller's body";
+}
+
+TEST(ParallelForTest, SteadyStateCallAllocatesNothing) {
+  ThreadPool pool(4);
+  std::vector<double> sums(4096, 0.0);
+  const double scale = 0.5;
+  const size_t offset = 3;
+  const size_t stride = 1;
+  const size_t unused = 0;
+  // Captures five references, more than std::function stores in place.
+  const auto body = [&sums, &scale, &offset, &stride, &unused](size_t begin,
+                                                              size_t end) {
+    for (size_t i = begin; i < end; i += stride) {
+      sums[i] += scale * static_cast<double>(i + offset + unused);
+    }
+  };
+  pool.ParallelFor(0, sums.size(), body, 16);  // warm-up
+  ParallelFor(0, sums.size(), body, 16);
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  for (int call = 0; call < 100; ++call) {
+    pool.ParallelFor(0, sums.size(), body, 16);
+    ParallelFor(0, sums.size(), body, 16);
+  }
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(sums[1], 202 * 0.5 * 4);
+}
+
+TEST(ParallelForTest, NestedCallRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  std::atomic<int> items{0};
+  std::atomic<int> elsewhere{0};
+  pool.ParallelFor(
+      0, 8,
+      [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          const std::thread::id outer = std::this_thread::get_id();
+          pool.ParallelFor(
+              0, 100,
+              [&](size_t b2, size_t e2) {
+                items.fetch_add(static_cast<int>(e2 - b2));
+                if (std::this_thread::get_id() != outer) elsewhere.fetch_add(1);
+              },
+              1);
+          ParallelFor(
+              0, 100,
+              [&](size_t, size_t) {
+                if (std::this_thread::get_id() != outer) elsewhere.fetch_add(1);
+              },
+              1);
+        }
+      },
+      1);
+  EXPECT_EQ(items.load(), 800);
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ParallelForTest, ChunkZeroRunsOnTheCaller) {
+  ThreadPool pool(4);
+  std::thread::id chunk_zero;
+  pool.ParallelFor(
+      0, 64,
+      [&](size_t begin, size_t) {
+        if (begin == 0) chunk_zero = std::this_thread::get_id();
+      },
+      1);
+  EXPECT_EQ(chunk_zero, std::this_thread::get_id());
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
@@ -415,22 +566,53 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// Ranges of odd sizes just around chunk edges, at an offset: every index
+// is covered exactly once, by the chunks of a pure function of the range,
+// min_chunk and the pool size: min(4 per pool thread, ceil(count /
+// min_chunk)) chunks of equal size, the last one shorter.
+TEST(ParallelForTest, OddRangesAroundChunkEdgesCoveredOnce) {
+  ThreadPool pool(4);
+  const size_t begin = 5;
+  for (const size_t min_chunk : {1u, 3u, 7u, 64u}) {
+    for (size_t count = 1; count <= 3 * min_chunk * 16 + 2; ++count) {
+      if (count > 40 && count % min_chunk > 1 &&
+          count % min_chunk < min_chunk - 1) {
+        continue;  // keep the sizes next to a chunk edge
+      }
+      const size_t chunks =
+          count <= min_chunk
+              ? 1
+              : std::min<size_t>(16, (count + min_chunk - 1) / min_chunk);
+      const size_t chunk_size = (count + chunks - 1) / chunks;
+      std::vector<std::atomic<int>> hits(begin + count + 1);
+      std::atomic<int> misplaced{0};
+      pool.ParallelFor(
+          begin, begin + count,
+          [&](size_t lo, size_t hi) {
+            const bool aligned = (lo - begin) % chunk_size == 0;
+            const bool sized = hi - lo == chunk_size || hi == begin + count;
+            if (!aligned || !sized || hi - lo > chunk_size) {
+              misplaced.fetch_add(1);
+            }
+            for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+          },
+          min_chunk);
+      for (size_t i = 0; i < hits.size(); ++i) {
+        const int want = i >= begin && i < begin + count ? 1 : 0;
+        ASSERT_EQ(hits[i].load(), want)
+            << "index " << i << " of " << count << ", min_chunk "
+            << min_chunk;
+      }
+      EXPECT_EQ(misplaced.load(), 0)
+          << count << " items, min_chunk " << min_chunk;
+    }
+  }
+}
+
 TEST(ParallelForTest, EmptyRangeIsNoop) {
   bool called = false;
   ParallelFor(5, 5, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, NestedCallsRunInline) {
-  std::atomic<int> counter{0};
-  ParallelFor(0, 8, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ParallelFor(0, 100, [&](size_t b2, size_t e2) {
-        counter.fetch_add(static_cast<int>(e2 - b2));
-      }, 1);
-    }
-  }, 1);
-  EXPECT_EQ(counter.load(), 800);
 }
 
 TEST(GrainForTest, ChunksCarryAboutTargetWork) {
