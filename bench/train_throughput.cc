@@ -118,10 +118,10 @@ void CheckBitIdentity(const data::Dataset& dataset, uint32_t dim) {
     const std::string pooled =
         TrainedState(dataset, dim, sparse, dir + "/state_pool");
     std::string inlined;
-    // Chunk 0 of two one-item chunks runs on this thread, where the
-    // kernels' nested ParallelFor runs inline.
+    // Chunk 0 of a forked call of one-item chunks runs on this thread,
+    // where the kernels' nested ParallelFor runs inline.
     util::ParallelFor(
-        0, 2,
+        0, util::kForkChunks,
         [&](size_t begin, size_t) {
           if (begin != 0) return;
           inlined = TrainedState(dataset, dim, sparse, dir + "/state_inline");

@@ -17,7 +17,8 @@ namespace {
 
 // grad = term(i) element-wise for a first contribution, grad += term(i)
 // for a later one. Assigning x writes what 0 + x wrote into a zero-filled
-// gradient, up to the sign of an exact zero.
+// gradient, up to the sign of an exact zero. The hot ops contribute
+// through their KernelTable pass instead; this serves the rest.
 template <typename Term>
 void Contribute(bool assign, Matrix* grad, Term term) {
   float* out = grad->data();
@@ -35,11 +36,11 @@ void ContributeScaled(bool assign, float alpha, const Matrix& g,
                       Matrix* grad) {
   if (!assign) {
     tensor::Axpy(alpha, g, grad);
-  } else if (alpha == 1.0f) {
-    std::copy_n(g.data(), g.size(), grad->data());
-  } else {
-    const float* gp = g.data();
-    Contribute(true, grad, [gp, alpha](size_t i) { return alpha * gp[i]; });
+    return;
+  }
+  std::copy_n(g.data(), g.size(), grad->data());
+  if (alpha != 1.0f) {
+    kernels::Active().scale(grad->size(), alpha, grad->data());
   }
 }
 
@@ -47,9 +48,8 @@ void ContributeScaled(bool assign, float alpha, const Matrix& g,
 // with a Hadamard partial added by Axpy.
 void ContributeProduct(bool assign, const Matrix& g, const Matrix& x,
                        Matrix* grad) {
-  const float* gp = g.data();
-  const float* xp = x.data();
-  Contribute(assign, grad, [gp, xp](size_t i) { return gp[i] * xp[i]; });
+  kernels::Active().mul(grad->size(), g.data(), x.data(), !assign,
+                        grad->data());
 }
 
 }  // namespace
@@ -273,11 +273,9 @@ Value Tape::Tanh(Value a) {
   if (out->requires_grad) {
     out->backward = [out, an] {
       const GradSlot ga = GradFor(an);
-      const float* yp = out->value().data();
-      const float* gp = out->grad.data();
-      Contribute(ga.assign, ga.grad, [yp, gp](size_t i) {
-        return gp[i] * (1.0f - yp[i] * yp[i]);
-      });
+      kernels::Active().tanh_grad(ga.grad->size(), out->value().data(),
+                                  out->grad.data(), !ga.assign,
+                                  ga.grad->data());
     };
   }
   return Value(out);
@@ -290,17 +288,9 @@ Value Tape::Relu(Value a) {
   if (out->requires_grad) {
     out->backward = [out, an] {
       const GradSlot ga = GradFor(an);
-      const float* xp = an->value().data();
-      const float* gp = out->grad.data();
-      float* gap = ga.grad->data();
-      const size_t n = out->value().size();
-      if (ga.assign) {
-        for (size_t i = 0; i < n; ++i) gap[i] = xp[i] > 0.0f ? gp[i] : 0.0f;
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if (xp[i] > 0.0f) gap[i] += gp[i];
-        }
-      }
+      kernels::Active().relu_grad(ga.grad->size(), an->value().data(),
+                                  out->grad.data(), !ga.assign,
+                                  ga.grad->data());
     };
   }
   return Value(out);
@@ -340,13 +330,11 @@ Value Tape::LogSigmoid(Value a) {
   internal::Node* out = NewNode(std::move(y), an->requires_grad);
   if (out->requires_grad) {
     out->backward = [out, an] {
-      // d/dx log(sigmoid(x)) = sigmoid(-x).
+      // d/dx log(sigmoid(x)) = sigmoid(-x) = 1 / (1 + exp(x)).
       const GradSlot ga = GradFor(an);
-      const float* xp = an->value().data();
-      const float* gp = out->grad.data();
-      Contribute(ga.assign, ga.grad, [xp, gp](size_t i) {
-        return gp[i] / (1.0f + std::exp(xp[i]));
-      });
+      kernels::Active().log_sigmoid_grad(ga.grad->size(), an->value().data(),
+                                         out->grad.data(), !ga.assign,
+                                         ga.grad->data());
     };
   }
   return Value(out);

@@ -30,10 +30,11 @@ void SpmmInto(const CsrMatrix& sparse, const tensor::Matrix& dense,
   }
   const size_t d = dense.cols();
 
-  const size_t avg_row_nnz =
-      std::max<size_t>(1, sparse.nnz() / std::max<uint32_t>(1, sparse.num_rows()));
-  const size_t grain = util::GrainFor(avg_row_nnz * d, /*min_grain=*/16);
   const kernels::KernelTable& kern = kernels::Active();
+  const double avg_row_nnz = static_cast<double>(sparse.nnz()) /
+                             std::max<uint32_t>(1, sparse.num_rows());
+  const size_t grain =
+      util::GrainFor(kern.spmm_term_ns * avg_row_nnz * static_cast<double>(d));
   const int32_t* remap_data = remap != nullptr ? remap->data() : nullptr;
 
   // Row-parallel gather: each output row folds its entries' dense rows in

@@ -21,6 +21,15 @@ namespace hosr::kernels {
 // Defined in avx2_exact.cc, which is built without contraction.
 void RmsPropAvx2(size_t n, float lr, float weight_decay, float decay,
                  float epsilon, float* value, float* grad, float* ms);
+void ReluAvx2(size_t n, const float* x, float* y);
+void ReluGradAvx2(size_t n, const float* x, const float* g, bool accumulate,
+                  float* out);
+void TanhGradAvx2(size_t n, const float* y, const float* g, bool accumulate,
+                  float* out);
+void LogSigmoidGradAvx2(size_t n, const float* x, const float* g,
+                        bool accumulate, float* out);
+void MulAvx2(size_t n, const float* a, const float* b, bool accumulate,
+             float* out);
 
 namespace {
 
@@ -449,12 +458,22 @@ void TanhAvx2(size_t n, const float* x, float* y) {
   }
 }
 
+// One-core rates at the YelpLike 0.2 training shapes on a 4-vCPU KVM guest
+// (Intel Xeon); see KernelTable::gemm_mac_ns.
+constexpr double kGemmMacNs = 0.04;  // the 8-lane tile
+constexpr double kDotMacNs = 0.22;
+constexpr double kSpmmTermNs = 0.1;
+constexpr double kTanhNs = 1.0;
+
 constexpr KernelTable kAvx2Table = {
-    "avx2",        kLevelAvx2,    AxpyAvx2,
-    Axpy2Avx2,     SpmmRowAvx2,   DotAvx2,
-    ScaleAvx2,     ReduceMaxAvx2, ScoreHalfAvx2,
-    kGemmTileRows, kGemmTileCols, GemmTileAvx2,
-    TanhAvx2,      RmsPropAvx2,
+    "avx2",         kLevelAvx2,         AxpyAvx2,
+    Axpy2Avx2,      SpmmRowAvx2,        DotAvx2,
+    ScaleAvx2,      ReduceMaxAvx2,      ScoreHalfAvx2,
+    kGemmTileRows,  kGemmTileCols,      GemmTileAvx2,
+    kGemmMacNs,     kDotMacNs,          kSpmmTermNs,
+    kTanhNs,        TanhAvx2,           RmsPropAvx2,
+    ReluAvx2,       ReluGradAvx2,       TanhGradAvx2,
+    LogSigmoidGradAvx2, MulAvx2,
 };
 
 }  // namespace

@@ -9,7 +9,8 @@ namespace hosr::kernels {
 
 // Runtime-dispatched dense microkernels backing every dense hot path in the
 // library (tensor::Gemm/Axpy/RowDot/Tanh, graph::Spmm, the RMSprop step, the
-// serving engine's half-precision pass, the evaluator's top-K scan). The
+// tape's element-wise passes, the serving engine's half-precision pass, the
+// evaluator's top-K scan). The
 // instruction set is probed once per process (CPUID) and every call site
 // reads the same resolved table, so a process never mixes ISA levels: each
 // kernel has a fixed reduction order within a level, which preserves the
@@ -36,7 +37,9 @@ struct KernelTable {
   const char* name;  // "scalar" or "avx2"
   int level;         // kLevelScalar / kLevelAvx2
 
-  // y[i] += alpha * x[i] for i in [0, n).
+  // y[i] += alpha * x[i] for i in [0, n). With alpha = 1 every table
+  // returns y[i] + x[i] bit for bit (1 * x is exact, so one FMA rounds
+  // where the add does), which tensor::ScatterAddRows relies on.
   void (*axpy)(size_t n, float alpha, const float* x, float* y);
 
   // y[i] += a0 * x0[i] + a1 * x1[i] — one pass over y. Its pair order is
@@ -118,6 +121,20 @@ struct KernelTable {
                     const float* b, size_t ldb, float beta, float* c,
                     size_t ldc);
 
+  // One core's nanoseconds per unit of work of the kernels tensor::Gemm,
+  // tensor::Tanh and graph::Spmm split with util::ParallelFor, which they
+  // hand to util::GrainFor so a call forks only when it outlasts waking the
+  // pool: a gemm_tile multiply-add and a dot one, an spmm_row term (one
+  // entry of one column) and a tanh element. Each is the rate of whole
+  // one-core calls at the HOSR training shapes on YelpLike 0.2 (d = 64;
+  // 2,116 x 64 by 64 x 64 GEMMs, the 35,262-entry Laplacian, 135,424 tanh
+  // elements), docs/PERFORMANCE.md "Fork-join ParallelFor and the 16-lane
+  // GEMM tile".
+  double gemm_mac_ns;
+  double dot_mac_ns;
+  double spmm_term_ns;
+  double tanh_ns;
+
   // y[i] = tanh(x[i]) for i in [0, n); y may alias x. Every table is odd
   // bit for bit, maps NaN to NaN and +-inf to +-1. The scalar table is
   // std::tanh; the SIMD table is within 2e-7 absolute of it and returns
@@ -138,6 +155,28 @@ struct KernelTable {
   // checks the bit equality.
   void (*rmsprop)(size_t n, float lr, float weight_decay, float decay,
                   float epsilon, float* value, float* grad, float* ms);
+
+  // The autograd tape's element-wise passes. relu writes
+  // y[i] = x[i] > 0 ? x[i] : +0 (NaN to +0). The others write a term,
+  // out[i] = t(i), or add it, out[i] += t(i), with `accumulate`, for i in
+  // [0, n):
+  //   relu_grad         t(i) = x[i] > 0 ? g[i] : +0, and with accumulate
+  //                     out[i] is left as it is where !(x[i] > 0)
+  //   tanh_grad         t(i) = g[i] * (1 - y[i] * y[i]), y = tanh(x)
+  //   log_sigmoid_grad  t(i) = g[i] / (1 + exp(x[i]))
+  //   mul               t(i) = a[i] * b[i]
+  // Like rmsprop, every table returns the same bits, the scalar loop's:
+  // the SIMD twins (avx2_exact.cc) round every operation in its order and
+  // take exp from the same std::exp, one lane at a time.
+  void (*relu)(size_t n, const float* x, float* y);
+  void (*relu_grad)(size_t n, const float* x, const float* g,
+                    bool accumulate, float* out);
+  void (*tanh_grad)(size_t n, const float* y, const float* g,
+                    bool accumulate, float* out);
+  void (*log_sigmoid_grad)(size_t n, const float* x, const float* g,
+                           bool accumulate, float* out);
+  void (*mul)(size_t n, const float* a, const float* b, bool accumulate,
+              float* out);
 };
 
 // IEEE binary32 -> binary16, portable, rounding to nearest even (overflow

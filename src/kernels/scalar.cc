@@ -148,12 +148,64 @@ void RmsPropScalar(size_t n, float lr, float weight_decay, float decay,
   }
 }
 
+void ReluScalar(size_t n, const float* x, float* y) {
+  for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void ReluGradScalar(size_t n, const float* x, const float* g,
+                    bool accumulate, float* out) {
+  if (accumulate) {
+    for (size_t i = 0; i < n; ++i) {
+      if (x[i] > 0.0f) out[i] += g[i];
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) out[i] = x[i] > 0.0f ? g[i] : 0.0f;
+  }
+}
+
+// out[i] = term(i), or out[i] += term(i) with `accumulate`.
+template <typename Term>
+void Contribute(size_t n, bool accumulate, float* out, Term term) {
+  if (accumulate) {
+    for (size_t i = 0; i < n; ++i) out[i] += term(i);
+  } else {
+    for (size_t i = 0; i < n; ++i) out[i] = term(i);
+  }
+}
+
+void TanhGradScalar(size_t n, const float* y, const float* g,
+                    bool accumulate, float* out) {
+  Contribute(n, accumulate, out,
+             [&](size_t i) { return g[i] * (1.0f - y[i] * y[i]); });
+}
+
+void LogSigmoidGradScalar(size_t n, const float* x, const float* g,
+                          bool accumulate, float* out) {
+  Contribute(n, accumulate, out,
+             [&](size_t i) { return g[i] / (1.0f + std::exp(x[i])); });
+}
+
+void MulScalar(size_t n, const float* a, const float* b, bool accumulate,
+               float* out) {
+  Contribute(n, accumulate, out, [&](size_t i) { return a[i] * b[i]; });
+}
+
+// One-core rates at the YelpLike 0.2 training shapes on a 4-vCPU KVM guest
+// (Intel Xeon); see KernelTable::gemm_mac_ns.
+constexpr double kGemmMacNs = 1.2;
+constexpr double kDotMacNs = 0.85;
+constexpr double kSpmmTermNs = 0.8;
+constexpr double kTanhNs = 29.0;
+
 constexpr KernelTable kScalarTable = {
-    "scalar",        kLevelScalar,    AxpyScalar,
-    Axpy2Scalar,     SpmmRowScalar,   DotScalar,
-    ScaleScalar,     ReduceMaxScalar, ScoreHalfScalar,
-    kGemmTileRows,   kGemmTileCols,   GemmTileScalar,
-    TanhScalar,      RmsPropScalar,
+    "scalar",       kLevelScalar,         AxpyScalar,
+    Axpy2Scalar,    SpmmRowScalar,        DotScalar,
+    ScaleScalar,    ReduceMaxScalar,      ScoreHalfScalar,
+    kGemmTileRows,  kGemmTileCols,        GemmTileScalar,
+    kGemmMacNs,     kDotMacNs,            kSpmmTermNs,
+    kTanhNs,        TanhScalar,           RmsPropScalar,
+    ReluScalar,     ReluGradScalar,       TanhGradScalar,
+    LogSigmoidGradScalar, MulScalar,
 };
 
 }  // namespace

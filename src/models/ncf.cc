@@ -1,5 +1,6 @@
 #include "models/ncf.h"
 
+#include "kernels/kernels.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -72,7 +73,13 @@ tensor::Matrix Ncf::ScoreAllItems(const std::vector<uint32_t>& users) {
   }
   Matrix scores = tensor::MatMulNT(gmf_u, gmf_item_->value);
 
-  // MLP contribution: per user, run all items through the MLP.
+  // MLP contribution: per user, run all items through the MLP. A user is
+  // costed by the MLP's multiply-adds over every item, so at the paper's
+  // sizes a user fills a chunk and a call of a few users forks.
+  double macs_per_item = 0.0;
+  for (const autograd::Param* w : mlp_weights_) {
+    macs_per_item += static_cast<double>(w->value.size());
+  }
   util::ParallelFor(
       0, users.size(),
       [&](size_t begin, size_t end) {
@@ -109,7 +116,8 @@ tensor::Matrix Ncf::ScoreAllItems(const std::vector<uint32_t>& users) {
           }
         }
       },
-      /*min_chunk=*/4);
+      util::GrainFor(kernels::Active().gemm_mac_ns * macs_per_item *
+                     num_items_));
   return scores;
 }
 

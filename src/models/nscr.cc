@@ -1,6 +1,7 @@
 #include "models/nscr.h"
 
 #include "graph/spmm.h"
+#include "kernels/kernels.h"
 #include "tensor/ops.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -120,6 +121,12 @@ tensor::Matrix Nscr::ScoreAllItems(const std::vector<uint32_t>& users) {
   using tensor::Matrix;
   const uint32_t d = config_.embedding_dim;
   Matrix scores(users.size(), num_items_);
+  // A user is costed by the MLP's multiply-adds over every item, as in
+  // Ncf::ScoreAllItems.
+  double macs_per_item = 0.0;
+  for (const autograd::Param* w : mlp_weights_) {
+    macs_per_item += static_cast<double>(w->value.size());
+  }
   util::ParallelFor(
       0, users.size(),
       [&](size_t begin, size_t end) {
@@ -156,7 +163,8 @@ tensor::Matrix Nscr::ScoreAllItems(const std::vector<uint32_t>& users) {
           }
         }
       },
-      /*min_chunk=*/4);
+      util::GrainFor(kernels::Active().gemm_mac_ns * macs_per_item *
+                     num_items_));
   return scores;
 }
 

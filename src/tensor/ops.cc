@@ -16,22 +16,6 @@ void CheckSameShape(const Matrix& a, const Matrix& b) {
                              << b.rows() << "x" << b.cols();
 }
 
-// out[i] = fn(a[i]) into fresh storage, threaded like the other
-// element-wise kernels. A template so `fn` inlines into the loop.
-template <typename Fn>
-Matrix Map(const Matrix& a, Fn fn) {
-  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
-  const float* src = a.data();
-  float* dst = out.data();
-  util::ParallelFor(
-      0, a.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) dst[i] = fn(src[i]);
-      },
-      util::GrainFor(1));
-  return out;
-}
-
 }  // namespace
 
 void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
@@ -69,7 +53,7 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
             }
           }
         },
-        util::GrainFor(n * k));
+        util::GrainFor(kern.dot_mac_ns * static_cast<double>(n * k)));
     return;
   }
 
@@ -102,7 +86,9 @@ void Gemm(const Matrix& a, bool transpose_a, const Matrix& b, bool transpose_b,
       },
       // Each tile does rows x cols x k useful multiply-adds; a narrow output
       // (n below the tile width) counts only its real columns.
-      util::GrainFor(tile_rows * std::min(tile_cols, n) * k));
+      util::GrainFor(kern.gemm_mac_ns *
+                     static_cast<double>(tile_rows * std::min(tile_cols, n) *
+                                         k)));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -133,10 +119,9 @@ Matrix Sub(const Matrix& a, const Matrix& b) {
 
 Matrix Hadamard(const Matrix& a, const Matrix& b) {
   CheckSameShape(a, b);
-  Matrix out = a;
-  const float* bp = b.data();
-  float* op = out.data();
-  for (size_t i = 0; i < out.size(); ++i) op[i] *= bp[i];
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  kernels::Active().mul(out.size(), a.data(), b.data(), /*accumulate=*/false,
+                        out.data());
   return out;
 }
 
@@ -154,17 +139,22 @@ void Axpy(float alpha, const Matrix& b, Matrix* a) {
 
 Matrix Tanh(const Matrix& a) {
   Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  const kernels::KernelTable& kern = kernels::Active();
   util::ParallelFor(
       0, out.size(),
-      [src = a.data(), dst = out.data()](size_t begin, size_t end) {
-        kernels::Active().tanh(end - begin, src + begin, dst + begin);
+      [&kern, src = a.data(), dst = out.data()](size_t begin, size_t end) {
+        kern.tanh(end - begin, src + begin, dst + begin);
       },
-      util::GrainFor(1));
+      util::GrainFor(kern.tanh_ns));
   return out;
 }
 
+// Not split: at a fraction of a nanosecond per element it would take
+// millions of elements to fill the chunks a fork needs.
 Matrix Relu(const Matrix& a) {
-  return Map(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  kernels::Active().relu(out.size(), a.data(), out.data());
+  return out;
 }
 
 Matrix RowDot(const Matrix& a, const Matrix& b) {
@@ -231,11 +221,10 @@ void ScatterAddRows(const Matrix& a, const std::vector<uint32_t>& indices,
                     Matrix* out) {
   HOSR_CHECK(indices.size() == a.rows());
   HOSR_CHECK(out->cols() == a.cols());
+  const kernels::KernelTable& kern = kernels::Active();
   for (size_t i = 0; i < indices.size(); ++i) {
     HOSR_CHECK(indices[i] < out->rows());
-    const float* src = a.row(i);
-    float* dst = out->row(indices[i]);
-    for (size_t c = 0; c < a.cols(); ++c) dst[c] += src[c];
+    kern.axpy(a.cols(), 1.0f, a.row(i), out->row(indices[i]));
   }
 }
 

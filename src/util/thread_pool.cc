@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
+
+#include "obs/metrics.h"
 
 namespace hosr::util {
 
 namespace {
-// Set on workers for their lifetime and on a caller while it runs chunks:
-// a ParallelFor made there runs inline, so a chunk's work never depends
-// on which thread claimed it.
+// Set on workers for their lifetime and on a caller while it runs chunks
+// of a forked call: a ParallelFor made there runs inline, so a chunk's
+// work never depends on which thread claimed it.
 thread_local bool t_inside_parallel_for = false;
 }  // namespace
 
@@ -98,10 +102,16 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, ChunkBody body,
   if (end <= begin) return;
   const size_t count = end - begin;
   min_chunk = std::max<size_t>(1, min_chunk);
-  if (t_inside_parallel_for || count <= min_chunk || workers_.empty()) {
+  // Fork only a range of kForkChunks chunks (count >= kForkChunks *
+  // min_chunk, written so the product cannot overflow). A small call leaves
+  // the thread unmarked, so a call nested in its body may still fork.
+  if (t_inside_parallel_for || workers_.empty() ||
+      count / kForkChunks < min_chunk) {
+    HOSR_COUNTER("util/parallel_for_inline").Increment();
     body(begin, end);
     return;
   }
+  HOSR_COUNTER("util/parallel_for_forks").Increment();
   const size_t max_chunks = num_threads() * 4;
   const size_t chunks =
       std::min(max_chunks, (count + min_chunk - 1) / min_chunk);
@@ -134,11 +144,13 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-size_t GrainFor(size_t work_per_item, size_t min_grain) {
-  const size_t work = std::max<size_t>(1, work_per_item);
-  const size_t lo = std::max<size_t>(1, min_grain);
-  const size_t hi = std::max(lo, kGrainTargetWork);
-  return std::clamp(kGrainTargetWork / work, lo, hi);
+size_t GrainFor(double ns_per_item) {
+  const double items = kChunkNanos / ns_per_item;
+  // Compared as a double, so no cost overflows the conversion.
+  if (!(ns_per_item > 0.0) || items >= 0x1p63) {
+    return std::numeric_limits<size_t>::max();
+  }
+  return std::max<size_t>(1, static_cast<size_t>(std::ceil(items)));
 }
 
 }  // namespace hosr::util

@@ -68,34 +68,40 @@ class ThreadPool {
 
 // Splits [begin, end) into contiguous chunks and runs
 // `body(chunk_begin, chunk_end)` for each on the global pool, returning
-// once all of them have finished. There are min(4 per pool thread,
-// ceil(count / min_chunk)) chunks of equal size, the last one shorter, so
-// the boundaries are a function of the range, `min_chunk` and the pool
-// size alone. The calling thread runs chunk 0 itself. Runs inline as one
-// chunk when the range is no larger than `min_chunk`, the pool has one
-// thread, or the caller is already inside a ParallelFor body (nested calls
-// never fork). Allocates nothing. `body` must be safe to invoke
-// concurrently on disjoint ranges, and must not throw.
+// once all of them have finished. A call forks only when the range fills
+// kForkChunks chunks (count >= kForkChunks * min_chunk), whatever the pool
+// size; it then makes min(4 per pool thread, ceil(count / min_chunk))
+// chunks of equal size, the last one shorter, so the boundaries are a
+// function of the range, `min_chunk` and the pool size alone, and the
+// calling thread runs chunk 0 itself. A smaller call runs inline on the
+// caller as one chunk and wakes no worker; calls nested in its body may
+// still fork. Inside the chunks of a forked call, on the caller and on
+// the workers alike, nested calls never fork. The counters
+// util/parallel_for_forks and util/parallel_for_inline count the two
+// outcomes. Allocates nothing. `body` must be safe to invoke concurrently
+// on disjoint ranges, and must not throw.
 inline void ParallelFor(size_t begin, size_t end, ChunkBody body,
                         size_t min_chunk = 1024) {
   ThreadPool::Global().ParallelFor(begin, end, body, min_chunk);
 }
 
-// How much work, in scalar-op units, a ParallelFor chunk should carry. A
-// fork costs about 22 us of CPU for the first worker it wakes and 10 us
-// for each further one on a 4-vCPU AVX2 guest (bench/kernels
-// `parallel_for_*_chunks_cpu_*`); at this grain a chunk carries 40-50 us
-// of SpMM gather or 0.6 ms of element-wise work, so a call forks only
-// when its chunks pay for that (docs/PERFORMANCE.md "Fork-join
-// ParallelFor and the 16-lane GEMM tile").
-inline constexpr size_t kGrainTargetWork = 768 * 1024;
+// Estimated nanoseconds of one core's work a ParallelFor chunk should
+// carry, and the chunks a call must fill to fork. On a 4-vCPU KVM guest a
+// sleeping worker starts its first chunk 40-60 us after the call
+// (bench/kernels `parallel_for_wakeup_micros`), and HOSR's forks of calls
+// under 0.5 ms bought no wall time inside a training batch while costing
+// CPU; with these a call forks only from 0.5 ms of estimated work, on a
+// pool of any size (docs/PERFORMANCE.md "Fork-join ParallelFor and the
+// 16-lane GEMM tile").
+inline constexpr double kChunkNanos = 125'000.0;
+inline constexpr size_t kForkChunks = 4;
 
-// The one grain-sizing heuristic for ParallelFor `min_chunk` arguments:
-// items per chunk so each chunk carries about kGrainTargetWork ops, where
-// `work_per_item` is the per-item cost in scalar-op units (e.g. nnz * d for
-// an SpMM row). Clamped to [min_grain, max(min_grain, kGrainTargetWork)];
-// zero work_per_item is treated as 1.
-size_t GrainFor(size_t work_per_item, size_t min_grain = 1);
+// The one grain-sizing rule for ParallelFor `min_chunk` arguments: items
+// per chunk so a chunk carries at least kChunkNanos, where `ns_per_item`
+// is the caller's estimate of one item's cost on one core (the kernels
+// state theirs in kernels::KernelTable). At least 1; a cost of zero or
+// less never forks.
+size_t GrainFor(double ns_per_item);
 
 }  // namespace hosr::util
 

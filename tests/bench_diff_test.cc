@@ -41,6 +41,14 @@ TEST(BenchDiffTest, DirectionInferredFromName) {
   EXPECT_EQ(DirectionFor("net/latency_p99"), Direction::kLowerIsBetter);
   EXPECT_EQ(DirectionFor("train/epoch_seconds"), Direction::kLowerIsBetter);
   EXPECT_EQ(DirectionFor("bench/mystery"), Direction::kUnknown);
+  // A cost to reach a target falls when things improve, even when the
+  // target's name (recall) would read higher-is-better.
+  EXPECT_EQ(DirectionFor("bench/train_throughput/train_cpu_s_to_recall95"),
+            Direction::kLowerIsBetter);
+  EXPECT_EQ(DirectionFor("bench/train_throughput/epochs_to_recall95"),
+            Direction::kLowerIsBetter);
+  EXPECT_EQ(DirectionFor("bench/train_throughput/best_recall_at_20"),
+            Direction::kHigherIsBetter);
 }
 
 TEST(BenchDiffTest, IdenticalDirsPassWithNoFailures) {

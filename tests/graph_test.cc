@@ -375,9 +375,10 @@ TEST(KOrderStatsTest, ForkedCountsEqualOneThreadRun) {
   ASSERT_TRUE(g.ok());
   const auto forked = KOrderStats(*g, 3);
   std::vector<OrderStats> one_thread;
-  // A ParallelFor body runs nested calls inline on its thread.
+  // The chunks of a forked ParallelFor run nested calls inline on their
+  // thread.
   util::ParallelFor(
-      0, 2,
+      0, util::kForkChunks,
       [&](size_t begin, size_t) {
         if (begin == 0) one_thread = KOrderStats(*g, 3);
       },

@@ -64,6 +64,15 @@ TEST(KernelDispatchTest, TablesAreComplete) {
     EXPECT_NE(t->gemm_tile, nullptr);
     EXPECT_NE(t->tanh, nullptr);
     EXPECT_NE(t->rmsprop, nullptr);
+    EXPECT_NE(t->relu, nullptr);
+    EXPECT_NE(t->relu_grad, nullptr);
+    EXPECT_NE(t->tanh_grad, nullptr);
+    EXPECT_NE(t->log_sigmoid_grad, nullptr);
+    EXPECT_NE(t->mul, nullptr);
+    EXPECT_GT(t->gemm_mac_ns, 0.0);
+    EXPECT_GT(t->dot_mac_ns, 0.0);
+    EXPECT_GT(t->spmm_term_ns, 0.0);
+    EXPECT_GT(t->tanh_ns, 0.0);
   }
   EXPECT_EQ(Scalar().level, kLevelScalar);
   EXPECT_STREQ(Scalar().name, "scalar");
@@ -619,6 +628,92 @@ TEST(KernelRmsPropTest, BitEqualToScalarAndClearsGradient) {
             << grad_scale;
         ASSERT_EQ(std::bit_cast<uint32_t>(gs[i]), 0u) << "scalar grad " << i;
         ASSERT_EQ(std::bit_cast<uint32_t>(gb[i]), 0u) << "simd grad " << i;
+      }
+    }
+  }
+}
+
+// --- the tape's element-wise passes: every table returns the scalar bits ---
+
+// Gaussian values spread wide enough that exp overflows, with about one in
+// five replaced by +0, -0, +inf, -inf or NaN (one NaN bit pattern, so no
+// result depends on which of two NaN operands an instruction passes on).
+std::vector<float> WithSpecials(size_t n, util::Rng* rng) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> v = RandomVec(n, rng);
+  for (float& x : v) {
+    x *= 40.0f;
+    if (rng->UniformInt(5) == 0) x = specials[rng->UniformInt(5)];
+  }
+  return v;
+}
+
+// One element-wise pass, run on `table` over inputs a and b into out.
+struct ElementwisePass {
+  const char* name;
+  bool has_modes;  // takes `accumulate`
+  void (*run)(const KernelTable& table, size_t n, const float* a,
+              const float* b, bool accumulate, float* out);
+};
+
+const ElementwisePass kElementwisePasses[] = {
+    {"relu", false,
+     [](const KernelTable& t, size_t n, const float* a, const float*, bool,
+        float* out) { t.relu(n, a, out); }},
+    {"relu_grad", true,
+     [](const KernelTable& t, size_t n, const float* a, const float* b,
+        bool accumulate,
+        float* out) { t.relu_grad(n, a, b, accumulate, out); }},
+    {"tanh_grad", true,
+     [](const KernelTable& t, size_t n, const float* a, const float* b,
+        bool accumulate,
+        float* out) { t.tanh_grad(n, a, b, accumulate, out); }},
+    {"log_sigmoid_grad", true,
+     [](const KernelTable& t, size_t n, const float* a, const float* b,
+        bool accumulate,
+        float* out) { t.log_sigmoid_grad(n, a, b, accumulate, out); }},
+    {"mul", true,
+     [](const KernelTable& t, size_t n, const float* a, const float* b,
+        bool accumulate, float* out) { t.mul(n, a, b, accumulate, out); }},
+    // tensor::ScatterAddRows adds rows through axpy at alpha = 1.
+    {"axpy at alpha 1", false,
+     [](const KernelTable& t, size_t n, const float* a, const float*, bool,
+        float* out) { t.axpy(n, 1.0f, a, out); }},
+};
+
+// Lengths 0-67 cover every lane tail around the 8-lane body; 135,424 is
+// one HOSR layer's activation at YelpLike 0.2 (2,116 rows of d = 64).
+TEST(KernelElementwiseTest, BitEqualToScalarInEveryTable) {
+  std::vector<const KernelTable*> tables = {&Best()};
+  if (const KernelTable* narrow = EightLaneTable()) tables.push_back(narrow);
+  std::vector<size_t> lengths(68);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  lengths.push_back(135424);
+  util::Rng rng(137);
+  for (const size_t n : lengths) {
+    const auto a = WithSpecials(n, &rng);
+    const auto b = WithSpecials(n, &rng);
+    const auto start = WithSpecials(n, &rng);
+    for (const ElementwisePass& pass : kElementwisePasses) {
+      for (const bool accumulate : {false, true}) {
+        if (!pass.has_modes && accumulate) continue;
+        auto want = start;
+        pass.run(Scalar(), n, a.data(), b.data(), accumulate, want.data());
+        for (const KernelTable* table : tables) {
+          auto got = start;
+          pass.run(*table, n, a.data(), b.data(), accumulate, got.data());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(want[i]),
+                      std::bit_cast<uint32_t>(got[i]))
+                << pass.name << (accumulate ? " accumulate" : " assign")
+                << " in the " << table->name << " table ("
+                << table->gemm_tile_cols << "-column tile), element " << i
+                << " of " << n << ": a=" << a[i] << " b=" << b[i]
+                << " out=" << start[i];
+          }
+        }
       }
     }
   }

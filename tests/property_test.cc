@@ -111,10 +111,10 @@ TEST(GemmDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
         Matrix pooled = c0;
         tensor::Gemm(a, transpose_a, b, transpose_b, 0.75f, 1.0f, &pooled);
         Matrix inline_run = c0;
-        // Chunk 0 of two one-item chunks runs on this thread, where the
-        // nested ParallelFor inside Gemm runs inline.
+        // Chunk 0 of a forked call of one-item chunks runs on this thread,
+        // where the nested ParallelFor inside Gemm runs inline.
         util::ParallelFor(
-            0, 2,
+            0, util::kForkChunks,
             [&](size_t begin, size_t) {
               if (begin != 0) return;
               tensor::Gemm(a, transpose_a, b, transpose_b, 0.75f, 1.0f,

@@ -30,6 +30,7 @@
 #include "kernels/kernels.h"
 #include "models/bpr_mf.h"
 #include "models/trainer.h"
+#include "obs/metrics.h"
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
 #include "tensor/serialize.h"
@@ -71,7 +72,8 @@ const data::Dataset& TestDataset() {
   return *dataset;
 }
 
-// Big enough that Gemm and Spmm split into several ParallelFor chunks.
+// Big enough that HOSR's full-table Gemm and Spmm calls fork, in both
+// dispatch modes (the tests below count the forks).
 const data::Dataset& PoolSizedDataset() {
   static const data::Dataset* dataset =
       new data::Dataset(MakeDataset("trainer-pool-test", 6144, 1024, 3));
@@ -122,19 +124,26 @@ std::string TrainedStateBytes(const ModelFactory& factory,
   return bytes;
 }
 
-// Runs `fn` inside a ParallelFor body: of two one-item chunks, chunk 0 runs
-// on the calling thread, where every nested ParallelFor (Gemm, Spmm, ...)
-// runs inline instead of fanning out.
+// Runs `fn` on this thread as chunk 0 of a forked ParallelFor, where every
+// nested ParallelFor (Gemm, Spmm, ...) runs inline instead of fanning out.
 std::string InsidePoolTask(const std::function<std::string()>& fn) {
   std::string result;
   util::ParallelFor(
-      0, 2,
+      0, util::kForkChunks,
       [&](size_t begin, size_t) {
         if (begin == 0) result = fn();
       },
       /*min_chunk=*/1);
   return result;
 }
+
+// ParallelFor calls that forked so far, process-wide.
+uint64_t Forks() {
+  return obs::Registry::Global().GetCounter("util/parallel_for_forks")->Get();
+}
+
+// Whether the global pool has workers to fork to (not on a one-CPU host).
+bool CanFork() { return util::ThreadPool::Global().num_threads() > 1; }
 
 // Number of byte positions at which two equally long strings differ.
 size_t DifferingBytes(const std::string& a, const std::string& b) {
@@ -163,15 +172,25 @@ TEST(TrainerDeterminismTest, BitIdenticalOnPoolAndInsidePoolTask) {
       config.batch_size = 512;
       config.sparse_steps = sparse;
       const std::string tag = name + (sparse ? "_sparse" : "_dense");
+      const uint64_t forks = Forks();
       const std::string pooled =
           TrainedStateBytes(factory, config, tag + "_pool", dataset);
+      const uint64_t pooled_forks = Forks() - forks;
       const std::string inlined = InsidePoolTask([&] {
         return TrainedStateBytes(factory, config, tag + "_inline", dataset);
       });
+      const uint64_t inline_forks = Forks() - forks - pooled_forks;
       // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print megabytes.
       EXPECT_TRUE(pooled == inlined)
           << tag << ": training on the pool and inline on one thread "
                     "diverged";
+      // BPR has no op that forks; HOSR's propagation must, or the two runs
+      // took the same path and the comparison shows nothing. The inline
+      // run forks once, in InsidePoolTask, and nothing inside it.
+      if (CanFork()) {
+        if (name == "HOSR") EXPECT_GT(pooled_forks, 0u) << tag;
+        EXPECT_EQ(inline_forks, 1u) << tag << ": inline run forked";
+      }
     }
   }
 }
@@ -189,11 +208,20 @@ TEST(TrainerDeterminismTest, EightLaneGemmTileGivesTheSameState) {
   config.epochs = 1;
   config.batch_size = 512;
   kernels::SetActiveForTesting(&kernels::Best());
+  const uint64_t forks = Forks();
   const std::string best = TrainedStateBytes(factory, config, "best", dataset);
+  const uint64_t best_forks = Forks() - forks;
   kernels::SetActiveForTesting(narrow);
   const std::string eight_lane =
       TrainedStateBytes(factory, config, "eight_lane", dataset);
+  const uint64_t eight_lane_forks = Forks() - forks - best_forks;
   kernels::SetActiveForTesting(nullptr);
+  // Chunk edges fall on tile edges, so each table must also have forked
+  // for the tile widths to meet at chunk boundaries.
+  if (CanFork()) {
+    EXPECT_GT(best_forks, 0u);
+    EXPECT_GT(eight_lane_forks, 0u);
+  }
   EXPECT_TRUE(best == eight_lane)
       << kernels::Best().gemm_tile_cols << "-column tiles and "
       << narrow->gemm_tile_cols << "-column tiles trained different states";

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <numeric>
 #include <set>
 #include <thread>
+#include <utility>
 
+#include "obs/metrics.h"
 #include "util/crc32.h"
 #include "util/flags.h"
 #include "util/random.h"
@@ -464,7 +468,7 @@ TEST(ParallelForTest, CallerDoesNotWaitForAnotherCallersChunks) {
   std::atomic<bool> signalled{false};
   std::thread slow([&] {
     pool.ParallelFor(
-        0, 2,
+        0, 4,
         [&](size_t, size_t) {
           if (!signalled.exchange(true)) blocked.set_value();
           released.wait();
@@ -568,8 +572,9 @@ TEST(ParallelForTest, CoversRangeExactlyOnce) {
 
 // Ranges of odd sizes just around chunk edges, at an offset: every index
 // is covered exactly once, by the chunks of a pure function of the range,
-// min_chunk and the pool size: min(4 per pool thread, ceil(count /
-// min_chunk)) chunks of equal size, the last one shorter.
+// min_chunk and the pool size: one chunk below kForkChunks chunks, else
+// min(4 per pool thread, ceil(count / min_chunk)) chunks of equal size,
+// the last one shorter.
 TEST(ParallelForTest, OddRangesAroundChunkEdgesCoveredOnce) {
   ThreadPool pool(4);
   const size_t begin = 5;
@@ -580,7 +585,7 @@ TEST(ParallelForTest, OddRangesAroundChunkEdgesCoveredOnce) {
         continue;  // keep the sizes next to a chunk edge
       }
       const size_t chunks =
-          count <= min_chunk
+          count < kForkChunks * min_chunk
               ? 1
               : std::min<size_t>(16, (count + min_chunk - 1) / min_chunk);
       const size_t chunk_size = (count + chunks - 1) / chunks;
@@ -615,36 +620,129 @@ TEST(ParallelForTest, EmptyRangeIsNoop) {
   EXPECT_FALSE(called);
 }
 
-TEST(GrainForTest, ChunksCarryAboutTargetWork) {
-  // grain * work_per_item should land on kGrainTargetWork when it divides
-  // evenly.
-  EXPECT_EQ(GrainFor(1), kGrainTargetWork);
-  EXPECT_EQ(GrainFor(64), kGrainTargetWork / 64);
-  EXPECT_EQ(GrainFor(kGrainTargetWork), 1u);
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->Get();
 }
 
-TEST(GrainForTest, MonotonicNonIncreasingInWork) {
-  size_t prev = GrainFor(1);
-  for (size_t work = 2; work <= 4096; work *= 2) {
-    const size_t g = GrainFor(work);
-    EXPECT_LE(g, prev) << "work=" << work;
+// Just under kForkChunks chunks, on pools of any size: one chunk, the
+// whole range, run on the caller, with no fork counted and so no worker
+// woken.
+TEST(ParallelForTest, CallUnderForkChunksRunsOnTheCaller) {
+  const size_t grain = GrainFor(1000.0);  // 125 items of 1 us
+  for (const size_t threads : {2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const uint64_t forks = CounterValue("util/parallel_for_forks");
+    const uint64_t inlined = CounterValue("util/parallel_for_inline");
+    std::vector<std::pair<size_t, size_t>> chunks;
+    std::set<std::thread::id> ran_on;
+    std::mutex mutex;
+    pool.ParallelFor(
+        3, 3 + kForkChunks * grain - 1,
+        [&](size_t begin, size_t end) {
+          std::lock_guard<std::mutex> lock(mutex);
+          chunks.emplace_back(begin, end);
+          ran_on.insert(std::this_thread::get_id());
+        },
+        grain);
+    ASSERT_EQ(chunks.size(), 1u) << threads << " threads";
+    EXPECT_EQ(chunks[0].first, 3u);
+    EXPECT_EQ(chunks[0].second, 3 + kForkChunks * grain - 1);
+    EXPECT_EQ(ran_on, std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_EQ(CounterValue("util/parallel_for_forks"), forks);
+    EXPECT_EQ(CounterValue("util/parallel_for_inline"), inlined + 1);
+  }
+}
+
+// kForkChunks chunks fork on pools of any size: kForkChunks chunks of
+// `grain` items, the first on the caller.
+TEST(ParallelForTest, CallFillingForkChunksForks) {
+  const size_t grain = GrainFor(1000.0);
+  for (const size_t threads : {2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const uint64_t forks = CounterValue("util/parallel_for_forks");
+    std::vector<std::pair<size_t, size_t>> chunks;
+    std::thread::id chunk_zero;
+    std::mutex mutex;
+    pool.ParallelFor(
+        0, kForkChunks * grain,
+        [&](size_t begin, size_t end) {
+          std::lock_guard<std::mutex> lock(mutex);
+          chunks.emplace_back(begin, end);
+          if (begin == 0) chunk_zero = std::this_thread::get_id();
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_EQ(chunks.size(), kForkChunks) << threads << " threads";
+    for (size_t c = 0; c < kForkChunks; ++c) {
+      EXPECT_EQ(chunks[c], std::make_pair(c * grain, (c + 1) * grain));
+    }
+    EXPECT_EQ(chunk_zero, std::this_thread::get_id());
+    EXPECT_EQ(CounterValue("util/parallel_for_forks"), forks + 1);
+  }
+}
+
+// A call too small to fork runs its body unmarked, so a large call nested
+// in it (one user's scores over every item, say) still forks.
+TEST(ParallelForTest, CallNestedInASmallCallMayFork) {
+  ThreadPool pool(4);
+  const size_t grain = GrainFor(1000.0);
+  const uint64_t forks = CounterValue("util/parallel_for_forks");
+  std::atomic<size_t> items{0};
+  pool.ParallelFor(
+      0, 1,
+      [&](size_t, size_t) {
+        pool.ParallelFor(
+            0, kForkChunks * grain,
+            [&](size_t begin, size_t end) { items.fetch_add(end - begin); },
+            grain);
+      },
+      grain);
+  EXPECT_EQ(items.load(), kForkChunks * grain);
+  EXPECT_EQ(CounterValue("util/parallel_for_forks"), forks + 1);
+}
+
+TEST(GrainForTest, ChunksCarryAboutChunkNanos) {
+  // grain * ns_per_item lands on kChunkNanos when it divides evenly, and
+  // just reaches it otherwise.
+  EXPECT_EQ(GrainFor(1.0), static_cast<size_t>(kChunkNanos));
+  EXPECT_EQ(GrainFor(0.5), static_cast<size_t>(2 * kChunkNanos));
+  EXPECT_EQ(GrainFor(kChunkNanos), 1u);
+  const double cost = 0.3;
+  const size_t grain = GrainFor(cost);
+  EXPECT_GE(static_cast<double>(grain) * cost, kChunkNanos);
+  EXPECT_LT(static_cast<double>(grain - 1) * cost, kChunkNanos);
+}
+
+TEST(GrainForTest, MonotonicNonIncreasingInCost) {
+  size_t prev = GrainFor(1e-3);
+  for (double cost = 2e-3; cost <= 1e6; cost *= 2) {
+    const size_t g = GrainFor(cost);
+    EXPECT_LE(g, prev) << "ns_per_item=" << cost;
     prev = g;
   }
 }
 
-TEST(GrainForTest, NeverZeroEvenForHugeWork) {
-  EXPECT_GE(GrainFor(0), 1u);  // zero work treated as 1
-  EXPECT_EQ(GrainFor(1u << 30), 1u);
-  EXPECT_EQ(GrainFor(std::numeric_limits<size_t>::max()), 1u);
+TEST(GrainForTest, NeverZeroEvenForHugeCost) {
+  EXPECT_EQ(GrainFor(2 * kChunkNanos), 1u);
+  EXPECT_EQ(GrainFor(1e30), 1u);
+  EXPECT_EQ(GrainFor(std::numeric_limits<double>::infinity()), 1u);
 }
 
-TEST(GrainForTest, MinGrainIsHonored) {
-  // Heavy work would give grain 1, but the caller's floor wins.
-  EXPECT_EQ(GrainFor(1u << 20, /*min_grain=*/16), 16u);
-  // Light work keeps the computed grain when it already exceeds the floor.
-  EXPECT_EQ(GrainFor(64, /*min_grain=*/16), kGrainTargetWork / 64);
-  // min_grain of 0 is floored to 1 (a 0 chunk would be a ParallelFor bug).
-  EXPECT_GE(GrainFor(1u << 20, /*min_grain=*/0), 1u);
+// No cost, or one too small to count, gives a grain no range fills, so
+// such a call always runs inline.
+TEST(GrainForTest, NoCostNeverForks) {
+  constexpr size_t kNever = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(GrainFor(0.0), kNever);
+  EXPECT_EQ(GrainFor(-1.0), kNever);
+  EXPECT_EQ(GrainFor(std::numeric_limits<double>::quiet_NaN()), kNever);
+  EXPECT_EQ(GrainFor(1e-300), kNever);
+  ThreadPool pool(4);
+  const uint64_t forks = CounterValue("util/parallel_for_forks");
+  size_t calls = 0;
+  pool.ParallelFor(0, 1u << 20, [&](size_t, size_t) { ++calls; },
+                   GrainFor(0.0));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(CounterValue("util/parallel_for_forks"), forks);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

@@ -12,6 +12,10 @@ Direction DirectionFor(const std::string& name) {
   static const char* kLower[] = {"_us",      "_ms",  "_ns",  "_seconds",
                                  "_p50",     "_p95", "_p99", "latency",
                                  "_penalty"};
+  const std::string leaf = name.substr(name.rfind('/') + 1);
+  if (leaf.find("_to_") != std::string::npos) {
+    return Direction::kLowerIsBetter;
+  }
   for (const char* suffix : kHigher) {
     if (name.find(suffix) != std::string::npos) {
       return Direction::kHigherIsBetter;

@@ -15,7 +15,9 @@ enum class Direction { kHigherIsBetter, kLowerIsBetter, kUnknown };
 
 // Infers the regression direction from the metric name using the units
 // convention in docs/OBSERVABILITY.md: throughput-like names regress when
-// they drop, latency-like names regress when they rise.
+// they drop, latency-like names regress when they rise. A cost spent to
+// reach a target, `<cost>_to_<target>` (epochs_to_recall95), is checked
+// first and is lower-is-better whatever its target is named.
 Direction DirectionFor(const std::string& name);
 
 // Pulls every {"type": "gauge", "value": V} entry out of a registry dump
